@@ -46,6 +46,15 @@ Three production-shaped mechanisms ride on top of the plain store:
   entry's name, shard placement, schema and digests, quarantines
   anything corrupt, repairs the manifest and rebuilds the index.
 
+Every document the cache writes — entries, ``index.json``,
+``durations.json``, the manifest and poison markers — is compact
+canonical JSON (:func:`~repro.obs.snapshot.canonical_json`). An entry
+carries its result's per-job observability snapshot verbatim, as the
+``obs_json`` string the worker encoded, guarded by an ``obs_sha256``
+checksum: ``get`` never decodes or re-encodes the snapshot (only the
+obs merge parses it, once), and a checksum mismatch quarantines the
+entry like any other payload corruption.
+
 Writes are crash-atomic (fsynced ``tmp-<pid>`` sibling + ``os.replace``)
 so even a SIGKILLed coordinator never leaves a half-written entry under
 a live name — at worst a stale tmp file the scrub prunes — and all
@@ -64,6 +73,7 @@ from pathlib import Path
 from repro.errors import FleetError
 from repro.fleet.jobs import CODE_SALT, RESULT_SCHEMA, JobResult, JobSpec
 from repro.obs import NULL_OBS
+from repro.obs.snapshot import canonical_json
 
 #: Cache entry document identifier.
 ENTRY_SCHEMA = "repro.fleet.cache-entry/v1"
@@ -159,14 +169,12 @@ class ResultCache:
     def write_manifest(self) -> None:
         self._write_atomic(
             self.manifest_path,
-            json.dumps(
+            canonical_json(
                 {
                     "schema": LAYOUT_SCHEMA,
                     "layout": LAYOUT,
                     "shard_width": SHARD_WIDTH,
-                },
-                sort_keys=True,
-                indent=2,
+                }
             ),
         )
 
@@ -239,7 +247,8 @@ class ResultCache:
 
         An unreadable file or a salt mismatch (a stale entry from
         another code version) is a plain miss. A file that *reads* but
-        does not parse back into a valid entry for this digest is
+        does not parse back into a valid entry for this digest —
+        including an ``obs_json`` that fails its checksum — is
         corruption: it is quarantined (renamed to ``.corrupt``) and the
         miss makes the caller recompute and write a fresh entry.
         """
@@ -296,7 +305,7 @@ class ResultCache:
             "result": result.to_payload(),
         }
         path = self.path_for(result.digest)
-        text = json.dumps(doc, sort_keys=True, indent=2)
+        text = canonical_json(doc)
         self._write_atomic(path, text)
         self._touch(result.digest, size=len(text.encode("utf-8")) + 1)
         self.evict_to_budget()
@@ -319,15 +328,13 @@ class ResultCache:
         path = self.poison_path(digest)
         self._write_atomic(
             path,
-            json.dumps(
+            canonical_json(
                 {
                     "schema": POISON_SCHEMA,
                     "digest": digest,
                     "salt": CODE_SALT,
                     "reason": reason,
-                },
-                sort_keys=True,
-                indent=2,
+                }
             ),
         )
         if self.obs.enabled:
@@ -428,9 +435,7 @@ class ResultCache:
                 for digest in sorted(self._index["entries"])
             },
         }
-        self._write_atomic(
-            self.index_path, json.dumps(doc, sort_keys=True, indent=2)
-        )
+        self._write_atomic(self.index_path, canonical_json(doc))
         self._index_dirty = False
 
     def rebuild_index(self, entry_sizes: dict[str, int]) -> None:
@@ -569,10 +574,7 @@ class ResultCache:
         durations[spec.profile_key] = (
             duration if prev is None else 0.5 * prev + 0.5 * duration
         )
-        self._write_atomic(
-            self.durations_path,
-            json.dumps(durations, sort_keys=True, indent=2),
-        )
+        self._write_atomic(self.durations_path, canonical_json(durations))
 
     # -- maintenance -------------------------------------------------------
 

@@ -35,6 +35,7 @@ import numpy as np
 from repro._version import __version__
 from repro.amp.platform import Platform
 from repro.errors import FleetError
+from repro.obs.snapshot import canonical_json
 from repro.perfmodel.contention import ContentionModel
 from repro.perfmodel.overhead import OverheadModel
 from repro.runtime.env import OmpEnv
@@ -47,11 +48,17 @@ from repro.workloads.program import Program
 #: quantile digests), so cached v2 entries lack the new data.
 #: v4: span-tracing jobs attach the causal span trace to the per-job
 #: snapshot (``JOB_SCHEMA`` v3), so cached v3 entries lack span trees.
-RESULT_SCHEMA = "repro.fleet.result/v4"
+#: v5: payloads carry the snapshot verbatim as the ``obs_json`` string
+#: plus its ``obs_sha256`` checksum, not as an embedded ``obs`` document.
+RESULT_SCHEMA = "repro.fleet.result/v5"
 
 #: Code-version salt mixed into every digest. Any release that changes
 #: simulated numbers bumps ``__version__`` and thereby every digest.
 CODE_SALT = f"{__version__}/{RESULT_SCHEMA}"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def canonical(obj: object) -> object:
@@ -173,10 +180,7 @@ class JobSpec:
 
     def digest(self, salt: str | None = None) -> str:
         """Stable SHA-256 content digest of this job."""
-        text = json.dumps(
-            self.payload(salt), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return _sha256(canonical_json(self.payload(salt)))
 
     @cached_property
     def key(self) -> str:
@@ -293,6 +297,8 @@ class JobResult:
             so snapshot equality is string equality. Everything in it is
             simulated-time, so it *is* compared: a replayed cache entry
             must report the same metrics as the run that produced it.
+            The worker encodes it once; payloads and cache entries carry
+            the text verbatim and only the obs merge parses it.
     """
 
     digest: str
@@ -317,23 +323,40 @@ class JobResult:
         return [dict(inv) for inv in self.sf_series]
 
     def to_payload(self) -> dict:
+        """The JSON-ready payload :meth:`from_payload` inverts.
+
+        ``obs_json`` travels verbatim, never decoded and re-encoded, so
+        nothing parses it on the way through; ``obs_sha256`` guards it
+        instead, and :meth:`from_payload` rejects text that no longer
+        matches.
+        """
         doc = dataclasses.asdict(self)
         if self.sf_series is not None:
             doc["sf_series"] = [
                 [[j, sf] for j, sf in inv] for inv in self.sf_series
             ]
-        # Embed the obs snapshot as a document, not a nested JSON string:
-        # cache entries stay greppable and diffable.
-        doc.pop("obs_json", None)
         if self.obs_json is not None:
-            doc["obs"] = json.loads(self.obs_json)
+            doc["obs_sha256"] = _sha256(self.obs_json)
         return doc
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "JobResult":
+        """Rehydrate a :meth:`to_payload` document.
+
+        Raises :class:`~repro.errors.FleetError` on missing or mistyped
+        fields and when ``obs_json`` does not match ``obs_sha256``.
+        """
+        obs_json = payload.get("obs_json")
+        if obs_json is not None and (
+            not isinstance(obs_json, str)
+            or payload.get("obs_sha256") != _sha256(obs_json)
+        ):
+            raise FleetError(
+                "malformed job-result payload: obs_json does not match "
+                "its obs_sha256 checksum"
+            )
         try:
             sf_series = payload.get("sf_series")
-            obs = payload.get("obs")
             return cls(
                 digest=str(payload["digest"]),
                 program=str(payload["program"]),
@@ -350,13 +373,7 @@ class JobResult:
                         for inv in sf_series
                     )
                 ),
-                obs_json=(
-                    None
-                    if obs is None
-                    else json.dumps(
-                        obs, sort_keys=True, separators=(",", ":")
-                    )
-                ),
+                obs_json=obs_json,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise FleetError(f"malformed job-result payload: {exc}") from exc

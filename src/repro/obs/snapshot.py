@@ -42,9 +42,28 @@ def build_snapshot(obs, meta: Mapping[str, object] | None = None) -> dict:
     return doc
 
 
+def canonical_json(doc: object) -> str:
+    """The repo's one canonical JSON form: sorted keys, compact
+    ``(",", ":")`` separators, no trailing newline.
+
+    Job snapshots, job-spec digests, fleet cache documents and merged
+    snapshots all use it, so equal documents are equal strings. Unlike
+    ``indent``, which drops CPython onto its pure-Python encoder, this
+    form runs on the C encoder.
+    """
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def to_json(snapshot: Mapping[str, object]) -> str:
-    """Canonical serialization (sorted keys, 2-space indent)."""
-    return json.dumps(snapshot, sort_keys=True, indent=2) + "\n"
+    """Canonical serialization: :func:`canonical_json` plus one trailing
+    newline, i.e. ``json.dumps(snapshot, sort_keys=True,
+    separators=(",", ":")) + "\\n"``.
+
+    Readers parse any JSON layout, so snapshots written in the older
+    indented form still load through :func:`load_snapshot` and diff
+    cleanly against compact ones.
+    """
+    return canonical_json(snapshot) + "\n"
 
 
 def write_snapshot(

@@ -1,5 +1,6 @@
 """Tests for the fleet job model: digests, execution, result payloads."""
 
+import hashlib
 import json
 
 import pytest
@@ -160,13 +161,21 @@ def test_obs_capture_is_deterministic_across_executions():
     assert a.obs_json == b.obs_json  # canonical string equality
 
 
-def test_payload_embeds_obs_as_a_document():
+def test_payload_carries_obs_json_verbatim_and_checksummed():
     result = spec_for().execute()
     doc = result.to_payload()
-    assert "obs_json" not in doc
-    assert isinstance(doc["obs"], dict)  # greppable, not a nested string
-    back = JobResult.from_payload(json.loads(json.dumps(doc)))
-    assert back.obs_json == result.obs_json
+    # Verbatim: the worker's text, never decoded and re-encoded.
+    assert doc["obs_json"] == result.obs_json
+    assert doc["obs_sha256"] == hashlib.sha256(
+        result.obs_json.encode("utf-8")
+    ).hexdigest()
+    assert JobResult.from_payload(json.loads(json.dumps(doc))) == result
+    # One changed character in the opaque text fails the checksum.
+    text = doc["obs_json"]
+    i = next(k for k, c in enumerate(text) if c.isdigit())
+    doc["obs_json"] = text[:i] + str((int(text[i]) + 1) % 10) + text[i + 1:]
+    with pytest.raises(FleetError, match="obs_sha256"):
+        JobResult.from_payload(doc)
 
 
 def test_job_result_rejects_malformed_payload():

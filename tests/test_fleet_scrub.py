@@ -1,20 +1,40 @@
 """Corruption-injection matrix for the cache integrity scrub: truncated
-JSON, flipped digest bytes, wrong-shard placement, stale manifests and
-stale salts — every injection detected, quarantined (or pruned) and
-repaired."""
+JSON, flipped digest bytes, flipped obs-snapshot bytes, wrong-shard
+placement, stale manifests and stale salts — every injection detected,
+quarantined (or pruned) and repaired."""
 
 import json
+import re
 
 import pytest
 
+from repro._version import __version__
 from repro.amp.presets import odroid_xu4
+from repro.fleet import FleetProgress, run_jobs
 from repro.fleet.cache import LAYOUT_SCHEMA, ResultCache
 from repro.fleet.cli import main as fleet_main
 from repro.fleet.jobs import JobSpec
 from repro.fleet.scrub import SCRUB_SCHEMA, scrub_cache
 from repro.obs import Observability
+from repro.obs.merge import comparable_snapshot
 from repro.runtime.env import OmpEnv
 from repro.workloads.registry import get_program
+
+#: Counters that legitimately differ between a cold sweep and one that
+#: replays most cells from the cache.
+CACHE_TEMPERATURE = {
+    "fleet_cache_hits", "fleet_cache_misses", "fleet_jobs_computed",
+    "fleet_heartbeats_total",
+}
+
+
+def comparable_json(progress):
+    doc = comparable_snapshot(progress.obs_snapshot())
+    doc["metrics"]["counters"] = [
+        c for c in doc["metrics"]["counters"]
+        if c["name"] not in CACHE_TEMPERATURE
+    ]
+    return json.dumps(doc, sort_keys=True)
 
 
 def make_spec(seed=0):
@@ -78,6 +98,56 @@ def test_scrub_detects_flipped_digest_byte(seeded_cache):
     ).value == 1
 
 
+def flip_obs_digit(path):
+    """Change the first digit of a metric value inside an entry's
+    verbatim ``obs_json`` text. The entry and the embedded snapshot both
+    stay valid JSON: only the ``obs_sha256`` checksum can notice."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    text = doc["result"]["obs_json"]
+    i = re.search(r'"value":\d', text).end() - 1
+    doc["result"]["obs_json"] = (
+        text[:i] + str((int(text[i]) + 1) % 10) + text[i + 1:]
+    )
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def test_scrub_detects_flipped_obs_byte(seeded_cache):
+    cache, specs = seeded_cache
+    flip_obs_digit(cache.path_for(specs[0].key))
+    report = scrub_cache(cache)
+    assert report.quarantined == 1 and report.ok == 2
+    assert report.findings[0].reason == "payload"
+    assert cache.obs.registry.counter(
+        "fleet_cache_corrupt_total", reason="payload"
+    ).value == 1
+
+
+def test_flipped_obs_byte_quarantined_on_get_then_recomputed(tmp_path):
+    """The lazy read path catches the flipped obs byte too, and the next
+    sweep recomputes the cell: its merged snapshot is byte-identical to
+    the cold run's, modulo wall-clock fields and cache temperature."""
+    specs = [make_spec(seed=i) for i in range(3)]
+    cold = FleetProgress()
+    run_jobs(specs, cache=ResultCache(tmp_path), progress=cold)
+    victim = ResultCache(tmp_path).path_for(specs[1].key)
+    flip_obs_digit(victim)
+
+    cache = ResultCache(tmp_path, obs=Observability())
+    assert cache.get(specs[1].key) is None
+    assert not victim.exists()
+    assert victim.with_name(victim.name + ".corrupt").is_file()
+    assert cache.obs.registry.counter(
+        "fleet_cache_corrupt_total", reason="payload"
+    ).value == 1
+
+    warm = FleetProgress()
+    outcomes = run_jobs(specs, cache=cache, progress=warm)
+    assert all(o.ok for o in outcomes)
+    assert warm.count("fleet_jobs_computed") == 1
+    assert warm.count("fleet_cache_hits") == 2
+    assert comparable_json(warm) == comparable_json(cold)
+
+
 def test_scrub_detects_wrong_shard_placement(seeded_cache):
     cache, specs = seeded_cache
     good = cache.path_for(specs[0].key)
@@ -137,6 +207,29 @@ def test_scrub_counts_stale_salt_and_prunes_on_request(
     assert {f.reason for f in report.findings} == {"stale-salt"}
     assert report.bytes_total == 0
     assert len(cache) == 0
+
+
+def test_scrub_counts_v4_layout_entries_as_stale(seeded_cache):
+    """An entry from result schema v4, which embedded the obs snapshot
+    as a document, is a stale-salt miss, not corruption: kept until
+    ``--prune-stale`` deletes it."""
+    cache, specs = seeded_cache
+    path = cache.path_for(specs[0].key)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    result = doc["result"]
+    result["obs"] = json.loads(result.pop("obs_json"))
+    del result["obs_sha256"]
+    doc["result_schema"] = "repro.fleet.result/v4"
+    doc["salt"] = f"{__version__}/repro.fleet.result/v4"
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n",
+                    encoding="utf-8")
+    assert cache.get(specs[0].key) is None
+    assert path.is_file()
+    report = scrub_cache(cache)
+    assert report.stale == 1 and report.ok == 2
+    assert report.quarantined == 0
+    report = scrub_cache(cache, prune_stale=True)
+    assert report.pruned == 1 and not path.exists()
 
 
 def test_scrub_rebuilds_index_to_survivor_census(seeded_cache):

@@ -8,8 +8,11 @@ import pytest
 
 from repro.amp.presets import dual_speed_platform
 from repro.errors import ObsError
+from repro.fleet.cache import ResultCache
+from repro.fleet.jobs import JobResult
 from repro.obs import Observability
 from repro.obs.chrome_trace import export_chrome_trace, to_trace_events
+from repro.obs.merge import job_snapshot_json
 from repro.obs.report import main as report_main
 from repro.obs.snapshot import (
     SCHEMA,
@@ -261,6 +264,52 @@ class TestSnapshot:
         assert row["normalized_performance"] == normalized_performance(1.0, 0.5)
         assert row["scheme"] == "dynamic(BS)"
         assert row["completion_time"] == 0.5
+
+
+# -- the one canonical JSON form ---------------------------------------------
+
+
+def canonical_text(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+class TestCanonicalForm:
+    """Snapshots and fleet cache documents share one compact canonical
+    form, and snapshot files in the older indented form stay readable
+    and comparable."""
+
+    @staticmethod
+    def observed_run():
+        obs = Observability()
+        seeded_run(obs=obs)
+        return obs
+
+    def test_to_json_is_compact_canonical(self):
+        doc = build_snapshot(self.observed_run(), meta={"seed": 13})
+        assert to_json(doc) == canonical_text(doc)
+
+    def test_cache_entry_is_compact_canonical(self, tmp_path):
+        result = JobResult(
+            digest="ab" * 32, program="test", schedule="aid_hybrid",
+            completion_time=1.0, serial_time=0.0, total_dispatches=1,
+            duration=0.1, obs_json=job_snapshot_json(self.observed_run()),
+        )
+        text = ResultCache(tmp_path).put(result).read_text(encoding="utf-8")
+        assert text == canonical_text(json.loads(text))
+
+    def test_indented_snapshot_loads_and_diffs_clean(self, tmp_path, capsys):
+        doc = build_snapshot(self.observed_run(), meta={"seed": 13})
+        indented = tmp_path / "indented.json"
+        indented.write_text(
+            json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        )
+        compact = tmp_path / "compact.json"
+        compact.write_text(to_json(doc), encoding="utf-8")
+        assert load_snapshot(indented) == load_snapshot(compact)
+        assert report_main(
+            ["diff", str(indented), str(compact), "--fail-on-regression"]
+        ) == 0
+        assert "0 regression(s)" in capsys.readouterr().out
 
 
 # -- null sink perturbs nothing ---------------------------------------------
