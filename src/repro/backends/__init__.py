@@ -2,7 +2,7 @@
 
 Public surface:
 
-* :class:`ExecutionBackend`, :class:`BackendCapabilities` — the protocol.
+* :class:`ExecutionBackend` — the protocol.
 * :func:`register_backend`, :func:`backend_names`,
   :func:`resolve_backend_name`, :func:`create_backend`,
   :func:`resolve_backend` — the registry and selection rules
@@ -18,7 +18,6 @@ from repro.backends.common import LoopRunRequest
 from repro.backends.core import (
     DEFAULT_BACKEND,
     ENV_VAR,
-    BackendCapabilities,
     ExecutionBackend,
     backend_names,
     create_backend,
@@ -37,7 +36,6 @@ register_backend(RealBackend.name, RealBackend)
 __all__ = [
     "DEFAULT_BACKEND",
     "ENV_VAR",
-    "BackendCapabilities",
     "ExecutionBackend",
     "LoopRunRequest",
     "RealBackend",

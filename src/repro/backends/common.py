@@ -12,6 +12,13 @@ simulator backends share the same prologue and epilogue:
 * :func:`finish_run` — the executed-iteration-count self-check, the
   :class:`~repro.runtime.executor.LoopResult`, the conformance goodbye
   and the metrics publication.
+* :func:`publish_log` — the one path from a simulated engine to its
+  sinks. Engines append one row per scheduler call to the run's
+  dispatch log; at loop end this projection turns the log into the
+  registry's timeseries, digests and per-thread time totals, the span
+  recorder's wake/chunk/empty-take spans and the trace recorder's
+  intervals. No engine feeds a sink directly, so the reference and
+  vectorized engines publish identical observability by construction.
 
 The epilogue takes the pool attempt counters *explicitly* rather than
 reading the work-share structure: a batching backend that advances the
@@ -30,6 +37,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.runtime.context import LoopContext
 from repro.sched.base import LoopScheduler, ScheduleSpec
+from repro.tracing.trace import ThreadState
 from repro.workloads.loopspec import LoopSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -84,6 +92,17 @@ class RunSetup:
     spans: object = None
     span_loop: str | None = None
     big_of: list[bool] = field(default_factory=list)
+    #: The dispatch log, or ``None`` when no sink listens (obs off, no
+    #: span or trace recorder). One row per scheduler call:
+    #: ``(tid, now, overhead_dt, remaining, lo, hi, compute_dt)``, with
+    #: ``lo == -1`` for an empty take; a thread's rows are in its
+    #: dispatch order (the drain stores the whole log as one array).
+    log: list | np.ndarray | None = None
+    #: Faulted runs only (a fault can cut or delay a chunk, so the
+    #: dispatch rows cannot say when it ran): one row per executed range
+    #: or empty take, ``(tid, t_dispatch, compute_start, t_end, lo, hi,
+    #: compute_dt)``.
+    execs: list | None = None
 
 
 def prepare_run(executor: "LoopExecutor", req: "LoopRunRequest") -> RunSetup:
@@ -162,6 +181,10 @@ def prepare_run(executor: "LoopExecutor", req: "LoopRunRequest") -> RunSetup:
 
     track_obs = executor.obs.enabled
     srec = getattr(executor.obs, "spans", None)
+    listening = (
+        track_obs or srec is not None or executor.recorder is not None
+    )
+    faulted = req.faults is not None and not req.faults.is_empty
     span_loop = None
     big_of: list[bool] = []
     if srec is not None:
@@ -188,14 +211,15 @@ def prepare_run(executor: "LoopExecutor", req: "LoopRunRequest") -> RunSetup:
         spans=srec,
         span_loop=span_loop,
         big_of=big_of,
+        log=[] if listening else None,
+        execs=[] if listening and faulted else None,
     )
 
 
 @dataclass
 class LoopInstruments:
-    """The per-run time-resolved instruments, shared by all simulated
-    backends (the reference engine feeds them per dispatch, the
-    vectorized engine in bulk columns at loop end)."""
+    """The per-run time-resolved instruments, fed in bulk columns by
+    :func:`publish_log`."""
 
     util_of: list
     rate_of: list
@@ -244,6 +268,96 @@ def make_instruments(
     return inst
 
 
+def publish_log(
+    executor: "LoopExecutor", loop: LoopSpec, setup: RunSetup
+) -> tuple[list[float], list[float]] | None:
+    """Project the run's dispatch log onto every listening sink.
+
+    Returns the per-thread overhead and compute seconds for
+    ``_publish_loop_metrics`` (``None`` when obs is off). They are
+    summed in event order, starting from the wake term: ``np.bincount``
+    adds sequentially, like a running ``+=``. Each thread's rows are
+    emitted in log order, so span chunk ordinals and trace intervals
+    come out as per-event recording would produce them.
+    """
+    if setup.log is None:
+        return None
+    nt = setup.nt
+    entry, wake = setup.entry, setup.wake_begin
+    rows = np.asarray(setup.log, dtype=float).reshape(-1, 7)
+    nows, ovh = rows[:, 1], rows[:, 2]
+    if setup.execs is None:
+        # Fault-free: every range ran exactly as it was dispatched.
+        starts = nows + ovh
+        ex = np.column_stack(
+            (rows[:, 0], nows, starts, starts + rows[:, 6], rows[:, 4:7])
+        )
+    else:
+        ex = np.asarray(setup.execs, dtype=float).reshape(-1, 7)
+    ex_tids = ex[:, 0].astype(np.int64)
+    t0s, starts, t1s, los, his, cds = ex[:, 1:].T
+    acc = None
+    if setup.track_obs:
+        inst = make_instruments(executor, loop, setup.core_types)
+        disp = rows[:, 4] >= 0.0
+        sizes = (rows[:, 5] - rows[:, 4])[disp]
+        inst.dispatch_digest.observe_many(ovh)
+        inst.runnable_ts.observe_many(nows, rows[:, 3])
+        inst.chunk_ts.observe_many(nows[disp], sizes)
+        inst.size_digest.observe_many(sizes)
+        ran = los >= 0.0
+        timed = ran & (his > los) & (cds > 0.0)
+        # A fault-free chunk counts even at zero cost; a faulted range
+        # only when it computed.
+        inst.compute_digest.observe_many(
+            cds[ran if setup.execs is None else timed]
+        )
+        works = (
+            setup.prefix[his[timed].astype(np.int64)]
+            - setup.prefix[los[timed].astype(np.int64)]
+        )
+        rate_tids, rate_ts = ex_tids[timed], starts[timed]
+        rate_vals = works / cds[timed]
+        for t in range(nt):
+            m = ex_tids == t
+            inst.util_of[t].observe_spans(
+                np.concatenate(((entry[t],), t0s[m])),
+                np.concatenate(((wake[t],), t1s[m])),
+            )
+            r = rate_tids == t
+            inst.rate_of[t].observe_many(rate_ts[r], rate_vals[r])
+        ovh_acc = np.bincount(
+            np.concatenate((np.arange(nt), rows[:, 0].astype(np.int64))),
+            weights=np.concatenate((np.subtract(wake, entry), ovh)),
+            minlength=nt,
+        )
+        cmp_acc = np.bincount(ex_tids, weights=cds, minlength=nt)
+        acc = (ovh_acc.tolist(), cmp_acc.tolist())
+    srec = setup.spans
+    if srec is not None:
+        for t in range(nt):
+            srec.record_wake(setup.span_loop, t, entry[t], wake[t])
+            m = ex_tids == t
+            srec.record_dispatches(
+                setup.span_loop, t, t0s[m].tolist(), starts[m].tolist(),
+                t1s[m].tolist(), los[m].astype(np.int64).tolist(),
+                his[m].astype(np.int64).tolist(), setup.big_of[t],
+            )
+    recorder = executor.recorder
+    if recorder is not None:
+        runtime, compute = ThreadState.RUNTIME, ThreadState.COMPUTE
+        for t in range(nt):
+            recorder.record(t, runtime, entry[t], wake[t], loop.name)
+        for tid, t0, t_start, t1 in zip(
+            ex_tids.tolist(), t0s.tolist(), starts.tolist(), t1s.tolist()
+        ):
+            # Zero-length intervals (an empty take's compute part, an
+            # overhead a fault cut to nothing) are dropped by record().
+            recorder.record(tid, runtime, t0, t_start, loop.name)
+            recorder.record(tid, compute, t_start, t1, loop.name)
+    return acc
+
+
 def finish_run(
     executor: "LoopExecutor",
     req: "LoopRunRequest",
@@ -255,14 +369,15 @@ def finish_run(
     dispatches: int,
     attempts: int,
     empty_takes: int,
-    overhead_acc: Sequence[float],
-    compute_acc: Sequence[float],
     engine=None,
 ) -> "LoopResult":
     """Shared epilogue: self-check, result, conformance, metrics."""
     from repro.runtime.executor import LoopResult
 
     loop, spec = req.loop, req.spec
+    # Project first: a run that fails the self-check below still leaves
+    # its trace and spans behind as evidence.
+    acc = publish_log(executor, loop, setup)
     total_iters = sum(iters)
     if total_iters != loop.n_iterations:
         raise SimulationError(
@@ -301,7 +416,7 @@ def finish_run(
     if executor.obs.enabled:
         executor._publish_sf_drift(loop, setup.dec_mark)
         executor._publish_loop_metrics(
-            loop, result, calls, overhead_acc, compute_acc,
+            loop, result, calls, *acc,
             attempts=attempts, empty_takes=empty_takes, engine=engine,
         )
     return result

@@ -15,10 +15,9 @@ Three implementations register themselves here:
 * ``reference`` — the discrete-event simulator, one event per dispatch.
   The semantics every other backend is measured against.
 * ``vectorized`` — a numpy engine that advances uniform chunk batches in
-  closed form and publishes observability in bulk columns, falling back
-  to reference semantics wherever per-dispatch state matters. Decision
-  logs and :class:`~repro.runtime.executor.LoopResult` fields are
-  byte-identical to ``reference`` by construction.
+  closed form, handing faulted runs to ``reference``. Decision logs,
+  :class:`~repro.runtime.executor.LoopResult` fields and observability
+  output are byte-identical to ``reference`` by construction.
 * ``real`` — wraps :mod:`repro.exec_real`: the loop runs on actual
   Python threads in wall-clock time (non-deterministic; cross-validation
   only).
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 import abc
 import os
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import BackendError
@@ -50,31 +48,6 @@ ENV_VAR = "REPRO_BACKEND"
 DEFAULT_BACKEND = "reference"
 
 
-@dataclass(frozen=True)
-class BackendCapabilities:
-    """What a backend can faithfully execute.
-
-    Attributes:
-        simulated: results are virtual-time (False for real threads).
-        deterministic: identical inputs produce identical results.
-        supports_faults: can apply a simulator :class:`FaultPlan` itself
-            (a backend without it must delegate faulted runs elsewhere
-            or refuse them).
-        supports_trace: can feed a :class:`TraceRecorder`.
-        supports_check: can drive a conformance recorder.
-        batched: advances chunk batches in closed form when the
-            scheduler declares a
-            :class:`~repro.sched.base.PoolAdvancement`.
-    """
-
-    simulated: bool = True
-    deterministic: bool = True
-    supports_faults: bool = False
-    supports_trace: bool = False
-    supports_check: bool = False
-    batched: bool = False
-
-
 class ExecutionBackend(abc.ABC):
     """One engine for playing out runtime-scheduled parallel loops.
 
@@ -87,10 +60,6 @@ class ExecutionBackend(abc.ABC):
 
     #: Registry key; subclasses override.
     name: str = "?"
-
-    @abc.abstractmethod
-    def capabilities(self) -> BackendCapabilities:
-        """Static capability flags for this backend."""
 
     def prepare(self, executor: "LoopExecutor") -> None:
         """One-time binding to an executor (thread pools, caches)."""

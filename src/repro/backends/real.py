@@ -10,8 +10,7 @@ behaviour while per-iteration cost stays controlled.
 This backend is experimental and intentionally coarse:
 
 * results are wall-clock, not virtual-time: ``end_time``/``duration``
-  measure the host machine, not the modeled AMP, and vary run to run
-  (``deterministic=False``);
+  measure the host machine, not the modeled AMP, and vary run to run;
 * per-thread finish times are not individually tracked by the real
   team, so every thread reports the loop's wall-clock end;
 * locality, ownership and wake jitter are simulator concepts and are
@@ -29,7 +28,7 @@ import time
 from typing import TYPE_CHECKING
 
 from repro.backends.common import LoopRunRequest, prepare_run
-from repro.backends.core import BackendCapabilities, ExecutionBackend
+from repro.backends.core import ExecutionBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.executor import LoopExecutor, LoopResult
@@ -48,16 +47,6 @@ class RealBackend(ExecutionBackend):
     def __init__(self) -> None:
         self._team = None
         self._team_key = None
-
-    def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(
-            simulated=False,
-            deterministic=False,
-            supports_faults=False,
-            supports_trace=False,
-            supports_check=True,
-            batched=False,
-        )
 
     def _thread_team(self, executor: "LoopExecutor"):
         from repro.exec_real.team import ThreadTeam

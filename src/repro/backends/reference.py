@@ -12,14 +12,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.backends.common import (
-    LoopRunRequest,
-    finish_run,
-    make_instruments,
-    prepare_run,
-)
-from repro.backends.core import BackendCapabilities, ExecutionBackend
-from repro.tracing.trace import ThreadState
+from repro.backends.common import LoopRunRequest, finish_run, prepare_run
+from repro.backends.core import ExecutionBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.executor import LoopExecutor, LoopResult
@@ -30,16 +24,6 @@ class ReferenceBackend(ExecutionBackend):
 
     name = "reference"
 
-    def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(
-            simulated=True,
-            deterministic=True,
-            supports_faults=True,
-            supports_trace=True,
-            supports_check=True,
-            batched=False,
-        )
-
     def run_scheduled(
         self, executor: "LoopExecutor", req: LoopRunRequest
     ) -> "LoopResult":
@@ -48,10 +32,9 @@ class ReferenceBackend(ExecutionBackend):
         from repro.sim.events import Simulator
 
         setup = prepare_run(executor, req)
-        loop, spec, check = req.loop, req.spec, req.check
+        loop, check = req.loop, req.check
         nt = setup.nt
         start_time = setup.start_time
-        entry = setup.entry
         prefix = setup.prefix
         rates = setup.rates
         core_types = setup.core_types
@@ -75,7 +58,7 @@ class ReferenceBackend(ExecutionBackend):
                 obs=executor.obs,
                 check=check,
             )
-        finish = list(entry)
+        finish = list(setup.entry)
         iters = [0] * nt
         calls = [0] * nt
         # The work-share cache line is a serialization point: each
@@ -84,35 +67,12 @@ class ReferenceBackend(ExecutionBackend):
         pool_free_at = [start_time]
         svc = executor.overhead.atomic_service
         assigned: list[tuple[int, int, int]] = []
-        # Per-tid time accounting for the metrics registry; two float
-        # adds per dispatch, published once at loop end — skipped
-        # entirely when obs is off so the hot path stays unchanged.
-        track_obs = setup.track_obs
-        overhead_acc = [0.0] * nt
-        compute_acc = [0.0] * nt
-        # Time-resolved instruments (windowed samplers + tail digests),
-        # created once per run and fed from the dispatch closures. All
-        # None when obs is off; every touch sits behind track_obs.
-        util_of = rate_of = None
-        runnable_ts = chunk_ts = None
-        dispatch_digest = compute_digest = size_digest = None
-        if track_obs:
-            inst = make_instruments(executor, loop, core_types)
-            util_of = inst.util_of
-            rate_of = inst.rate_of
-            runnable_ts = inst.runnable_ts
-            chunk_ts = inst.chunk_ts
-            dispatch_digest = inst.dispatch_digest
-            compute_digest = inst.compute_digest
-            size_digest = inst.size_digest
-        recorder = executor.recorder
+        # The dispatch log (None when no sink listens): one row per
+        # scheduler call, projected onto every sink by finish_run.
+        log = setup.log
+        execs = setup.execs
         locality = executor.locality
         overhead = executor.overhead
-        # Causal span recorder (None when tracing is off); one attribute
-        # load here keeps the hot path at a single None check per event.
-        srec = setup.spans
-        span_loop = setup.span_loop
-        big_of = setup.big_of
 
         def thread_step(tid: int) -> None:
             now = sim.now
@@ -137,20 +97,12 @@ class ReferenceBackend(ExecutionBackend):
                     begin = max(now, pool_free_at[0])
                     pool_free_at[0] = begin + takes * svc
                     overhead_dt += (begin - now) + takes * svc
-            if track_obs:
-                overhead_acc[tid] += overhead_dt
-                dispatch_digest.observe(overhead_dt)
-                runnable_ts.observe(now, ctx.workshare.remaining)
             if got is None:
-                end = now + overhead_dt
-                finish[tid] = end
-                if track_obs:
-                    util_of[tid].observe_span(now, end)
-                if srec is not None:
-                    srec.record_empty(span_loop, tid, now, end)
-                if recorder is not None:
-                    recorder.record(
-                        tid, ThreadState.RUNTIME, now, end, loop.name
+                finish[tid] = now + overhead_dt
+                if log is not None:
+                    log.append(
+                        (tid, now, overhead_dt, ctx.workshare.remaining,
+                         -1, 0, 0.0)
                     )
                 return
             lo, hi = got
@@ -160,38 +112,22 @@ class ReferenceBackend(ExecutionBackend):
             slowdown = locality.slowdown(loop.kernel, ownership, tid, lo, hi)
             compute_dt = slowdown * work / rates[tid]
             iters[tid] += hi - lo
-            t_overhead_end = now + overhead_dt
-            t_done = t_overhead_end + compute_dt
-            if track_obs:
-                compute_acc[tid] += compute_dt
-                chunk_ts.observe(now, hi - lo)
-                size_digest.observe(hi - lo)
-                compute_digest.observe(compute_dt)
-                if compute_dt > 0.0:
-                    rate_of[tid].observe(t_overhead_end, work / compute_dt)
-                util_of[tid].observe_span(now, t_done)
-            if srec is not None:
-                srec.record_chunk(
-                    span_loop, tid, now, t_overhead_end, t_done,
-                    lo, hi, big_of[tid],
+            if log is not None:
+                log.append(
+                    (tid, now, overhead_dt, ctx.workshare.remaining,
+                     lo, hi, compute_dt)
                 )
-            if recorder is not None:
-                recorder.record(
-                    tid, ThreadState.RUNTIME, now, t_overhead_end, loop.name
-                )
-                recorder.record(
-                    tid, ThreadState.COMPUTE, t_overhead_end, t_done, loop.name
-                )
+            t_done = (now + overhead_dt) + compute_dt
             sim.at(t_done, lambda: thread_step(tid), tag=f"t{tid}")
 
         # Fault-aware variant of thread_step, used only when a non-empty
         # FaultPlan is injected. Per-chunk accounting (conformance
-        # dispatch record, executed range, iteration/compute counters,
-        # COMPUTE trace segment) is deferred to block completion or
-        # preemption, because a fault may truncate the chunk; the record
-        # keeps the *original* dispatch timestamp so per-thread clock
-        # monotonicity is preserved. The fault-free path above is left
-        # untouched so an absent plan stays byte-identical.
+        # dispatch record, executed range, iteration counters, execution
+        # row) is deferred to block completion or preemption, because a
+        # fault may truncate the chunk; the record keeps the *original*
+        # dispatch timestamp so per-thread clock monotonicity is
+        # preserved. The fault-free path above is left untouched so an
+        # absent plan stays byte-identical.
         def thread_step_faulted(tid: int) -> None:
             now = sim.now
             engine.on_wake(tid)
@@ -213,34 +149,23 @@ class ReferenceBackend(ExecutionBackend):
                     pool_free_at[0] = begin + takes * svc
                     overhead_dt += (begin - now) + takes * svc
             overhead_dt = engine.adjust_overhead(tid, now, overhead_dt)
-            if track_obs:
-                overhead_acc[tid] += overhead_dt
-                dispatch_digest.observe(overhead_dt)
-                runnable_ts.observe(now, ctx.workshare.remaining)
+            lo, hi = got if got is not None else (-1, 0)
+            if log is not None:
+                log.append(
+                    (tid, now, overhead_dt, ctx.workshare.remaining,
+                     lo, hi, 0.0)
+                )
             if got is None:
                 end = now + overhead_dt
                 finish[tid] = end
-                if track_obs:
-                    util_of[tid].observe_span(now, end)
-                if srec is not None:
-                    srec.record_empty(span_loop, tid, now, end)
+                if execs is not None:
+                    execs.append((tid, now, end, end, -1, 0, 0.0))
                 if check is not None:
                     check.on_dispatch(tid, now, None)
-                if recorder is not None:
-                    recorder.record(
-                        tid, ThreadState.RUNTIME, now, end, loop.name
-                    )
                 engine.worker_retired(tid)
                 return
-            lo, hi = got
-            if track_obs:
-                chunk_ts.observe(now, hi - lo)
-                size_digest.observe(hi - lo)
             t_overhead_end = now + overhead_dt
             scheduler.note_execution_start(tid, t_overhead_end)
-            # The RUNTIME trace segment is deferred with the rest of the
-            # per-chunk accounting: a preemption inside the overhead
-            # window must truncate it at the preempt time.
             slowdown = locality.slowdown(loop.kernel, ownership, tid, lo, hi)
             engine.begin_block(
                 tid,
@@ -264,30 +189,10 @@ class ReferenceBackend(ExecutionBackend):
                 tid: int, dispatch_t: float, lo: int, hi: int,
                 t0: float, t1: float,
             ) -> None:
-                if track_obs:
-                    compute_acc[tid] += max(0.0, t1 - t0)
-                    util_of[tid].observe_span(dispatch_t, t1)
-                    if hi > lo and t1 > t0:
-                        compute_digest.observe(t1 - t0)
-                        # Effective rate over the executed sub-range:
-                        # fault throttles show up as steps here.
-                        rate_of[tid].observe(
-                            t0, float(prefix[hi] - prefix[lo]) / (t1 - t0)
-                        )
-                if srec is not None:
-                    srec.record_chunk(
-                        span_loop, tid, dispatch_t, t0, t1, lo, hi,
-                        big_of[tid],
+                if execs is not None:
+                    execs.append(
+                        (tid, dispatch_t, t0, t1, lo, hi, max(0.0, t1 - t0))
                     )
-                if recorder is not None:
-                    if t0 > dispatch_t:
-                        recorder.record(
-                            tid, ThreadState.RUNTIME, dispatch_t, t0, loop.name
-                        )
-                    if t1 > t0:
-                        recorder.record(
-                            tid, ThreadState.COMPUTE, t0, t1, loop.name
-                        )
                 if hi > lo:
                     if check is not None:
                         check.on_dispatch(tid, dispatch_t, (lo, hi))
@@ -312,15 +217,6 @@ class ReferenceBackend(ExecutionBackend):
         # chunks.
         for tid in range(nt):
             t_begin = setup.wake_begin[tid]
-            if track_obs:
-                overhead_acc[tid] += t_begin - entry[tid]
-                util_of[tid].observe_span(entry[tid], t_begin)
-            if srec is not None:
-                srec.record_wake(span_loop, tid, entry[tid], t_begin)
-            if recorder is not None:
-                recorder.record(
-                    tid, ThreadState.RUNTIME, entry[tid], t_begin, loop.name
-                )
             sim.at(t_begin, (lambda t: lambda: step(t))(tid), tag=f"t{tid}")
 
         budget = (loop.n_iterations + nt * _EVENT_BUDGET_SLACK) * 2
@@ -341,7 +237,5 @@ class ReferenceBackend(ExecutionBackend):
             dispatches=ctx.workshare.dispatch_count,
             attempts=ctx.workshare.attempt_count,
             empty_takes=ctx.workshare.empty_take_count,
-            overhead_acc=overhead_acc,
-            compute_acc=compute_acc,
             engine=engine,
         )

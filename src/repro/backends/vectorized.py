@@ -1,9 +1,8 @@
 """The vectorized backend: numpy closed-form batches, identical logs.
 
-The reference engine spends its time in three places: the event heap,
-per-dispatch Python closures, and per-dispatch observability calls. This
-backend removes all three while reproducing the reference semantics
-*bit for bit*:
+The reference engine spends its time in two places: the event heap and
+per-dispatch Python closures. This backend removes both while
+reproducing the reference semantics *bit for bit*:
 
 * **Slot engine** — fault-free runs have exactly one outstanding event
   per thread, so the heap collapses to a per-thread ``(time, seq)`` slot
@@ -20,19 +19,19 @@ backend removes all three while reproducing the reference semantics
   chains additions of precomputed floats, folding consecutive chunks of
   one thread into a single slot update while their completions precede
   the earliest other pending event.
-* **Columnar observability** — the drain records just ``(tid, time)``
-  per dispatch; every instrument column (overhead, compute, spans,
-  rates, pool depth) is reconstructed vectorially at loop end and
-  published through the bulk APIs (``observe_many``/``observe_spans``).
-  The stateful generic engine buffers per-dispatch samples instead and
-  publishes them the same way.
+* **One dispatch log** — both engines write the shared dispatch log of
+  :mod:`repro.backends.common` (the generic engine one row per event,
+  the drain one array after its loop: chunks in dispatch order, then
+  the empty takes), and :func:`~repro.backends.common.publish_log`
+  projects it onto the metrics registry, the span recorder and the
+  trace recorder exactly as it does for the reference engine.
 
 Whatever the engine cannot reproduce exactly it does not approximate:
-runs with a non-empty fault plan or a trace recorder are delegated to
-the reference backend wholesale (the sim fault engine already
-integrates piecewise fault-rate segments in closed form), and a
-conformance recorder forces the slot engine onto the real work-share
-structure so ``on_take`` hooks fire from the genuine call sites.
+runs with a non-empty fault plan are delegated to the reference backend
+wholesale (the sim fault engine already integrates piecewise fault-rate
+segments in closed form), and a conformance recorder forces the slot
+engine onto the real work-share structure so ``on_take`` hooks fire
+from the genuine call sites.
 
 Float-exactness notes (load-bearing, do not "simplify"):
 
@@ -64,10 +63,9 @@ from repro.backends.common import (
     LoopRunRequest,
     RunSetup,
     finish_run,
-    make_instruments,
     prepare_run,
 )
-from repro.backends.core import BackendCapabilities, ExecutionBackend
+from repro.backends.core import ExecutionBackend
 from repro.backends.reference import ReferenceBackend
 from repro.errors import SimulationError
 
@@ -128,121 +126,23 @@ class _FastSlowdown:
         return np.where(cold <= 0.0, 1.0, 1.0 + pr * cold)
 
 
-def _publish_rows(executor, loop, setup, rows) -> None:
-    """Publish the generic engine's buffered per-event samples.
-
-    Each row is ``(tid, now, overhead_dt, remaining, lo, hi, compute_dt)``
-    with ``lo == -1`` marking an empty take. Dispatch-end and completion
-    times are reconstructed with the reference's own float expressions
-    (``t_oe = now + overhead_dt``; ``t_done = t_oe + compute_dt``), so
-    every published column carries the identical values the per-event
-    ``observe`` calls would have produced.
-    """
-    inst = make_instruments(executor, loop, setup.core_types)
-    nt = setup.nt
-    entry = setup.entry
-    wake = setup.wake_begin
-    srec = setup.spans
-    if srec is not None:
-        for t in range(nt):
-            srec.record_wake(setup.span_loop, t, entry[t], wake[t])
-    if not rows:
-        for t in range(nt):
-            inst.util_of[t].observe_spans(
-                np.asarray([entry[t]]), np.asarray([wake[t]])
-            )
-        return
-    arr = np.asarray(rows)
-    tids = arr[:, 0].astype(np.int64)
-    nows = arr[:, 1]
-    ovh = arr[:, 2]
-    rem = arr[:, 3]
-    cds = arr[:, 6]
-    oe = nows + ovh
-    td = oe + cds
-    disp = arr[:, 4] >= 0.0
-    los = arr[:, 4][disp].astype(np.int64)
-    his = arr[:, 5][disp].astype(np.int64)
-    prefix = setup.prefix
-    works = prefix[his] - prefix[los]
-    sizes = (his - los).astype(np.float64)
-    tids_d = tids[disp]
-    cds_d = cds[disp]
-    oe_d = oe[disp]
-    for t in range(nt):
-        m = tids == t
-        inst.util_of[t].observe_spans(
-            np.concatenate(((entry[t],), nows[m])),
-            np.concatenate(((wake[t],), td[m])),
-        )
-        pos = (tids_d == t) & (cds_d > 0.0)
-        if pos.any():
-            inst.rate_of[t].observe_many(oe_d[pos], works[pos] / cds_d[pos])
-    inst.runnable_ts.observe_many(nows, rem)
-    inst.chunk_ts.observe_many(nows[disp], sizes)
-    inst.dispatch_digest.observe_many(ovh)
-    inst.compute_digest.observe_many(cds[disp])
-    inst.size_digest.observe_many(sizes)
-    if srec is not None:
-        # A thread's rows are already in dispatch order (global event
-        # order restricted per tid), so bulk chunk emission consumes
-        # the same per-(loop, tid) ordinal sequence the reference's
-        # per-event calls would — identical span ids, identical floats.
-        for t in range(nt):
-            m = (tids == t) & disp
-            srec.record_chunks_bulk(
-                setup.span_loop, t, nows[m], oe[m], td[m],
-                arr[:, 4][m].astype(np.int64), arr[:, 5][m].astype(np.int64),
-                setup.big_of[t],
-            )
-            em = (tids == t) & ~disp
-            for n0, n1 in zip(nows[em], oe[em]):
-                srec.record_empty(setup.span_loop, t, float(n0), float(n1))
-
-
 class VectorizedBackend(ExecutionBackend):
-    """Slot/drain engine with reference-delegating fallbacks."""
+    """Slot/drain engine; faulted runs are delegated to reference."""
 
     name = "vectorized"
 
     def __init__(self) -> None:
         self._reference = ReferenceBackend()
 
-    def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(
-            simulated=True,
-            deterministic=True,
-            supports_faults=True,   # by delegation to reference
-            supports_trace=True,    # by delegation to reference
-            supports_check=True,
-            batched=True,
-        )
-
     def run_scheduled(self, executor, req: LoopRunRequest):
-        reason = None
         if req.faults is not None and not req.faults.is_empty:
-            reason = "faults"
-        elif executor.recorder is not None:
-            reason = "trace"
-        if reason is not None:
             if executor.obs.enabled:
                 executor.obs.registry.counter(
-                    "backend_fallbacks_total", backend=self.name, reason=reason
+                    "backend_fallbacks_total", backend=self.name,
+                    reason="faults",
                 ).inc()
             return self._reference.run_scheduled(executor, req)
         return _slot_engine(executor, req)
-
-
-def _min_slot(times, seqs, active, nt):
-    """Index of the earliest pending slot; FIFO tie-break on seq."""
-    best = -1
-    bt = bs = 0.0
-    for t in range(nt):
-        if active[t]:
-            ti = times[t]
-            if best < 0 or ti < bt or (ti == bt and seqs[t] < bs):
-                best, bt, bs = t, ti, seqs[t]
-    return best, bt
 
 
 def _slot_engine(executor, req: LoopRunRequest):
@@ -252,7 +152,6 @@ def _slot_engine(executor, req: LoopRunRequest):
     setup: RunSetup = prepare_run(executor, req)
     loop, check = req.loop, req.check
     nt = setup.nt
-    entry = setup.entry
     prefix = setup.prefix
     rates = setup.rates
     core_types = setup.core_types
@@ -265,13 +164,10 @@ def _slot_engine(executor, req: LoopRunRequest):
     dc = [overhead.dispatch(core_types[tid], nt) for tid in range(nt)]
     pool_free = setup.start_time
 
-    finish = list(entry)
+    finish = list(setup.entry)
     iters = [0] * nt
     calls = [0] * nt
     assigned: list[tuple[int, int, int]] = []
-    track_obs = setup.track_obs
-    overhead_acc = [0.0] * nt
-    compute_acc = [0.0] * nt
     slow = _FastSlowdown(executor.locality, req.ownership, loop.kernel)
 
     # Per-thread event slots: the simulator's heap degenerates to one
@@ -284,10 +180,6 @@ def _slot_engine(executor, req: LoopRunRequest):
     live = nt
     seq_counter = nt
 
-    if track_obs:
-        for tid in range(nt):
-            overhead_acc[tid] += times[tid] - entry[tid]
-
     # The integrated pool drain: legal only when the scheduler declares
     # a pure fixed-chunk drain AND no conformance recorder needs the
     # real work-share call sites.
@@ -298,25 +190,21 @@ def _slot_engine(executor, req: LoopRunRequest):
 
     if adv is not None:
         out = _drain_engine(
-            executor, req, setup, slow, adv.chunk, dc, svc, pool_free,
-            times, seqs, active, live, seq_counter, finish, calls,
-            overhead_acc, compute_acc, budget,
+            req, setup, slow, adv.chunk, dc, svc, pool_free,
+            times, seqs, active, live, seq_counter, finish, calls, budget,
         )
         iters, assigned, dispatches, attempts, empty_takes = out
     else:
-        rows: list[tuple] = []
+        log = setup.log
         # Cached work-share internals: the simulator single-steps events,
-        # so the advisory-read properties collapse to plain attribute
-        # reads of the same counters (see WorkShare.remaining).
+        # so the advisory-read counter collapses to a plain attribute
+        # read (see WorkShare.dispatch_count).
         ws = ctx.workshare
-        ws_next = ws._next
         ws_disp = ws._dispatches
-        ws_end = ws.end
-        ws_ret = ws._returned
         next_range = scheduler.next_range
         # Generic engine: real scheduler, real work-share, one scalar
         # step per event — the reference step function verbatim, minus
-        # the heap and with buffered observability.
+        # the heap.
         while live:
             best = -1
             bt = 0.0
@@ -352,19 +240,12 @@ def _slot_engine(executor, req: LoopRunRequest):
                     pool_free = begin + takes * svc
                     overhead_dt += (begin - now) + takes * svc
             if got is None:
-                end = now + overhead_dt
-                finish[tid] = end
+                finish[tid] = now + overhead_dt
                 active[tid] = False
                 live -= 1
-                if track_obs:
-                    overhead_acc[tid] += overhead_dt
-                    left = ws_end - ws_next._value
-                    if left < 0:
-                        left = 0
-                    if ws_ret:
-                        left += sum(h - l for l, h in ws_ret)
-                    rows.append(
-                        (tid, now, overhead_dt, float(left), -1.0, 0.0, 0.0)
+                if log is not None:
+                    log.append(
+                        (tid, now, overhead_dt, ws.remaining, -1, 0, 0.0)
                     )
                 continue
             lo, hi = got
@@ -375,19 +256,9 @@ def _slot_engine(executor, req: LoopRunRequest):
             compute_dt = sdn * work / rates[tid]
             iters[tid] += hi - lo
             t_done = (now + overhead_dt) + compute_dt
-            if track_obs:
-                overhead_acc[tid] += overhead_dt
-                compute_acc[tid] += compute_dt
-                left = ws_end - ws_next._value
-                if left < 0:
-                    left = 0
-                if ws_ret:
-                    left += sum(h - l for l, h in ws_ret)
-                rows.append(
-                    (
-                        tid, now, overhead_dt, float(left),
-                        float(lo), float(hi), compute_dt,
-                    )
+            if log is not None:
+                log.append(
+                    (tid, now, overhead_dt, ws.remaining, lo, hi, compute_dt)
                 )
             times[tid] = t_done
             seqs[tid] = seq_counter
@@ -395,8 +266,6 @@ def _slot_engine(executor, req: LoopRunRequest):
         dispatches = ws.dispatch_count
         attempts = ws.attempt_count
         empty_takes = ws.empty_take_count
-        if track_obs:
-            _publish_rows(executor, loop, setup, rows)
 
     return finish_run(
         executor, req, setup,
@@ -407,15 +276,12 @@ def _slot_engine(executor, req: LoopRunRequest):
         dispatches=dispatches,
         attempts=attempts,
         empty_takes=empty_takes,
-        overhead_acc=overhead_acc,
-        compute_acc=compute_acc,
     )
 
 
 def _drain_engine(
-    executor, req, setup, slow, c, dc, svc, pool_free,
-    times, seqs, active, live, seq_counter, finish, calls,
-    overhead_acc, compute_acc, budget,
+    req, setup, slow, c, dc, svc, pool_free,
+    times, seqs, active, live, seq_counter, finish, calls, budget,
 ):
     """Integrated fixed-chunk pool drain (PoolAdvancement fast path).
 
@@ -426,7 +292,9 @@ def _drain_engine(
     function of ``(tid, j, dispatch time)`` and is reconstructed
     vectorially after the loop. The loop itself only chains additions of
     floats precomputed in one numpy pass, recording ``(tid, time)``
-    per dispatch.
+    per dispatch; when a sink listens, the reconstruction becomes the
+    run's dispatch log, one array: chunks in dispatch order, then the
+    empty takes.
     """
     loop = req.loop
     prefix = setup.prefix
@@ -434,7 +302,6 @@ def _drain_engine(
     nt = setup.nt
     N = loop.n_iterations
     n_chunks = (N + c - 1) // c
-    track_obs = setup.track_obs
 
     # Per-chunk work and per-tid chunk durations, one numpy pass.
     # cds[t][j] is exactly the reference's fl(fl(slowdown*work)/rate)
@@ -463,13 +330,11 @@ def _drain_engine(
     turn_tids: list[int] = [0] * n_chunks
     turn_runs: list[int] = [0] * n_chunks
     n_turns = 0
-    #: dispatch index -> (overhead_dt, t_oe, t_done) for the rare
-    #: pool-busy dispatches whose overhead differs from C.
-    overrides: dict[int, tuple[float, float, float]] = {}
-    e_tids: list[int] = []
-    e_nows: list[float] = []
-    e_ovhs: list[float] = []
-    e_ends: list[float] = []
+    #: dispatch index -> overhead_dt for the rare pool-busy dispatches
+    #: whose overhead differs from C.
+    overrides: dict[int, float] = {}
+    #: One (tid, now, overhead_dt) per empty take.
+    empties: list[tuple[int, float, float]] = []
 
     nxc = 0
     events = 0
@@ -511,15 +376,10 @@ def _drain_engine(
                 begin = max(now, pool_free)
                 pool_free = begin + svc
                 overhead_dt = overhead_dt + ((begin - now) + svc)
-            end = now + overhead_dt
-            finish[tid] = end
+            finish[tid] = now + overhead_dt
             active[tid] = False
             live -= 1
-            if track_obs:
-                e_tids.append(tid)
-                e_nows.append(now)
-                e_ovhs.append(overhead_dt)
-                e_ends.append(end)
+            empties.append((tid, now, overhead_dt))
             continue
 
         cds_t = cds_list[tid]
@@ -534,14 +394,12 @@ def _drain_engine(
             begin = pool_free
             pool_free = begin + svc
             overhead_dt = overhead_dt + ((begin - now) + svc)
-            t_oe = now + overhead_dt
-            t_done = t_oe + cds_t[j]
+            t_done = (now + overhead_dt) + cds_t[j]
             turn_tids[n_turns] = tid
             turn_runs[n_turns] = 1
             n_turns += 1
             disp_nows[j] = now
-            if track_obs:
-                overrides[j] = (overhead_dt, t_oe, t_done)
+            overrides[j] = overhead_dt
             times[tid] = t_done
             seqs[tid] = seq_counter
             seq_counter += 1
@@ -578,7 +436,7 @@ def _drain_engine(
     n_disp = nxc
     del disp_nows[n_disp:]
     dispatches = n_disp
-    empty_takes = len(e_tids)
+    empty_takes = len(empties)
     attempts = n_disp + empty_takes
 
     j_arr = np.arange(n_disp)
@@ -593,82 +451,20 @@ def _drain_engine(
     iters = [int(x) for x in per_tid_iters]
     assigned = list(zip(tids_arr.tolist(), los.tolist(), his.tolist()))
 
-    if track_obs:
-        nows_arr = np.asarray(disp_nows)
-        C_arr = np.asarray(C_of)[tids_arr]
-        cd_arr = (
-            np.vstack(cds_rows)[tids_arr, j_arr]
-            if n_disp
-            else np.zeros(0)
-        )
-        ovh_arr = C_arr.copy()
-        t_oe_arr = nows_arr + C_arr
-        td_arr = t_oe_arr + cd_arr
-        for j, (o, te, td) in overrides.items():
+    if setup.log is not None:
+        ovh_arr = np.asarray(C_of)[tids_arr]
+        for j, o in overrides.items():
             ovh_arr[j] = o
-            t_oe_arr[j] = te
-            td_arr[j] = td
-        per_tid_ovh = np.bincount(tids_arr, weights=ovh_arr, minlength=nt)
-        per_tid_cmp = np.bincount(tids_arr, weights=cd_arr, minlength=nt)
-        for t in range(nt):
-            overhead_acc[t] += float(per_tid_ovh[t])
-            compute_acc[t] += float(per_tid_cmp[t])
-        for t, o in zip(e_tids, e_ovhs):
-            overhead_acc[t] += o
-
-        inst = make_instruments(executor, loop, setup.core_types)
-        e_now_arr = np.asarray(e_nows)
-        inst.dispatch_digest.observe_many(
-            np.concatenate((ovh_arr, np.asarray(e_ovhs)))
-        )
-        inst.runnable_ts.observe_many(
-            np.concatenate((nows_arr, e_now_arr)),
-            np.concatenate(
-                (
-                    np.maximum(N - c * (j_arr + 1), 0).astype(np.float64),
-                    np.zeros(empty_takes),
-                )
-            ),
-        )
-        sizes_f = sizes.astype(np.float64)
-        inst.chunk_ts.observe_many(nows_arr, sizes_f)
-        inst.size_digest.observe_many(sizes_f)
-        inst.compute_digest.observe_many(cd_arr)
-        w_arr = works_all[j_arr] if n_disp else np.zeros(0)
-        e_end_arr = np.asarray(e_ends)
-        e_tid_arr = np.asarray(e_tids, dtype=np.int64)
-        entry_arr = np.asarray(setup.entry)
-        wake_arr = np.asarray(setup.wake_begin)
-        for t in range(nt):
-            mask = tids_arr == t
-            emask = e_tid_arr == t
-            inst.util_of[t].observe_spans(
-                np.concatenate(
-                    ((entry_arr[t],), nows_arr[mask], e_now_arr[emask])
-                ),
-                np.concatenate(
-                    ((wake_arr[t],), td_arr[mask], e_end_arr[emask])
-                ),
-            )
-            pos = mask & (cd_arr > 0.0) if n_disp else mask
-            if pos.any():
-                inst.rate_of[t].observe_many(
-                    t_oe_arr[pos], w_arr[pos] / cd_arr[pos]
-                )
-
-        srec = setup.spans
-        if srec is not None:
-            for t in range(nt):
-                srec.record_wake(
-                    setup.span_loop, t, float(entry_arr[t]), float(wake_arr[t])
-                )
-                mask = tids_arr == t
-                srec.record_chunks_bulk(
-                    setup.span_loop, t, nows_arr[mask], t_oe_arr[mask],
-                    td_arr[mask], los[mask], his[mask], setup.big_of[t],
-                )
-                emask = e_tid_arr == t
-                for n0, n1 in zip(e_now_arr[emask], e_end_arr[emask]):
-                    srec.record_empty(setup.span_loop, t, float(n0), float(n1))
+        chunks = np.column_stack((
+            tids_arr, disp_nows, ovh_arr,
+            np.maximum(N - c * (j_arr + 1), 0), los, his,
+            np.vstack(cds_rows)[tids_arr, j_arr] if n_disp else np.zeros(0),
+        ))
+        e = np.asarray(empties, dtype=float).reshape(-1, 3)
+        zeros = np.zeros(len(e))
+        setup.log = np.concatenate((
+            chunks,
+            np.column_stack((e, zeros, zeros - 1.0, zeros, zeros)),
+        ))
 
     return iters, assigned, dispatches, attempts, empty_takes

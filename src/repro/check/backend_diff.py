@@ -1,19 +1,23 @@
 """Differential backend fuzzing: reference vs vectorized, byte for byte.
 
 The vectorized execution backend's contract is not "close enough" — it
-is *byte identity*: the same :class:`~repro.runtime.executor.LoopResult`
-and the same scheduler decision log as the reference discrete-event
-simulator, for every schedule, platform, cost distribution and fault
-plan. This module is the gate on that contract.
+is *byte identity*: the same :class:`~repro.runtime.executor.LoopResult`,
+the same scheduler decision log and the same observability output as
+the reference discrete-event simulator, for every schedule, platform,
+cost distribution and fault plan. This module is the gate on that
+contract.
 
 :func:`diff_case` runs one :class:`~repro.check.generators.FuzzCase`
-through each backend with a fresh observability bundle, serializes the
-decision records canonically, and compares both the result tuple and the
-log bytes. :func:`diff_fuzz` drives a seeded campaign over randomly
-generated cases (the same generator the conformance fuzzer uses, so the
-pools are identical) and greedily shrinks any mismatch to a minimal
-reproducer with the conformance shrinker — a differential failure's
-counterexample is a tiny, replayable case, not a 500-iteration haystack.
+through each backend with a fresh observability bundle, span recorder
+and trace recorder, and compares the result tuple, the canonical
+decision log, the canonical metrics snapshot (minus
+``backend_fallbacks_total``, which only the delegating backend counts),
+the span document and the trace intervals. :func:`diff_fuzz` drives a
+seeded campaign over randomly generated cases (the same generator the
+conformance fuzzer uses, so the pools are identical) and greedily
+shrinks any mismatch to a minimal reproducer with the conformance
+shrinker — a differential failure's counterexample is a tiny,
+replayable case, not a 500-iteration haystack.
 
 Cases with fault plans exercise the vectorized backend's delegation
 path: faulted runs fall back to reference semantics, so the diff proves
@@ -37,8 +41,10 @@ from repro.check.generators import (
     run_loop,
 )
 from repro.faults.model import plan_from_tuples
-from repro.obs import Observability
+from repro.obs import Observability, SpanRecorder
+from repro.obs.snapshot import canonical_json
 from repro.sim.rng import stable_seed
+from repro.tracing.trace import TraceRecorder
 
 #: The pair every campaign compares unless told otherwise. The first
 #: entry is the ground truth; every other entry must match it exactly.
@@ -78,14 +84,29 @@ def decision_bytes(obs: Observability) -> bytes:
     ).encode("utf-8")
 
 
+def metrics_json(obs: Observability) -> str:
+    """The run's metrics snapshot in canonical JSON, minus
+    ``backend_fallbacks_total`` (only a delegating backend counts it)."""
+    return canonical_json(
+        {
+            kind: [m for m in items if m["name"] != "backend_fallbacks_total"]
+            for kind, items in obs.registry.snapshot().items()
+        }
+    )
+
+
 @dataclass
 class BackendObservation:
-    """One backend's run of a case: the comparable result + log."""
+    """One backend's run of a case: the comparable result, log and obs
+    output."""
 
     backend: str
     key: tuple
     decisions: bytes
     n_decisions: int
+    metrics: str
+    spans: str
+    intervals: list
 
 
 @dataclass
@@ -127,6 +148,18 @@ def _first_jsonl_divergence(a: bytes, b: bytes) -> str:
     return "identical?"  # pragma: no cover - only reached on a race
 
 
+def _first_divergence(a, b) -> str:
+    """Where two strings or interval lists first differ."""
+    i = next(
+        (i for i, (x, y) in enumerate(zip(a, b)) if x != y),
+        min(len(a), len(b)),
+    )
+    return (
+        f"at {i} of {len(a)} / {len(b)}: "
+        f"{a[i:i + 60]!r} != {b[i:i + 60]!r}"
+    )
+
+
 def observe_case(case: FuzzCase, backend: str) -> BackendObservation:
     """Run one simulator case under ``backend`` with fresh observability.
 
@@ -135,7 +168,8 @@ def observe_case(case: FuzzCase, backend: str) -> BackendObservation:
     reference backend, so every backend under test receives the
     identical absolute-time plan.
     """
-    obs = Observability()
+    obs = Observability(spans=SpanRecorder(context="diff"))
+    trace = TraceRecorder()
     faults_plan = None
     if case.faults:
         probe = run_loop(
@@ -161,14 +195,17 @@ def observe_case(case: FuzzCase, backend: str) -> BackendObservation:
         rng=case_rng(case),
         faults=faults_plan,
         obs=obs,
+        trace=trace,
         backend=backend,
     )
-    log = decision_bytes(obs)
     return BackendObservation(
         backend=backend,
         key=result_key(result),
-        decisions=log,
+        decisions=decision_bytes(obs),
         n_decisions=len(obs.decisions.records),
+        metrics=metrics_json(obs),
+        spans=obs.spans.as_json(),
+        intervals=trace.intervals,
     )
 
 
@@ -201,6 +238,13 @@ def diff_case(
                 case, backends[0], name, "decision_log",
                 _first_jsonl_divergence(baseline.decisions, cand.decisions),
             )
+        for field_name in ("metrics", "spans", "intervals"):
+            a, b = getattr(baseline, field_name), getattr(cand, field_name)
+            if a != b:
+                return CaseMismatch(
+                    case, backends[0], name, field_name,
+                    _first_divergence(a, b),
+                )
     return None
 
 

@@ -85,9 +85,9 @@ class SimFaultEngine:
     The executor binds three callbacks after construction
     (:meth:`bind`): ``restart`` re-enters its dispatch loop for a
     thread, ``record_exec`` performs the deferred per-chunk accounting
-    (conformance dispatch record, executed-ranges list, iteration and
-    compute-time counters, trace segment), and ``set_finish`` updates a
-    thread's finish time when it parks.
+    (conformance dispatch record, executed-ranges list, iteration
+    counters, the dispatch log's execution row), and ``set_finish``
+    updates a thread's finish time when it parks.
     """
 
     def __init__(

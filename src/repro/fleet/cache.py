@@ -27,14 +27,10 @@ cache can always be deleted wholesale without losing anything but time.
 
 Three production-shaped mechanisms ride on top of the plain store:
 
-* **A versioned layout manifest** (``manifest.json``). The original
-  fleet cache kept entries flat in the root directory; on first access
-  a cache without a valid sharded-layout manifest is migrated in place:
-  every flat ``<digest>.json`` entry moves into its shard, and every
-  flat ``<digest>.json.corrupt`` quarantine file is carried forward *as
-  a quarantine file* — the ``.corrupt`` suffix is never stripped, so a
-  quarantined blob can never be resurrected into a live entry, even
-  when it sits next to a valid entry for the same digest.
+* **A versioned layout manifest** (``manifest.json``), written on
+  first access when missing or invalid. Nothing is migrated: a cache
+  from an older layout holds only older-salt entries, which are misses
+  anyway (``scrub --prune-stale`` deletes them).
 * **Size-bounded LRU eviction with pinning.** ``max_bytes`` (or
   ``$FLEET_CACHE_MAX_BYTES``) caps the total size of live entries.
   Recency is a *logical* access clock persisted in ``index.json`` — no
@@ -100,11 +96,6 @@ DEFAULT_DIR = ".fleet-cache"
 #: Environment variable bounding the cache size in bytes.
 MAX_BYTES_ENV = "FLEET_CACHE_MAX_BYTES"
 
-#: Root-level bookkeeping files that are never cache entries.
-RESERVED_FILES = frozenset(
-    {"manifest.json", "index.json", "durations.json", "checkpoint.jsonl"}
-)
-
 #: ``<64-hex-digest>.json`` — the only legal entry file name.
 ENTRY_NAME_RE = re.compile(r"^[0-9a-f]{64}\.json$")
 
@@ -143,7 +134,7 @@ class ResultCache:
         self._index_dirty = False
         self._layout_checked = False
 
-    # -- layout manifest and migration -------------------------------------
+    # -- layout manifest ---------------------------------------------------
 
     @property
     def manifest_path(self) -> Path:
@@ -179,8 +170,8 @@ class ResultCache:
         )
 
     def _ensure_layout(self, create: bool = False) -> None:
-        """Check (once) that the on-disk layout is current, migrating a
-        legacy flat cache in place when it is not.
+        """Check (once) that the on-disk layout manifest is current,
+        writing it when it is not.
 
         A missing root directory stays unchecked until ``create`` forces
         it into existence — a read-only probe of a cache that was never
@@ -193,48 +184,8 @@ class ResultCache:
                 return
             self.root.mkdir(parents=True, exist_ok=True)
         self._layout_checked = True
-        if self.manifest_ok():
-            return
-        self.migrate_flat_layout()
-        self.write_manifest()
-
-    def migrate_flat_layout(self) -> int:
-        """Move legacy flat-layout files into their shards; returns the
-        number of files moved.
-
-        Both live entries (``<digest>.json``) and quarantine files
-        (``<digest>.json.corrupt``) are carried forward, *independently*
-        and suffix-preserving: a quarantine file sitting next to a valid
-        entry for the same digest stays a quarantine file in the shard —
-        migration never resurrects quarantined bytes into a live entry.
-        When a sharded copy already exists (an interrupted earlier
-        migration), the sharded copy wins and the flat leftover is
-        dropped.
-        """
-        moved = 0
-        if not self.root.is_dir():
-            return moved
-        for path in sorted(self.root.iterdir()):
-            if not path.is_file() or path.name in RESERVED_FILES:
-                continue
-            name = path.name
-            quarantined = name.endswith(".corrupt")
-            stem = name[: -len(".corrupt")] if quarantined else name
-            if not _is_entry_name(stem):
-                continue
-            digest = stem[: -len(".json")]
-            target = self.path_for(digest)
-            if quarantined:
-                target = target.with_name(target.name + ".corrupt")
-            target.parent.mkdir(parents=True, exist_ok=True)
-            if target.exists():
-                path.unlink(missing_ok=True)
-            else:
-                os.replace(path, target)
-            moved += 1
-        if moved and self.obs.enabled:
-            self.obs.registry.counter("fleet_cache_migrated_total").inc(moved)
-        return moved
+        if not self.manifest_ok():
+            self.write_manifest()
 
     # -- result entries ----------------------------------------------------
 

@@ -36,6 +36,9 @@ Plans are frozen, JSON-round-trippable and seeded
   tiers it degrades to a pure circuit-breaker infrastructure failure
   that fails no job.
 
+The plan's mode picks the dispatcher: sim plans run on ``local``
+threads, real plans on a ``process`` pool.
+
 Cross-process determinism: the coordinating process activates a plan
 (or points ``$REPRO_FLEET_CHAOS`` at its JSON file, which worker
 processes inherit); bounded events (``times=N``) burn marker files in a
@@ -631,13 +634,20 @@ def chaos_specs(root_seed: int = 0):
     )
 
 
+def chaos_dispatcher(mode: str) -> str:
+    """The dispatcher a plan mode works on. Sim-mode firing counts live
+    in the coordinator's memory and need exact break attribution, so
+    sim plans run on ``local`` threads; real-mode kills are genuine
+    SIGKILLs, which only a ``process`` pool turns into dead workers."""
+    return "process" if mode == "real" else "local"
+
+
 def run_chaos_case(
     specs,
     plan: ChaosPlan,
     baseline: dict,
     workdir: str | Path,
     *,
-    dispatcher: str = "local",
     jobs: int = 2,
     timeout: float = 0.3,
     retries: int = 2,
@@ -647,8 +657,9 @@ def run_chaos_case(
 
     ``baseline`` comes from :func:`fault_free_baseline`. Returns a
     JSON-ready verdict payload (``ok``, mismatches, quarantine sets,
-    fleet counters). Real-mode plans default to a disarmed poison
-    threshold unless the plan carries poison jobs: pool-break
+    fleet counters). The plan's mode picks the dispatcher
+    (:func:`chaos_dispatcher`). Real-mode plans default to a disarmed
+    poison threshold unless the plan carries poison jobs: pool-break
     attribution in a real pool is heuristic (lowest in-flight index),
     so innocent jobs may absorb break charges.
     """
@@ -695,7 +706,7 @@ def run_chaos_case(
                 timeout=timeout,
                 retries=retries_eff,
                 backoff=0.001,
-                dispatcher=dispatcher,
+                dispatcher=chaos_dispatcher(plan.mode),
             ),
             cache=cache,
             progress=progress,
@@ -778,7 +789,6 @@ def run_chaos_check(
     seed: int = 0,
     poison: int = 0,
     mode: str = "sim",
-    dispatcher: str = "local",
     jobs: int = 2,
     workdir: str | Path | None = None,
     emit=print,
@@ -807,7 +817,6 @@ def run_chaos_check(
                 plan,
                 baseline,
                 base_dir / f"seed-{seed + i}",
-                dispatcher=dispatcher,
                 jobs=jobs,
             )
             cases.append(verdict)
@@ -827,7 +836,7 @@ def run_chaos_check(
         "plans": plans,
         "seed": seed,
         "mode": mode,
-        "dispatcher": dispatcher,
+        "dispatcher": chaos_dispatcher(mode),
         "poison": poison,
         "failed": failed,
         "cases": cases,

@@ -152,7 +152,6 @@ def _run_chaos(args) -> int:
         seed=args.seed if args.seed is not None else 0,
         poison=args.poison,
         mode=args.chaos_mode,
-        dispatcher=args.dispatcher or "local",
         jobs=max(args.jobs, 2),
     )
     if args.json_report:

@@ -50,7 +50,10 @@ from repro.workloads.program import Program
 #: snapshot (``JOB_SCHEMA`` v3), so cached v3 entries lack span trees.
 #: v5: payloads carry the snapshot verbatim as the ``obs_json`` string
 #: plus its ``obs_sha256`` checksum, not as an embedded ``obs`` document.
-RESULT_SCHEMA = "repro.fleet.result/v5"
+#: v6: every simulated backend publishes its snapshot through one
+#: projection of the dispatch log, so ``reference`` series and digests
+#: (and the last float bits of drain overhead sums) changed.
+RESULT_SCHEMA = "repro.fleet.result/v6"
 
 #: Code-version salt mixed into every digest. Any release that changes
 #: simulated numbers bumps ``__version__`` and thereby every digest.

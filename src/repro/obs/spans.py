@@ -13,11 +13,11 @@ Design constraints, in priority order:
 
 * **Determinism.** Span ids are content-derived hierarchical paths
   (``loop:ep.work#0/t3/c5``), never object identities, and
-  :meth:`SpanRecorder.as_doc` canonically sorts spans and edges — so the
-  reference backend (per-dispatch emission in event order) and the
-  vectorized backend (bulk columnar emission at loop end, mirroring
-  ``observe_spans``) serialize byte-identical documents, and merged
-  fleet snapshots inherit the jobs=1 ≡ jobs=N equality contract.
+  :meth:`SpanRecorder.as_doc` canonically sorts spans and edges. Loop
+  spans come from one projection of the engines' dispatch log
+  (:func:`repro.backends.common.publish_log`), so every simulated
+  backend serializes byte-identical documents, and merged fleet
+  snapshots inherit the jobs=1 ≡ jobs=N equality contract.
 * **Exact tiling.** Within a runtime-scheduled loop, each thread's
   spans tile its busy window ``[entry, finish]`` with no gaps: wake →
   (dispatch → compute)* → final empty take, then the barrier idle span.
@@ -142,8 +142,7 @@ class SpanRecorder:
         self._current_loop: str | None = None
         self._last_loop: str | None = None
         #: (loop_path, tid) -> next chunk ordinal; gives chunk spans
-        #: backend-stable ids (per-tid dispatch order is identical in
-        #: event-ordered and columnar emission).
+        #: backend-stable ids (per-tid dispatch order).
         self._chunk_seq: dict[tuple[str, int], int] = {}
         #: loop_path -> index of first span emitted for that loop.
         self._loop_mark: dict[str, int] = {}
@@ -216,46 +215,7 @@ class SpanRecorder:
             Span(f"{loop}/t{tid}/wake", loop, "wake", "dispatch", t0, t1, tid)
         )
 
-    def record_empty(self, loop: str, tid: int, t0: float, t1: float) -> None:
-        # Shares the chunk ordinal sequence: a thread's final (or, under
-        # faults, repeated) empty take slots into its dispatch order.
-        key = (loop, tid)
-        k = self._chunk_seq.get(key, 0)
-        self._chunk_seq[key] = k + 1
-        self.spans.append(
-            Span(f"{loop}/t{tid}/e{k}", loop, "empty_take", "dispatch",
-                 t0, t1, tid)
-        )
-
-    def record_chunk(
-        self,
-        loop: str,
-        tid: int,
-        t_dispatch: float,
-        t_overhead_end: float,
-        t_done: float,
-        lo: int,
-        hi: int,
-        big: bool,
-    ) -> None:
-        """One dispatch: overhead span + compute span (scalar path)."""
-        key = (loop, tid)
-        k = self._chunk_seq.get(key, 0)
-        self._chunk_seq[key] = k + 1
-        base = f"{loop}/t{tid}"
-        self.spans.append(
-            Span(f"{base}/d{k}", loop, "dispatch", "dispatch",
-                 t_dispatch, t_overhead_end, tid,
-                 {"lo": lo, "hi": hi})
-        )
-        if t_done > t_overhead_end or hi > lo:
-            self.spans.append(
-                Span(f"{base}/c{k}", loop, "chunk",
-                     "compute-big" if big else "compute-small",
-                     t_overhead_end, t_done, tid, {"lo": lo, "hi": hi})
-            )
-
-    def record_chunks_bulk(
+    def record_dispatches(
         self,
         loop: str,
         tid: int,
@@ -266,31 +226,38 @@ class SpanRecorder:
         his: Sequence[int],
         big: bool,
     ) -> None:
-        """Columnar emission for one thread, mirroring ``observe_spans``.
+        """One thread's dispatches, in dispatch order.
 
-        Arrays must be in dispatch order (the vectorized engine's
-        per-thread columns are); ids continue the same per-(loop, tid)
-        ordinal sequence the scalar path uses, so both backends emit
-        identically-named spans.
+        ``lo < 0`` marks an empty take (one ``empty_take`` span);
+        anything else is a dispatch span plus a compute span, except for
+        a range a fault cut before it computed. Empty takes share the
+        per-(loop, tid) ordinal sequence with chunks, so a thread's
+        final (or, under faults, repeated) empty take slots into its
+        dispatch order.
         """
         key = (loop, tid)
         k = self._chunk_seq.get(key, 0)
         base = f"{loop}/t{tid}"
         cat = "compute-big" if big else "compute-small"
         append = self.spans.append
-        for i in range(len(t_dispatch)):
-            lo = int(los[i])
-            hi = int(his[i])
-            append(
-                Span(f"{base}/d{k}", loop, "dispatch", "dispatch",
-                     float(t_dispatch[i]), float(t_overhead_end[i]), tid,
-                     {"lo": lo, "hi": hi})
-            )
-            append(
-                Span(f"{base}/c{k}", loop, "chunk", cat,
-                     float(t_overhead_end[i]), float(t_done[i]), tid,
-                     {"lo": lo, "hi": hi})
-            )
+        for t0, t_oe, t1, lo, hi in zip(
+            t_dispatch, t_overhead_end, t_done, los, his
+        ):
+            if lo < 0:
+                append(
+                    Span(f"{base}/e{k}", loop, "empty_take", "dispatch",
+                         t0, t1, tid)
+                )
+            else:
+                append(
+                    Span(f"{base}/d{k}", loop, "dispatch", "dispatch",
+                         t0, t_oe, tid, {"lo": lo, "hi": hi})
+                )
+                if t1 > t_oe or hi > lo:
+                    append(
+                        Span(f"{base}/c{k}", loop, "chunk", cat,
+                             t_oe, t1, tid, {"lo": lo, "hi": hi})
+                    )
             k += 1
         self._chunk_seq[key] = k
 
@@ -444,9 +411,9 @@ class SpanRecorder:
 
     def as_doc(self) -> dict:
         """Canonical document: spans sorted by (t0, t1, id), edges by
-        (t, kind, src, dst). Emission order — which differs between the
-        event-ordered reference backend and the columnar vectorized
-        backend — never reaches the wire."""
+        (t, kind, src, dst). Emission order (loop spans land per thread
+        at loop end, fault spans as they fire) never reaches the
+        wire."""
         return {
             "schema": SPANS_SCHEMA,
             "context": self.context,

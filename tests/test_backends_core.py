@@ -1,4 +1,4 @@
-"""The execution-backend protocol: registry, selection, capabilities."""
+"""The execution-backend protocol: registry and selection."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from repro.amp.presets import odroid_xu4
 from repro.backends import (
     DEFAULT_BACKEND,
     ENV_VAR,
-    BackendCapabilities,
     ExecutionBackend,
     RealBackend,
     ReferenceBackend,
@@ -71,32 +70,6 @@ class TestSelection:
 
     def test_resolve_backend_builds_from_name(self):
         assert isinstance(resolve_backend("vectorized"), VectorizedBackend)
-
-
-class TestCapabilities:
-    def test_reference_is_the_full_simulator(self):
-        caps = ReferenceBackend().capabilities()
-        assert caps.simulated and caps.deterministic
-        assert caps.supports_faults and caps.supports_trace
-        assert caps.supports_check
-        assert not caps.batched
-
-    def test_vectorized_batches_and_delegates_the_rest(self):
-        caps = VectorizedBackend().capabilities()
-        assert caps.simulated and caps.deterministic and caps.batched
-        # Faults and tracing are supported — by delegating those runs to
-        # reference semantics, so the flags are honestly True.
-        assert caps.supports_faults and caps.supports_trace
-
-    def test_real_is_wall_clock(self):
-        caps = RealBackend().capabilities()
-        assert not caps.simulated
-        assert not caps.deterministic
-
-    def test_defaults_are_conservative(self):
-        caps = BackendCapabilities()
-        assert caps.simulated and caps.deterministic
-        assert not (caps.supports_faults or caps.batched)
 
 
 class TestThreading:

@@ -127,17 +127,28 @@ class TestFallbacks:
                 backend="vectorized", reason="faults",
             )
 
-    def test_traced_run_delegates(self):
+    def test_traced_run_stays_on_the_fast_engine(self):
         from repro.tracing.trace import TraceRecorder
 
-        obs = Observability()
-        run_loop(
-            odroid_xu4(), parse_schedule("dynamic,1"), n_iterations=32,
-            trace=TraceRecorder(), obs=obs, backend="vectorized",
-        )
-        assert obs.registry.value(
-            "backend_fallbacks_total", backend="vectorized", reason="trace"
-        ) == 1.0
+        # dynamic,1 takes the drain, aid_hybrid the generic slot engine.
+        for schedule in ("dynamic,1", "aid_hybrid,80"):
+            traces = {}
+            for backend in DEFAULT_BACKENDS:
+                obs = Observability()
+                trace = TraceRecorder()
+                run_loop(
+                    odroid_xu4(), parse_schedule(schedule), n_iterations=48,
+                    costs=np.linspace(1e-4, 3e-4, 48), trace=trace, obs=obs,
+                    backend=backend,
+                )
+                traces[backend] = trace.intervals
+                counters = obs.registry.snapshot()["counters"]
+                assert not [
+                    c for c in counters
+                    if c["name"] == "backend_fallbacks_total"
+                ], (schedule, backend)
+            assert traces["vectorized"] == traces["reference"], schedule
+            assert traces["reference"]
 
 
 class TestRealBackendSmoke:

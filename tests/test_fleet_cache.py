@@ -251,119 +251,3 @@ def test_warm_cache_is_backend_local(tmp_path):
     assert s_vec["cache_hits"] == 0
     assert s_vec["jobs_computed"] == 2
     assert vec.times == cold.times == warm.times
-
-
-# -- flat->sharded layout migration -------------------------------------------
-
-
-def flatten(cache: ResultCache) -> None:
-    """Rewrite a sharded cache as the legacy flat layout (entries and
-    quarantine files in the root, no manifest, no index)."""
-    import os
-
-    for shard in list(cache.root.iterdir()):
-        if shard.is_dir() and len(shard.name) == 2:
-            for entry in list(shard.iterdir()):
-                os.replace(entry, cache.root / entry.name)
-            shard.rmdir()
-    cache.manifest_path.unlink(missing_ok=True)
-    cache.index_path.unlink(missing_ok=True)
-
-
-def test_flat_layout_migrates_transparently(tmp_path):
-    from repro.obs import Observability
-
-    staging = ResultCache(tmp_path)
-    specs = [make_spec(seed=i) for i in range(2)]
-    results = [s.execute() for s in specs]
-    for result in results:
-        staging.put(result)
-    flatten(staging)
-    assert (tmp_path / f"{specs[0].key}.json").is_file()
-    assert not staging.manifest_path.exists()
-
-    obs = Observability()
-    cache = ResultCache(tmp_path, obs=obs)  # fresh handle, legacy disk
-    for spec, result in zip(specs, results):
-        assert cache.get(spec.key) == result
-    # Entries moved into their digest-prefix shards; manifest written.
-    assert cache.manifest_ok()
-    for spec in specs:
-        assert cache.path_for(spec.key).is_file()
-        assert not (tmp_path / f"{spec.key}.json").exists()
-    assert obs.registry.counter(
-        "fleet_cache_migrated_total"
-    ).value == len(specs)
-
-
-def test_migration_never_resurrects_quarantine_next_to_valid_entry(tmp_path):
-    """Satellite: a legacy flat cache can hold BOTH a valid entry and a
-    stale ``.corrupt`` quarantine file for the same digest. Migration
-    must carry the quarantine forward as a quarantine — suffix intact —
-    and must not let the garbage shadow or replace the valid entry."""
-    staging = ResultCache(tmp_path)
-    spec = make_spec()
-    result = spec.execute()
-    staging.put(result)
-    flatten(staging)
-    flat_entry = tmp_path / f"{spec.key}.json"
-    quarantine = tmp_path / f"{spec.key}.json.corrupt"
-    quarantine.write_text("{poisoned bytes", encoding="utf-8")
-    assert flat_entry.is_file() and quarantine.is_file()
-
-    cache = ResultCache(tmp_path)
-    assert cache.get(spec.key) == result, "valid entry survives migration"
-    sharded = cache.path_for(spec.key)
-    carried = sharded.with_name(sharded.name + ".corrupt")
-    assert carried.is_file(), "quarantine carried forward"
-    assert carried.read_text(encoding="utf-8") == "{poisoned bytes"
-    assert not quarantine.exists() and not flat_entry.exists()
-    # And the scrub still sees a healthy store afterwards.
-    report = cache.scrub()
-    assert report.ok == 1 and report.quarantined == 0
-
-
-def test_migration_orphan_quarantine_stays_quarantined(tmp_path):
-    """A flat quarantine file with no valid sibling must not become a
-    live entry (stripping the suffix would resurrect garbage)."""
-    spec = make_spec()
-    tmp_path.mkdir(exist_ok=True)
-    (tmp_path / f"{spec.key}.json.corrupt").write_text(
-        "{garbage", encoding="utf-8"
-    )
-    cache = ResultCache(tmp_path)
-    assert cache.get(spec.key) is None
-    sharded = cache.path_for(spec.key)
-    assert sharded.with_name(sharded.name + ".corrupt").is_file()
-    assert not sharded.exists()
-
-
-def test_interrupted_migration_prefers_sharded_copy(tmp_path):
-    """Re-running migration after an interruption drops flat leftovers
-    instead of clobbering already-migrated entries."""
-    cache = ResultCache(tmp_path)
-    spec = make_spec()
-    result = spec.execute()
-    cache.put(result)  # already sharded
-    # A flat leftover of the same digest (e.g. from a kill mid-move),
-    # with different bytes, must lose to the sharded copy.
-    (tmp_path / f"{spec.key}.json").write_text("{stale flat copy")
-    cache.manifest_path.unlink()
-    fresh = ResultCache(tmp_path)
-    assert fresh.get(spec.key) == result
-    assert not (tmp_path / f"{spec.key}.json").exists()
-
-
-def test_migration_skips_bookkeeping_and_foreign_files(tmp_path):
-    staging = ResultCache(tmp_path)
-    spec = make_spec()
-    staging.put(spec.execute())
-    staging.note_duration(spec, 1.0)
-    flatten(staging)
-    (tmp_path / "README.txt").write_text("not an entry", encoding="utf-8")
-    (tmp_path / "checkpoint.jsonl").write_text("{}\n", encoding="utf-8")
-    cache = ResultCache(tmp_path)
-    assert cache.get(spec.key) is not None
-    assert (tmp_path / "README.txt").is_file()
-    assert (tmp_path / "checkpoint.jsonl").is_file()
-    assert (tmp_path / "durations.json").is_file()

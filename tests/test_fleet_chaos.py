@@ -216,7 +216,7 @@ def test_seeded_plans_are_byte_identical_to_fault_free_run(tmp_path):
     """The acceptance property: 50 seeded sim-mode plans, every one
     byte-identical to the fault-free jobs=1 run."""
     code, report = run_chaos_check(
-        plans=50, seed=0, poison=0, mode="sim", dispatcher="local",
+        plans=50, seed=0, poison=0, mode="sim",
         jobs=2, workdir=tmp_path, emit=lambda *_: None,
     )
     failures = [c for c in report["cases"] if not c["ok"]]
@@ -226,7 +226,7 @@ def test_seeded_plans_are_byte_identical_to_fault_free_run(tmp_path):
 
 def test_poison_plans_quarantine_exactly_the_poison_digests(tmp_path):
     code, report = run_chaos_check(
-        plans=5, seed=100, poison=1, mode="sim", dispatcher="local",
+        plans=5, seed=100, poison=1, mode="sim",
         jobs=2, workdir=tmp_path, emit=lambda *_: None,
     )
     assert code == 0
@@ -249,7 +249,7 @@ def test_real_mode_sigkill_and_stall_recover(specs, baseline, tmp_path):
         mode="real",
     )
     verdict = run_chaos_case(
-        specs, plan, baseline, tmp_path, dispatcher="process", jobs=2,
+        specs, plan, baseline, tmp_path, jobs=2,
         timeout=0.4,
     )
     assert verdict["ok"], verdict["mismatches"]
@@ -265,7 +265,7 @@ def test_real_mode_poison_quarantined(specs, baseline, tmp_path):
         events=(WorkerKill(job=keys[0], times=None),), seed=8, mode="real"
     )
     verdict = run_chaos_case(
-        specs, plan, baseline, tmp_path, dispatcher="process", jobs=2,
+        specs, plan, baseline, tmp_path, jobs=2,
         timeout=0.4, poison_threshold=2,
     )
     assert verdict["ok"], verdict["mismatches"]
