@@ -86,8 +86,10 @@ def obs_violations(metrics: dict) -> list[str]:
     * the ``chunk_size`` sampler and the ``chunk_size_iters`` digest saw
       the same number of grants per instrument labels;
     * folding the snapshot into a fresh registry rebuilds it exactly,
-      and folding it twice exactly doubles counters and digest counts
-      (the fleet-merge determinism contract, jobs=1 vs jobs=N).
+      both as kept documents and after converting them to live
+      instruments, and folding it twice exactly doubles counters and
+      digest counts (the fleet-merge determinism contract, jobs=1 vs
+      jobs=N).
     """
     from repro.obs.merge import merge_metrics_into
     from repro.obs.registry import MetricsRegistry
@@ -139,6 +141,14 @@ def obs_violations(metrics: dict) -> list[str]:
     merge_metrics_into(once, metrics)
     if json.dumps(once.snapshot(), sort_keys=True) != text:
         out.append("obs: merging the snapshot once does not rebuild it")
+    # A one-shot merge keeps every document as it came; converting them
+    # runs the fold, which must write the same bytes.
+    once.realize()
+    if json.dumps(once.snapshot(), sort_keys=True) != text:
+        out.append(
+            "obs: converting the kept documents to live instruments "
+            "does not rebuild the snapshot"
+        )
     twice = MetricsRegistry()
     merge_metrics_into(twice, metrics)
     merge_metrics_into(twice, metrics)

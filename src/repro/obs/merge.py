@@ -31,10 +31,9 @@ import json
 from typing import Iterable, Mapping
 
 from repro.errors import ObsError
-from repro.obs.registry import KIND_PLURALS, Histogram, MetricsRegistry
+from repro.obs.registry import KIND_PLURALS, MetricsRegistry
 from repro.obs.snapshot import SCHEMA as SNAPSHOT_SCHEMA
 from repro.obs.snapshot import canonical_json
-from repro.obs.timeseries import QuantileDigest, TimeSeries
 
 #: Per-job snapshot document identifier. v2 added the time-resolved
 #: instruments (``timeseries`` + ``digests``) to the metrics dump.
@@ -68,7 +67,9 @@ def summarize_decisions(records: Iterable[Mapping]) -> dict:
     AID variant — how many decisions each scheduler made, of which
     events, touching which loops — while dropping the per-record payload
     (sampled mean times, SF tables) that would bloat cache entries.
+    ``records`` is read once, so any iterable works.
     """
+    records = list(records)
     try:
         # Fast path: schema-complete records (everything DecisionLog
         # produces). Counting collapses to C-speed Counter folds over
@@ -166,55 +167,16 @@ def merge_metrics_into(
     (last-wins, so callers must merge in a deterministic order).
     ``extra_labels`` (e.g. ``program``/``config``/``platform`` of the
     producing job) are appended to every instrument's label set, keeping
-    same-named metrics from different jobs distinguishable.
+    same-named metrics from different jobs distinguishable. An
+    instrument the registry has not seen is kept as its document (see
+    :meth:`~repro.obs.registry.MetricsRegistry.merge_doc`, which states
+    the ``as_dict``-form precondition), so a dump whose keys are all new
+    — every fleet job, given its unique labels — costs no rebuild.
     """
     extra = dict(extra_labels) if extra_labels else {}
-    for m in metrics.get("counters", []):
-        labels = {**m["labels"], **extra}
-        registry.counter(m["name"], **labels).inc(float(m["value"]))
-    for m in metrics.get("gauges", []):
-        labels = {**m["labels"], **extra}
-        registry.gauge(m["name"], **labels).set(float(m["value"]))
-    for m in metrics.get("histograms", []):
-        labels = {**m["labels"], **extra}
-        bounds = tuple(
-            float(b["le"]) for b in m["buckets"] if b["le"] != "+Inf"
-        )
-        hist = registry.histogram(m["name"], buckets=bounds or (1.0,), **labels)
-        if not isinstance(hist, Histogram):  # null registry: nothing to do
-            continue
-        if hist.bounds != (bounds or (1.0,)):
-            raise ObsError(
-                f"histogram {m['name']!r} bucket mismatch while merging: "
-                f"{hist.bounds} vs {bounds}"
-            )
-        counts = [int(b["count"]) for b in m["buckets"]]
-        if len(counts) != len(hist.counts):
-            raise ObsError(
-                f"histogram {m['name']!r} has {len(counts)} buckets, "
-                f"expected {len(hist.counts)}"
-            )
-        for i, c in enumerate(counts):
-            hist.counts[i] += c
-        hist.sum += float(m["sum"])
-        hist.count += int(m["count"])
-    for m in metrics.get("timeseries", []):
-        labels = {**m["labels"], **extra}
-        ts = registry.timeseries(
-            m["name"],
-            mode=m.get("mode", "sample"),
-            window=float(m.get("window0", m.get("window", 1.0))),
-            capacity=int(m.get("capacity", 256)),
-            norm=float(m.get("norm", 1.0)),
-            **labels,
-        )
-        if isinstance(ts, TimeSeries):  # null registry: nothing to do
-            ts.merge_doc(m)
-    for m in metrics.get("digests", []):
-        labels = {**m["labels"], **extra}
-        dg = registry.digest(m["name"], gamma=float(m["gamma"]), **labels)
-        if isinstance(dg, QuantileDigest):
-            dg.merge_doc(m)
+    for kind, plural in KIND_PLURALS.items():
+        for m in metrics.get(plural, ()):
+            registry.merge_doc(kind, m, {**m["labels"], **extra})
 
 
 def merge_decision_summaries(into: dict, add: Mapping) -> None:

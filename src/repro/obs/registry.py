@@ -16,11 +16,20 @@ twice returns the same instrument, so call sites never need to cache.
 The :class:`NullRegistry` subclass hands out shared no-op instruments —
 the default everywhere in the runtime, so uninstrumented runs pay only
 an attribute check per hook.
+
+:meth:`MetricsRegistry.merge_doc` folds *serialized* instruments (the
+cross-process merge of :mod:`repro.obs.merge`). A key seen for the first
+time keeps the incoming document, normalized to what the fold would
+write, instead of rebuilding a live instrument from it; the document
+becomes a live instrument only when a second one lands on the same key
+or an accessor asks for it.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from repro.errors import ObsError
@@ -197,24 +206,15 @@ class MetricsRegistry:
     # -- instrument accessors ------------------------------------------------
 
     def counter(self, name: str, **labels: object) -> Counter:
-        return self._get(Counter, name, labels)
+        return self._get(Counter, (name, label_key(labels)))
 
     def gauge(self, name: str, **labels: object) -> Gauge:
-        return self._get(Gauge, name, labels)
+        return self._get(Gauge, (name, label_key(labels)))
 
     def histogram(
         self, name: str, buckets: Sequence[float] = POW2_BUCKETS, **labels: object
     ) -> Histogram:
-        key = (name, label_key(labels))
-        inst = self._metrics.get(key)
-        if inst is None:
-            inst = Histogram(name, key[1], buckets)
-            self._metrics[key] = inst
-        elif not isinstance(inst, Histogram):
-            raise ObsError(
-                f"metric {name!r} already registered as a {inst.kind}"
-            )
-        return inst
+        return self._get(Histogram, (name, label_key(labels)), buckets)
 
     def timeseries(
         self,
@@ -225,45 +225,82 @@ class MetricsRegistry:
         norm: float = 1.0,
         **labels: object,
     ) -> TimeSeries:
-        key = (name, label_key(labels))
-        inst = self._metrics.get(key)
-        if inst is None:
-            inst = TimeSeries(
-                name, key[1], mode=mode, window=window,
-                capacity=capacity, norm=norm,
-            )
-            self._metrics[key] = inst
-        elif not isinstance(inst, TimeSeries):
-            raise ObsError(
-                f"metric {name!r} already registered as a {inst.kind}"
-            )
-        return inst
+        return self._get(
+            TimeSeries, (name, label_key(labels)), mode, window, capacity, norm
+        )
 
     def digest(
         self, name: str, gamma: float = DEFAULT_GAMMA, **labels: object
     ) -> QuantileDigest:
-        key = (name, label_key(labels))
-        inst = self._metrics.get(key)
-        if inst is None:
-            inst = QuantileDigest(name, key[1], gamma=gamma)
-            self._metrics[key] = inst
-        elif not isinstance(inst, QuantileDigest):
-            raise ObsError(
-                f"metric {name!r} already registered as a {inst.kind}"
-            )
-        return inst
+        return self._get(QuantileDigest, (name, label_key(labels)), gamma)
 
-    def _get(self, cls, name: str, labels: Mapping[str, object]):
-        key = (name, label_key(labels))
+    def _get(self, cls, key: tuple[str, LabelKey], *args):
+        """Get-or-create the live ``cls`` at ``key``; ``args`` follow
+        ``(name, labels)`` in its constructor and only apply on create."""
         inst = self._metrics.get(key)
         if inst is None:
-            inst = cls(name, key[1])
+            inst = cls(key[0], key[1], *args)
             self._metrics[key] = inst
         elif not isinstance(inst, cls):
-            raise ObsError(
-                f"metric {name!r} already registered as a {inst.kind}"
-            )
+            if type(inst) is _Kept:
+                inst = self._realize(key, inst)
+            if not isinstance(inst, cls):
+                raise ObsError(
+                    f"metric {key[0]!r} already registered as a {inst.kind}"
+                )
         return inst
+
+    # -- merging serialized instruments --------------------------------------
+
+    def merge_doc(
+        self, kind: str, doc: Mapping, labels: Mapping[str, object]
+    ) -> None:
+        """Fold one serialized instrument (``as_dict`` form) of ``kind``
+        into the registry under ``labels`` (which replace the document's
+        own).
+
+        The merge rules: counters and histogram buckets sum, gauges are
+        last-wins, series rescale to the coarser window and add, digests
+        add; kind and bucket mismatches raise
+        :class:`~repro.errors.ObsError`. A key the registry has not seen
+        keeps the document itself, normalized to the bytes the fold
+        would write (with no per-point work) and checked as the fold
+        checks it (a document the checks reject, or a series holding
+        more points than its capacity, takes the fold instead). A second
+        document on the key, or an accessor asking for it, converts the
+        kept document through the fold into a live instrument.
+
+        Precondition: the nested ``points`` (series) and ``buckets``
+        (digest) maps are in ``as_dict`` form — canonical integer-string
+        keys, float windows, integer counts — as every
+        :func:`~repro.obs.merge.job_snapshot_json` text is. They are kept
+        by reference and emitted by :meth:`snapshot` as they are; the
+        registry never mutates them, and the caller must not either.
+        """
+        key = (doc["name"], label_key(labels))
+        inst = self._metrics.get(key)
+        if inst is None:
+            kept = _KEEP[kind](key, doc)
+            if kept is not None:
+                self._metrics[key] = _Kept(kind, kept)
+                return
+        elif type(inst) is _Kept:
+            self._realize(key, inst)
+        _FOLD[kind](self, key, doc)
+
+    def realize(self) -> None:
+        """Convert every kept document into a live instrument (snapshot
+        bytes do not change; the conformance fuzz checks exactly that)."""
+        for key, inst in list(self._metrics.items()):
+            if type(inst) is _Kept:
+                self._realize(key, inst)
+
+    def _realize(self, key: tuple[str, LabelKey], kept: "_Kept"):
+        """Replace the kept document at ``key`` by a fresh live
+        instrument folded from it; returns that instrument."""
+        del self._metrics[key]
+        _FOLD[kept.kind](self, key, kept.doc)
+        return self._metrics[key]
 
     # -- introspection -------------------------------------------------------
 
@@ -272,9 +309,12 @@ class MetricsRegistry:
 
     def value(self, name: str, **labels: object) -> float:
         """Current value of a counter/gauge (test & report convenience)."""
-        inst = self._metrics.get((name, label_key(labels)))
+        key = (name, label_key(labels))
+        inst = self._metrics.get(key)
         if inst is None:
             raise ObsError(f"no metric {name!r} with labels {labels!r}")
+        if type(inst) is _Kept:
+            inst = self._realize(key, inst)
         if not isinstance(inst, (Counter, Gauge)):
             raise ObsError(f"{name!r} is a {inst.kind}; read its structure")
         return inst.value
@@ -284,12 +324,182 @@ class MetricsRegistry:
 
         Instruments are sorted by (name, labels), so two registries fed
         the same observations serialize identically regardless of
-        creation order.
+        creation order. Kept documents (see :meth:`merge_doc`) are
+        emitted as they are, shared with the registry: treat the result
+        as read-only.
         """
         out: dict[str, list] = {plural: [] for plural in KIND_PLURALS.values()}
-        for (_, _), inst in sorted(self._metrics.items()):
+        # Keys are unique: ordering by the key alone skips comparing
+        # (key, instrument) pairs, which tests the keys for equality
+        # before ordering them.
+        for _, inst in sorted(self._metrics.items(), key=itemgetter(0)):
             out[KIND_PLURALS[inst.kind]].append(inst.as_dict())
         return out
+
+
+class _Kept:
+    """A merged instrument still in its serialized form (see
+    :meth:`MetricsRegistry.merge_doc`)."""
+
+    __slots__ = ("kind", "doc")
+
+    def __init__(self, kind: str, doc: dict) -> None:
+        self.kind = kind
+        self.doc = doc
+
+    def as_dict(self) -> dict:
+        return self.doc
+
+
+# -- the fold: a serialized instrument into a live one ------------------------
+
+
+def _fold_counter(reg: MetricsRegistry, key, m: Mapping) -> None:
+    reg._get(Counter, key).inc(float(m["value"]))
+
+
+def _fold_gauge(reg: MetricsRegistry, key, m: Mapping) -> None:
+    reg._get(Gauge, key).set(float(m["value"]))
+
+
+def _fold_histogram(reg: MetricsRegistry, key, m: Mapping) -> None:
+    bounds = tuple(float(b["le"]) for b in m["buckets"] if b["le"] != "+Inf")
+    hist = reg._get(Histogram, key, bounds or (1.0,))
+    if hist.bounds != (bounds or (1.0,)):
+        raise ObsError(
+            f"histogram {key[0]!r} bucket mismatch while merging: "
+            f"{hist.bounds} vs {bounds}"
+        )
+    counts = [int(b["count"]) for b in m["buckets"]]
+    if len(counts) != len(hist.counts):
+        raise ObsError(
+            f"histogram {key[0]!r} has {len(counts)} buckets, "
+            f"expected {len(hist.counts)}"
+        )
+    for i, c in enumerate(counts):
+        hist.counts[i] += c
+    hist.sum += float(m["sum"])
+    hist.count += int(m["count"])
+
+
+def _series_params(m: Mapping) -> tuple[str, float, int, float]:
+    """The ``mode, window, capacity, norm`` a merged series takes from
+    its document."""
+    return (
+        m.get("mode", "sample"),
+        float(m.get("window0", m.get("window", 1.0))),
+        int(m.get("capacity", 256)),
+        float(m.get("norm", 1.0)),
+    )
+
+
+def _fold_series(reg: MetricsRegistry, key, m: Mapping) -> None:
+    reg._get(TimeSeries, key, *_series_params(m)).merge_doc(m)
+
+
+def _fold_digest(reg: MetricsRegistry, key, m: Mapping) -> None:
+    reg._get(QuantileDigest, key, float(m["gamma"])).merge_doc(m)
+
+
+# -- the keep: a first-seen document as the fold would write it ---------------
+#
+# Each returns the normalized document, or None when the fold would
+# raise or reshape it (the caller then runs the fold, which does).
+
+
+def _keep_counter(key, m: Mapping) -> dict | None:
+    value = float(m["value"])
+    if value < 0:
+        return None
+    return {"name": key[0], "labels": dict(key[1]), "value": 0.0 + value}
+
+
+def _keep_gauge(key, m: Mapping) -> dict | None:
+    return {"name": key[0], "labels": dict(key[1]), "value": float(m["value"])}
+
+
+def _keep_histogram(key, m: Mapping) -> dict | None:
+    buckets = m["buckets"]
+    bounds = tuple(float(b["le"]) for b in buckets if b["le"] != "+Inf")
+    if (
+        not bounds
+        or len(buckets) != len(bounds) + 1
+        or any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:]))
+    ):
+        return None
+    return {
+        "name": key[0],
+        "labels": dict(key[1]),
+        "buckets": [
+            {"le": le, "count": int(b["count"])}
+            for le, b in zip(bounds + ("+Inf",), buckets)
+        ],
+        "sum": 0.0 + float(m["sum"]),
+        "count": int(m["count"]),
+    }
+
+
+def _keep_series(key, m: Mapping) -> dict | None:
+    mode, window0, capacity, norm = _series_params(m)
+    level = int(m.get("level", 0))
+    points = m.get("points") or {}
+    if (
+        m.get("mode") not in ("sample", "busy")
+        or not window0 > 0.0
+        or capacity < 2
+        or norm != norm  # NaN: the fold's norm check rejects it
+        or level < 0
+        or len(points) > capacity
+    ):
+        return None
+    return {
+        "name": key[0],
+        "labels": dict(key[1]),
+        "mode": mode,
+        "window0": window0,
+        "window": window0 * 2.0 ** level,
+        "level": level,
+        "capacity": capacity,
+        "norm": norm,
+        "points": points,
+    }
+
+
+def _keep_digest(key, m: Mapping) -> dict | None:
+    gamma = float(m["gamma"])
+    count = int(m.get("count", 0))
+    if not gamma > 1.0 or count < 0:
+        return None
+    return {
+        "name": key[0],
+        "labels": dict(key[1]),
+        "gamma": gamma,
+        "zero": int(m.get("zero", 0)),
+        "buckets": m.get("buckets") or {},
+        "sum": 0.0 + float(m.get("sum", 0.0)),
+        "count": count,
+        # Folded against an empty digest's +/-inf extrema, as the fold
+        # does (a NaN extremum stays infinite there too).
+        "min": min(math.inf, float(m["min"])) if count else 0.0,
+        "max": max(-math.inf, float(m["max"])) if count else 0.0,
+    }
+
+
+_FOLD = {
+    "counter": _fold_counter,
+    "gauge": _fold_gauge,
+    "histogram": _fold_histogram,
+    "timeseries": _fold_series,
+    "digest": _fold_digest,
+}
+
+_KEEP = {
+    "counter": _keep_counter,
+    "gauge": _keep_gauge,
+    "histogram": _keep_histogram,
+    "timeseries": _keep_series,
+    "digest": _keep_digest,
+}
 
 
 class _NullInstrument:
@@ -345,6 +555,9 @@ class NullRegistry(MetricsRegistry):
 
     def digest(self, name, gamma=DEFAULT_GAMMA, **labels):  # type: ignore[override]
         return _NULL_INSTRUMENT
+
+    def merge_doc(self, kind, doc, labels) -> None:  # type: ignore[override]
+        pass
 
     def snapshot(self) -> dict:
         return {plural: [] for plural in KIND_PLURALS.values()}

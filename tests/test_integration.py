@@ -141,13 +141,19 @@ class TestSimulatorVsRealThreadAgreement:
 
         team = ThreadTeam(4, platform)
 
-        # Give every worker time to claim its allotment before the pool
-        # drains (with an instant body, whichever thread the OS runs
-        # first would mop up everything).
-        import time
+        # Every worker claims its allotment before any worker can steal:
+        # all four meet at a barrier in their first body call (with an
+        # instant body, whichever thread the OS runs first would mop up
+        # everything).
+        import threading
+
+        barrier = threading.Barrier(4, timeout=30)
+        started: set[int] = set()  # each worker adds only its own tid
 
         def body(tid: int, lo: int, hi: int) -> None:
-            time.sleep(0.002)
+            if tid not in started:
+                started.add(tid)
+                barrier.wait()
 
         real = team.parallel_for(
             600,
