@@ -55,13 +55,12 @@ class FleetError(ReproError):
 
 
 class BreakerOpen(FleetError):
-    """Internal control-flow signal: a dispatcher tier's circuit breaker
+    """Internal control-flow signal: the process pool's circuit breaker
     tripped.
 
-    Raised by a dispatcher after it has requeued (uncharged) everything
-    in flight; :func:`~repro.fleet.pool.run_jobs` catches it and moves
-    the unresolved jobs to the next tier of
-    :data:`~repro.fleet.supervisor.DEGRADATION`.
+    Raised by the pool after it has requeued (uncharged) everything in
+    flight; :func:`~repro.fleet.pool.run_jobs` catches it and runs the
+    unresolved jobs inline (:data:`~repro.fleet.supervisor.DEGRADATION`).
     """
 
     def __init__(self, tier: str, reason: str) -> None:

@@ -83,11 +83,6 @@ def main(argv: list[str] | None = None) -> int:
         "experiments only); a killed run resumes from acknowledged work "
         "when pointed at the same journal and cache",
     )
-    parser.add_argument(
-        "--dispatcher", default=None, metavar="NAME",
-        help="fleet dispatcher for the grid experiments (inline, "
-        "process, local; default: chosen from --jobs)",
-    )
     args = parser.parse_args(argv)
 
     if args.backend is not None:
@@ -123,8 +118,6 @@ def main(argv: list[str] | None = None) -> int:
     fleet_kwargs: dict = {}
     if args.jobs != 1:
         fleet_kwargs["jobs"] = args.jobs
-    if args.dispatcher is not None:
-        fleet_kwargs["dispatcher"] = args.dispatcher
     checkpoint = None
     if args.checkpoint is not None:
         from repro.fleet.checkpoint import SweepCheckpoint

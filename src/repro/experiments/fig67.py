@@ -28,18 +28,16 @@ def run(
     timeout=None,
     progress=None,
     checkpoint=None,
-    dispatcher=None,
 ) -> Fig67Result:
     """Run both grids (Fig. 6: Platform A, Fig. 7: Platform B).
 
     ``jobs``/``cache``/``timeout``/``progress`` route the cells through
     the :mod:`repro.fleet` pool; results are identical to serial runs.
-    ``checkpoint`` journals cell completion for resumable sweeps and
-    ``dispatcher`` names the fleet dispatcher.
+    ``checkpoint`` journals cell completion for resumable sweeps.
     """
     fleet = dict(
         jobs=jobs, cache=cache, timeout=timeout, progress=progress,
-        checkpoint=checkpoint, dispatcher=dispatcher,
+        checkpoint=checkpoint,
     )
     return Fig67Result(
         platform_a=run_grid(

@@ -85,7 +85,6 @@ def run(
     timeout=None,
     progress=None,
     checkpoint=None,
-    dispatcher=None,
 ) -> Fig8Result:
     platform = platform if platform is not None else odroid_xu4()
     grid = run_grid(
@@ -98,7 +97,6 @@ def run(
         timeout=timeout,
         progress=progress,
         checkpoint=checkpoint,
-        dispatcher=dispatcher,
     )
     norm = grid.normalized("static(SB)")
     best_gain = {}

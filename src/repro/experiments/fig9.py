@@ -69,7 +69,6 @@ def run(
     timeout=None,
     progress=None,
     checkpoint=None,
-    dispatcher=None,
 ) -> Fig9Result:
     if platforms is None:
         platforms = (odroid_xu4(), xeon_emulated())
@@ -110,7 +109,7 @@ def run(
     outcomes = require_ok(
         run_jobs(
             specs,
-            FleetConfig(jobs=jobs, timeout=timeout, dispatcher=dispatcher),
+            FleetConfig(jobs=jobs, timeout=timeout),
             cache=cache,
             progress=progress,
             checkpoint=checkpoint,

@@ -273,8 +273,9 @@ def run_grid(
     counts and cache states. ``checkpoint`` (a
     :class:`~repro.fleet.checkpoint.SweepCheckpoint`) journals the
     grid's digest plan and every terminal cell state so a killed sweep
-    resumes from acknowledged work, and ``dispatcher`` picks the fleet
-    dispatcher by name (``inline`` / ``process`` / ``local``).
+    resumes from acknowledged work, and ``dispatcher`` forces the tier
+    the cells start on (``process`` or ``inline``; default: ``process``
+    when ``jobs > 1``).
     ``supervisor`` (a :class:`~repro.fleet.supervisor.Supervisor`)
     shares hang-detection, poison-quarantine and circuit-breaker state
     across grids — the CLI passes one per invocation so a breaker

@@ -56,7 +56,6 @@ def run(
     timeout=None,
     progress=None,
     checkpoint=None,
-    dispatcher=None,
 ) -> Table2Result:
     """Aggregate Table 2 from the Fig. 6/7 grids (re-running if needed).
 
@@ -65,7 +64,7 @@ def run(
     """
     fig67 = fig67 if fig67 is not None else run_fig67(
         seed=seed, jobs=jobs, cache=cache, timeout=timeout,
-        progress=progress, checkpoint=checkpoint, dispatcher=dispatcher,
+        progress=progress, checkpoint=checkpoint,
     )
     return Table2Result(
         gains={

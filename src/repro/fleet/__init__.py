@@ -9,24 +9,19 @@ costs. This subsystem turns the serial
 * :mod:`~repro.fleet.jobs` — frozen :class:`JobSpec` work units with a
   stable salted content digest;
 * :mod:`~repro.fleet.cache` — a content-addressed on-disk
-  :class:`ResultCache`: digest-prefix sharded with a versioned layout
-  manifest (legacy flat caches migrate in place), size-bounded
-  deterministic LRU eviction with pinning — so unchanged cells are
-  instant hits across bench reruns and CI;
+  :class:`ResultCache`, digest-prefix sharded with a versioned layout
+  manifest — so unchanged cells are instant hits across bench reruns
+  and CI;
 * :mod:`~repro.fleet.scrub` — :func:`scrub_cache`, the cache's fsck:
-  verify every entry, quarantine corruption, repair the manifest,
-  rebuild the index;
+  verify every entry, quarantine corruption, repair the manifest;
 * :mod:`~repro.fleet.checkpoint` — :class:`SweepCheckpoint`, an
   append-only JSONL journal making sweeps resumable after a crash
   (``python -m repro.fleet --resume``);
 * :mod:`~repro.fleet.pool` — :func:`run_jobs`: process-pool execution
   with LPT (longest-first) dispatch, per-job timeouts, bounded retry
   with backoff, broken-pool recovery, and graceful degradation to
-  inline serial execution;
-* :mod:`~repro.fleet.dispatch` — the :class:`Dispatcher` seam behind
-  :func:`run_jobs` (``process`` pool, in-process ``local`` worker
-  group, serial ``inline``), all feeding the same submission-order
-  observability merge;
+  inline serial execution — both tiers feeding the same
+  submission-order observability merge;
 * :mod:`~repro.fleet.progress` — :class:`FleetProgress` counters and a
   per-job event log riding the standard observability registry, plus
   the merged per-job observability capture: every worker runs its job
@@ -36,8 +31,8 @@ costs. This subsystem turns the serial
   snapshot, so warm runs report identical metrics;
 * :mod:`~repro.fleet.supervisor` — :class:`Supervisor`: worker
   heartbeats with EWMA-based hang detection, poison-job quarantine,
-  per-dispatcher circuit breakers degrading ``process -> local ->
-  inline``, and seeded digest-keyed retry jitter;
+  a circuit breaker degrading ``process -> inline``, and seeded
+  digest-keyed retry jitter;
 * :mod:`~repro.fleet.chaos` — the deterministic infrastructure-chaos
   harness: seeded, JSON-round-trippable :class:`ChaosPlan`\\ s inject
   worker kills/stalls, cache I/O errors and pool-break storms, and
@@ -60,7 +55,6 @@ from repro.fleet.cache import ResultCache
 from repro.fleet.chaos import ChaosCache, ChaosEngine, ChaosPlan
 from repro.fleet.chaos import random_plan as random_chaos_plan
 from repro.fleet.checkpoint import CheckpointState, SweepCheckpoint
-from repro.fleet.dispatch import DISPATCHERS, Dispatcher
 from repro.fleet.jobs import CODE_SALT, JobResult, JobSpec
 from repro.fleet.pool import (
     FleetConfig,
@@ -85,8 +79,6 @@ __all__ = [
     "ResultCache",
     "CheckpointState",
     "SweepCheckpoint",
-    "Dispatcher",
-    "DISPATCHERS",
     "DEGRADATION",
     "BreakerOpen",
     "Supervisor",

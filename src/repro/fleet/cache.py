@@ -4,7 +4,6 @@ Layout (under ``.fleet-cache/`` or ``$FLEET_CACHE_DIR``)::
 
     <root>/
       manifest.json               versioned layout manifest
-      index.json                  LRU/pin/size index (logical clock)
       durations.json              coarse per-(program, schedule, platform)
                                   wall-time estimates feeding LPT ordering
       ab/abcdef...json            one JSON document per cached result,
@@ -24,26 +23,22 @@ counted on ``fleet_cache_corrupt_total`` — so the bad bytes are kept
 for inspection, the recompute's fresh write cannot race a re-read of
 garbage, and repeated hits of the same broken file cannot re-count. A
 cache can always be deleted wholesale without losing anything but time.
+The store keeps no index and no size budget: an entry's file is its
+whole record, and ``scrub --prune-stale`` bounds the store to the
+current code version.
 
-Three production-shaped mechanisms ride on top of the plain store:
+Two mechanisms ride on top of the plain store:
 
 * **A versioned layout manifest** (``manifest.json``), written on
   first access when missing or invalid. Nothing is migrated: a cache
   from an older layout holds only older-salt entries, which are misses
   anyway (``scrub --prune-stale`` deletes them).
-* **Size-bounded LRU eviction with pinning.** ``max_bytes`` (or
-  ``$FLEET_CACHE_MAX_BYTES``) caps the total size of live entries.
-  Recency is a *logical* access clock persisted in ``index.json`` — no
-  wall-clock reads — so the eviction order under a fixed access
-  sequence is fully deterministic (ties break by digest). Pinned
-  entries are never evicted, even when the pinned set alone exceeds
-  the budget.
 * **An integrity scrub** (:mod:`repro.fleet.scrub`) that verifies every
   entry's name, shard placement, schema and digests, quarantines
-  anything corrupt, repairs the manifest and rebuilds the index.
+  anything corrupt and repairs the manifest.
 
-Every document the cache writes — entries, ``index.json``,
-``durations.json``, the manifest and poison markers — is compact
+Every document the cache writes — entries, ``durations.json``, the
+manifest and poison markers — is compact
 canonical JSON (:func:`~repro.obs.snapshot.canonical_json`). An entry
 carries its result's per-job observability snapshot verbatim, as the
 ``obs_json`` string the worker encoded, guarded by an ``obs_sha256``
@@ -66,7 +61,6 @@ import os
 import re
 from pathlib import Path
 
-from repro.errors import FleetError
 from repro.fleet.jobs import CODE_SALT, RESULT_SCHEMA, JobResult, JobSpec
 from repro.obs import NULL_OBS
 from repro.obs.snapshot import canonical_json
@@ -80,9 +74,6 @@ LAYOUT_SCHEMA = "repro.fleet.cache-layout/v1"
 #: The layout this code reads and writes.
 LAYOUT = "sharded/v1"
 
-#: Index document identifier (LRU clock, sizes, pins).
-INDEX_SCHEMA = "repro.fleet.cache-index/v1"
-
 #: Poison-quarantine marker document identifier.
 POISON_SCHEMA = "repro.fleet.poison/v1"
 
@@ -92,9 +83,6 @@ SHARD_WIDTH = 2
 #: Default cache directory when neither an explicit root nor
 #: ``$FLEET_CACHE_DIR`` is given.
 DEFAULT_DIR = ".fleet-cache"
-
-#: Environment variable bounding the cache size in bytes.
-MAX_BYTES_ENV = "FLEET_CACHE_MAX_BYTES"
 
 #: ``<64-hex-digest>.json`` — the only legal entry file name.
 ENTRY_NAME_RE = re.compile(r"^[0-9a-f]{64}\.json$")
@@ -107,31 +95,13 @@ def _is_entry_name(name: str) -> bool:
 class ResultCache:
     """Digest-keyed store of :class:`~repro.fleet.jobs.JobResult`\\ s."""
 
-    def __init__(
-        self,
-        root: str | Path | None = None,
-        obs=None,
-        max_bytes: int | None = None,
-    ) -> None:
+    def __init__(self, root: str | Path | None = None, obs=None) -> None:
         if root is None:
             root = os.environ.get("FLEET_CACHE_DIR") or DEFAULT_DIR
         self.root = Path(root)
         self.obs = obs if obs is not None else NULL_OBS
-        if max_bytes is None:
-            raw = os.environ.get(MAX_BYTES_ENV)
-            if raw:
-                try:
-                    max_bytes = int(raw)
-                except ValueError:
-                    raise FleetError(
-                        f"${MAX_BYTES_ENV} must be an integer, got {raw!r}"
-                    ) from None
-        if max_bytes is not None and max_bytes <= 0:
-            raise FleetError(f"max_bytes must be positive, got {max_bytes}")
-        self.max_bytes = max_bytes
         self._durations: dict[str, float] | None = None
-        self._index: dict | None = None
-        self._index_dirty = False
+        self._durations_dirty = False
         self._layout_checked = False
 
     # -- layout manifest ---------------------------------------------------
@@ -225,7 +195,6 @@ class ResultCache:
             return self._quarantine(path, "payload")
         if result.digest != digest:
             return self._quarantine(path, "digest")
-        self._touch(digest, size=len(text.encode("utf-8")))
         return result
 
     def _quarantine(self, path: Path, reason: str) -> None:
@@ -241,12 +210,7 @@ class ResultCache:
         return None
 
     def put(self, result: JobResult) -> Path:
-        """Store one result atomically; returns the entry path.
-
-        The write bumps the entry's logical access time and, when a
-        byte budget is set, evicts least-recently-used unpinned entries
-        until the cache fits again.
-        """
+        """Store one result atomically; returns the entry path."""
         self._ensure_layout(create=True)
         doc = {
             "schema": ENTRY_SCHEMA,
@@ -256,11 +220,7 @@ class ResultCache:
             "result": result.to_payload(),
         }
         path = self.path_for(result.digest)
-        text = canonical_json(doc)
-        self._write_atomic(path, text)
-        self._touch(result.digest, size=len(text.encode("utf-8")) + 1)
-        self.evict_to_budget()
-        self.flush()
+        self._write_atomic(path, canonical_json(doc))
         return path
 
     # -- poison quarantine markers -----------------------------------------
@@ -326,169 +286,6 @@ class ResultCache:
                 out.append(digest)
         return tuple(sorted(out))
 
-    # -- LRU index, pinning and eviction -----------------------------------
-
-    @property
-    def index_path(self) -> Path:
-        return self.root / "index.json"
-
-    def _load_index(self) -> dict:
-        if self._index is None:
-            entries: dict[str, dict] = {}
-            seq = 0
-            try:
-                doc = json.loads(self.index_path.read_text(encoding="utf-8"))
-                if (
-                    isinstance(doc, dict)
-                    and doc.get("schema") == INDEX_SCHEMA
-                ):
-                    seq = int(doc.get("seq", 0))
-                    for digest, rec in dict(doc.get("entries", {})).items():
-                        entries[str(digest)] = {
-                            "seq": int(rec["seq"]),
-                            "size": int(rec["size"]),
-                            "pinned": bool(rec.get("pinned", False)),
-                        }
-            except (OSError, json.JSONDecodeError, KeyError, TypeError,
-                    ValueError):
-                entries, seq = {}, 0
-            self._index = {"seq": seq, "entries": entries}
-        return self._index
-
-    def _touch(self, digest: str, size: int | None = None) -> None:
-        """Record one logical access (and optionally the entry size)."""
-        index = self._load_index()
-        index["seq"] += 1
-        entry = index["entries"].setdefault(
-            digest, {"seq": 0, "size": 0, "pinned": False}
-        )
-        entry["seq"] = index["seq"]
-        if size is not None:
-            entry["size"] = size
-        self._index_dirty = True
-
-    def flush(self) -> None:
-        """Persist the LRU index if it changed since the last flush.
-
-        Reads batch their recency bumps in memory (a warm 10k-job sweep
-        must not rewrite a 10k-entry index 10k times); ``put`` and the
-        pool's end-of-run hook flush. Losing unflushed bumps to a crash
-        costs recency accuracy, never correctness.
-        """
-        if not self._index_dirty or self._index is None:
-            return
-        self._ensure_layout(create=True)
-        doc = {
-            "schema": INDEX_SCHEMA,
-            "seq": self._index["seq"],
-            "entries": {
-                digest: self._index["entries"][digest]
-                for digest in sorted(self._index["entries"])
-            },
-        }
-        self._write_atomic(self.index_path, canonical_json(doc))
-        self._index_dirty = False
-
-    def rebuild_index(self, entry_sizes: dict[str, int]) -> None:
-        """Replace the index with exactly ``entry_sizes`` (the scrub's
-        surviving-entry census), preserving known recency and pins."""
-        old = self._load_index()["entries"]
-        entries = {
-            digest: {
-                "seq": old.get(digest, {}).get("seq", 0),
-                "size": size,
-                "pinned": old.get(digest, {}).get("pinned", False),
-            }
-            for digest, size in entry_sizes.items()
-        }
-        self._index = {
-            "seq": max(
-                [self._load_index()["seq"]]
-                + [e["seq"] for e in entries.values()]
-            ),
-            "entries": entries,
-        }
-        self._index_dirty = True
-        self.flush()
-
-    def pin(self, digest: str) -> None:
-        """Exempt a digest from eviction (a stub is recorded even if the
-        entry does not exist yet, so pin-then-put keeps the pin)."""
-        index = self._load_index()
-        entry = index["entries"].setdefault(
-            digest, {"seq": 0, "size": 0, "pinned": False}
-        )
-        entry["pinned"] = True
-        self._index_dirty = True
-        self.flush()
-
-    def unpin(self, digest: str) -> None:
-        index = self._load_index()
-        entry = index["entries"].get(digest)
-        if entry is not None:
-            entry["pinned"] = False
-            self._index_dirty = True
-            self.flush()
-
-    def pinned(self) -> tuple[str, ...]:
-        """Pinned digests, sorted."""
-        entries = self._load_index()["entries"]
-        return tuple(
-            sorted(d for d, e in entries.items() if e["pinned"])
-        )
-
-    def total_bytes(self) -> int:
-        """Total size of live entries, per the index."""
-        return sum(
-            e["size"] for e in self._load_index()["entries"].values()
-        )
-
-    def evict_to_budget(self) -> list[str]:
-        """Delete least-recently-used unpinned entries until the cache
-        fits ``max_bytes``; returns the evicted digests in order.
-
-        Fully deterministic: the logical access clock orders victims
-        (ties break by digest), and pinned entries are never candidates
-        — if the pinned set alone exceeds the budget, nothing more can
-        be evicted and the cache stays oversized by exactly that much.
-        """
-        if self.max_bytes is None:
-            return []
-        index = self._load_index()
-        entries = index["entries"]
-        total = sum(e["size"] for e in entries.values())
-        evicted: list[str] = []
-        victims = sorted(
-            (d for d, e in entries.items() if not e["pinned"]),
-            key=lambda d: (entries[d]["seq"], d),
-        )
-        for digest in victims:
-            if total <= self.max_bytes:
-                break
-            total -= entries.pop(digest)["size"]
-            self.path_for(digest).unlink(missing_ok=True)
-            evicted.append(digest)
-            self._index_dirty = True
-        if evicted and self.obs.enabled:
-            self.obs.registry.counter("fleet_cache_evictions_total").inc(
-                len(evicted)
-            )
-        if self.obs.enabled:
-            self.obs.registry.gauge("fleet_cache_bytes").set(float(total))
-        return evicted
-
-    def stats(self) -> dict:
-        """A JSON-ready summary of the store's shape and occupancy."""
-        entries = self._load_index()["entries"]
-        return {
-            "layout": LAYOUT,
-            "entries": len(self),
-            "indexed": len(entries),
-            "bytes": self.total_bytes(),
-            "pinned": sum(1 for e in entries.values() if e["pinned"]),
-            "max_bytes": self.max_bytes,
-        }
-
     # -- duration estimates (LPT ordering) ---------------------------------
 
     @property
@@ -519,13 +316,25 @@ class ResultCache:
 
     def note_duration(self, spec: JobSpec, duration: float) -> None:
         """Update the duration estimate for a job shape (EWMA so one
-        noisy run does not dominate the LPT order)."""
+        noisy run does not dominate the LPT order) and flush it: the
+        table drives hang detection, so every update is made durable."""
         durations = self._load_durations()
         prev = durations.get(spec.profile_key)
         durations[spec.profile_key] = (
             duration if prev is None else 0.5 * prev + 0.5 * duration
         )
-        self._write_atomic(self.durations_path, canonical_json(durations))
+        self._durations_dirty = True
+        self.flush()
+
+    def flush(self) -> None:
+        """Write the duration table if it changed since the last flush;
+        the only writer of ``durations.json``."""
+        if not self._durations_dirty:
+            return
+        self._write_atomic(
+            self.durations_path, canonical_json(self._load_durations())
+        )
+        self._durations_dirty = False
 
     # -- maintenance -------------------------------------------------------
 
@@ -537,8 +346,9 @@ class ResultCache:
         return scrub_cache(self, prune_stale=prune_stale)
 
     def clear(self) -> int:
-        """Delete every entry (plus quarantined files, the index and the
-        duration table); returns the number of result entries removed."""
+        """Delete every entry (plus quarantined files, poison markers and
+        the duration table); returns the number of result entries
+        removed."""
         removed = 0
         if self.root.is_dir():
             for entry in self.root.glob("??/*.json"):
@@ -551,10 +361,8 @@ class ResultCache:
             for entry in self.root.glob("??/*.tmp-*"):
                 entry.unlink(missing_ok=True)
             self.durations_path.unlink(missing_ok=True)
-            self.index_path.unlink(missing_ok=True)
         self._durations = None
-        self._index = None
-        self._index_dirty = False
+        self._durations_dirty = False
         return removed
 
     def __len__(self) -> int:

@@ -31,18 +31,17 @@ Plans are frozen, JSON-round-trippable and seeded
   matching digests raise ``OSError(errno)``; ``torn=True`` puts
   additionally leave truncated garbage at the entry path (an
   externally-torn write the scrub/quarantine path must absorb).
-* ``pool-break`` — a worker process is SIGKILLed right after a
-  matching submission (a ``BrokenProcessPool`` storm); on thread/inline
-  tiers it degrades to a pure circuit-breaker infrastructure failure
-  that fails no job.
+* ``pool-break`` — right after a matching submission, a ``mode="real"``
+  plan SIGKILLs a worker process (a ``BrokenProcessPool`` storm); a
+  ``mode="sim"`` plan charges the pool's circuit breaker instead, an
+  infrastructure failure that fails no job, so break attribution stays
+  exact.
 
-The plan's mode picks the dispatcher: sim plans run on ``local``
-threads, real plans on a ``process`` pool.
-
-Cross-process determinism: the coordinating process activates a plan
-(or points ``$REPRO_FLEET_CHAOS`` at its JSON file, which worker
-processes inherit); bounded events (``times=N``) burn marker files in a
-state directory with ``O_EXCL`` so one firing is one firing, whichever
+Both modes run on the process pool. The coordinating process activates
+a plan and points ``$REPRO_FLEET_CHAOS`` at its JSON file, which worker
+processes inherit. Every bounded event (``times=N``) burns ``O_EXCL``
+marker files in one state directory beside the plan, shared by the
+coordinator and its workers, so one firing is one firing, whichever
 process observes it and however often the pool is rebuilt.
 """
 
@@ -51,7 +50,6 @@ from __future__ import annotations
 import errno as errno_mod
 import json
 import os
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -385,47 +383,32 @@ class ChaosEngine:
 
     Bounded events (``times=N``) must fire exactly N times across every
     process that observes the plan, surviving pool rebuilds (each worker
-    process re-loads the plan from the environment). With a
-    ``state_dir`` the engine burns one ``O_EXCL`` marker file per
-    firing; without one (in-process activation) it counts in memory
-    under a lock.
+    process re-loads the plan from the environment). The engine burns
+    one ``O_EXCL`` marker file in ``state_dir`` per firing, so engines
+    sharing the directory share the count.
     """
 
-    def __init__(
-        self, plan: ChaosPlan, state_dir: str | Path | None = None
-    ) -> None:
+    def __init__(self, plan: ChaosPlan, state_dir: str | Path) -> None:
         plan.validate()
         self.plan = plan
-        self.state_dir = None if state_dir is None else Path(state_dir)
-        if self.state_dir is not None:
-            self.state_dir.mkdir(parents=True, exist_ok=True)
-        self._fired: dict[int, int] = {}
-        self._lock = threading.Lock()
+        self.state_dir = Path(state_dir)
+        self.state_dir.mkdir(parents=True, exist_ok=True)
 
     def _fire(self, event_index: int, times: int | None) -> bool:
         """Consume one firing of an event; False when exhausted."""
         if times is None:
             return True
-        if self.state_dir is not None:
-            for k in range(times):
-                marker = self.state_dir / f"evt-{event_index}-{k}"
-                try:
-                    fd = os.open(
-                        marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY
-                    )
-                except FileExistsError:
-                    continue
-                except OSError:
-                    return False
-                os.close(fd)
-                return True
-            return False
-        with self._lock:
-            n = self._fired.get(event_index, 0)
-            if n >= times:
+        for k in range(times):
+            marker = self.state_dir / f"evt-{event_index}-{k}"
+            try:
+                fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                continue
+            except OSError:
                 return False
-            self._fired[event_index] = n + 1
+            os.close(fd)
             return True
+        return False
 
     def worker_action(self, digest: str) -> tuple[str, float] | None:
         """The injected action for one execution of ``digest``:
@@ -458,9 +441,13 @@ class ChaosEngine:
 _ACTIVE: tuple[str, ChaosEngine] | None = None
 
 
-def activate(
-    plan: ChaosPlan, state_dir: str | Path | None = None
-) -> ChaosEngine:
+def state_dir_for(plan_path: str | Path) -> Path:
+    """The marker directory of the plan saved at ``plan_path``."""
+    plan_path = Path(plan_path)
+    return plan_path.with_name(plan_path.name + ".state")
+
+
+def activate(plan: ChaosPlan, state_dir: str | Path) -> ChaosEngine:
     """Install a plan in this process (wins over the environment)."""
     global _ACTIVE
     engine = ChaosEngine(plan, state_dir=state_dir)
@@ -474,7 +461,7 @@ def deactivate() -> None:
 
 
 @contextmanager
-def active(plan: ChaosPlan, state_dir: str | Path | None = None):
+def active(plan: ChaosPlan, state_dir: str | Path):
     engine = activate(plan, state_dir=state_dir)
     try:
         yield engine
@@ -494,10 +481,7 @@ def current_engine() -> ChaosEngine | None:
         return None
     if _ACTIVE is not None and _ACTIVE[0] == source:
         return _ACTIVE[1]
-    plan = ChaosPlan.load(source)
-    engine = ChaosEngine(plan, state_dir=Path(source).with_name(
-        Path(source).name + ".state"
-    ))
+    engine = ChaosEngine(ChaosPlan.load(source), state_dir_for(source))
     _ACTIVE = (source, engine)
     return engine
 
@@ -505,11 +489,11 @@ def current_engine() -> ChaosEngine | None:
 def inject_worker_chaos(digest: str, *, in_worker: bool) -> None:
     """The worker-side injection seam, called before a job executes.
 
-    ``in_worker`` is True only inside spawned worker processes — a
+    ``in_worker`` is True only inside pool worker processes — a
     ``mode="real"`` kill there is a genuine SIGKILL (breaking the
-    pool); everywhere else (sim mode, or coordinator-side tiers after
-    degradation) the kill is a raised :class:`ChaosWorkerCrash`, never
-    a signal that would take the coordinator down with it.
+    pool); everywhere else (sim mode, or the inline tier) the kill is a
+    raised :class:`ChaosWorkerCrash`, never a signal that would take the
+    coordinator down with it.
     """
     engine = current_engine()
     if engine is None:
@@ -634,14 +618,6 @@ def chaos_specs(root_seed: int = 0):
     )
 
 
-def chaos_dispatcher(mode: str) -> str:
-    """The dispatcher a plan mode works on. Sim-mode firing counts live
-    in the coordinator's memory and need exact break attribution, so
-    sim plans run on ``local`` threads; real-mode kills are genuine
-    SIGKILLs, which only a ``process`` pool turns into dead workers."""
-    return "process" if mode == "real" else "local"
-
-
 def run_chaos_case(
     specs,
     plan: ChaosPlan,
@@ -657,11 +633,10 @@ def run_chaos_case(
 
     ``baseline`` comes from :func:`fault_free_baseline`. Returns a
     JSON-ready verdict payload (``ok``, mismatches, quarantine sets,
-    fleet counters). The plan's mode picks the dispatcher
-    (:func:`chaos_dispatcher`). Real-mode plans default to a disarmed
-    poison threshold unless the plan carries poison jobs: pool-break
-    attribution in a real pool is heuristic (lowest in-flight index),
-    so innocent jobs may absorb break charges.
+    fleet counters). The sweep runs on the process pool. Real-mode plans
+    default to a disarmed poison threshold unless the plan carries
+    poison jobs: pool-break attribution in a real pool is heuristic
+    (lowest in-flight index), so innocent jobs may absorb break charges.
     """
     from repro.fleet.cache import ResultCache
     from repro.fleet.checkpoint import SweepCheckpoint
@@ -690,12 +665,9 @@ def run_chaos_case(
     progress = FleetProgress()
     saved_env = os.environ.get(CHAOS_ENV)
     try:
-        if plan.mode == "real":
-            plan_path = plan.save(workdir / "chaos-plan.json")
-            os.environ[CHAOS_ENV] = str(plan_path)
-            engine = activate(plan, state_dir=workdir / "chaos-state")
-        else:
-            engine = activate(plan)
+        plan_path = plan.save(workdir / "chaos-plan.json")
+        os.environ[CHAOS_ENV] = str(plan_path)
+        engine = activate(plan, state_dir=state_dir_for(plan_path))
         cache = ChaosCache(ResultCache(workdir / "cache"), engine)
         checkpoint = SweepCheckpoint(workdir / "checkpoint.jsonl")
         retries_eff = retries if plan.mode != "real" else max(retries, 6)
@@ -706,7 +678,7 @@ def run_chaos_case(
                 timeout=timeout,
                 retries=retries_eff,
                 backoff=0.001,
-                dispatcher=chaos_dispatcher(plan.mode),
+                dispatcher="process",
             ),
             cache=cache,
             progress=progress,
@@ -836,7 +808,7 @@ def run_chaos_check(
         "plans": plans,
         "seed": seed,
         "mode": mode,
-        "dispatcher": chaos_dispatcher(mode),
+        "dispatcher": "process",
         "poison": poison,
         "failed": failed,
         "cases": cases,

@@ -37,31 +37,30 @@ are byte-identical to an uninterrupted run (modulo cache-temperature
 counters).
 
 **Maintenance.** ``scrub`` fsck's the cache: verifies every entry's
-name, shard placement, schema and digests, quarantines corruption,
-repairs the layout manifest and rebuilds the LRU index
-(``--prune-stale`` also garbage-collects entries from older code
-versions; ``--json PATH`` writes the machine-readable report CI
-archives). ``--max-cache-bytes`` bounds the store with deterministic
-LRU eviction, and ``--dispatcher`` picks the execution seam (``inline``,
-``process``, ``local``).
+name, shard placement, schema and digests, quarantines corruption and
+repairs the layout manifest (``--prune-stale`` also garbage-collects
+entries from older code versions; ``--json PATH`` writes the
+machine-readable report CI archives).
 
-**Supervision.** Every run gets one
+**Supervision.** ``--jobs N`` above 1 runs the cells on a process pool,
+``--jobs 1`` inline. Every run gets one
 :class:`~repro.fleet.supervisor.Supervisor` shared across its grids:
 EWMA-based hang detection, poison-job quarantine (quarantined cells are
 journaled as ``poisoned`` with their reason and skipped by later
-sweeps), and per-dispatcher circuit breakers that degrade
-``process -> local -> inline`` when a tier's infrastructure keeps
-failing. On ``--resume``, previously failed or poisoned cells print as
-a "previously failed" table with their recorded reasons.
+sweeps), and a circuit breaker that moves the sweep from the process
+pool to inline execution when the pool's infrastructure keeps failing.
+On ``--resume``, previously failed or poisoned cells print as a
+"previously failed" table with their recorded reasons.
 
 **Chaos.** ``chaos`` runs the deterministic infrastructure-chaos check
 (:mod:`repro.fleet.chaos`): ``--plans N`` seeded ChaosPlans (worker
 kills/stalls, cache I/O faults, pool-break storms) each swept over a
 small standard grid and byte-compared against the fault-free run;
 ``--poison K`` adds K poison jobs per plan and asserts exactly those are
-quarantined. ``--mode real`` uses genuine SIGKILLs in process workers
-instead of simulated crashes. Exit 1 on any mismatch; ``--json``
-writes the full report with every failing plan replayable.
+quarantined. Both modes sweep on the process pool; ``--mode real`` uses
+genuine SIGKILLs in its workers instead of simulated crashes. Exit 1 on
+any mismatch; ``--json`` writes the full report with every failing plan
+replayable.
 """
 
 from __future__ import annotations
@@ -187,17 +186,6 @@ def main(argv: list[str] | None = None) -> int:
         ".fleet-cache)",
     )
     parser.add_argument(
-        "--max-cache-bytes", type=int, default=None, metavar="N",
-        help="bound the result cache to N bytes of live entries "
-        "(deterministic LRU eviction; default $FLEET_CACHE_MAX_BYTES "
-        "or unbounded)",
-    )
-    parser.add_argument(
-        "--dispatcher", default=None, metavar="NAME",
-        help="fleet dispatcher: inline, process or local (default: "
-        "$REPRO_FLEET_DISPATCHER, then chosen from --jobs)",
-    )
-    parser.add_argument(
         "--checkpoint", default=None, metavar="PATH",
         help="sweep checkpoint journal (default: checkpoint.jsonl beside "
         "the cache when caching is on; with --no-cache, no journal "
@@ -280,14 +268,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name:<8s} {desc}")
         return 0
 
-    try:
-        cache = None if args.no_cache else ResultCache(
-            args.cache_dir, max_bytes=args.max_cache_bytes
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    cache = None if args.no_cache else ResultCache(args.cache_dir)
     if args.names == ["scrub"]:
         return _run_scrub(cache, args)
     if args.names == ["chaos"]:
@@ -400,7 +381,6 @@ def main(argv: list[str] | None = None) -> int:
                 backend=backend,
                 trace_context=args.trace_spans,
                 checkpoint=checkpoint,
-                dispatcher=args.dispatcher,
                 supervisor=supervisor,
             )
         except ReproError as exc:

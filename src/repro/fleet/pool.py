@@ -9,8 +9,9 @@ The runner maps :class:`~repro.fleet.jobs.JobSpec`\\ s to
    cache's duration estimates — the same longest-job-first idea the
    paper's AID schedulers apply to loop iterations, applied here to
    whole simulations);
-3. **inline serial execution** — when ``jobs <= 1``, when processes are
-   disabled, or when the host cannot spawn processes at all.
+3. **inline serial execution** — when ``jobs <= 1``, when
+   ``dispatcher="inline"`` asks for it, when the pool's circuit breaker
+   trips, or when the host cannot spawn processes at all.
 
 Failure semantics: a job attempt can fail by raising (any exception
 travels back through its future), by crashing its worker
@@ -37,12 +38,12 @@ Supervision (:mod:`repro.fleet.supervisor`) rides on the same loop:
   **quarantined** instead of retried — a ``poisoned`` checkpoint
   record, a ``.poison`` cache-side marker (so later sweeps skip it up
   front), and the sweep continues;
-* every pool-breaking failure also charges the running tier's
-  **circuit breaker**; when it trips, the dispatcher raises
+* every pool-breaking failure also charges the pool's **circuit
+  breaker**; when it trips, the pool raises
   :class:`~repro.fleet.supervisor.BreakerOpen` and :func:`run_jobs`
-  degrades the unresolved jobs along ``process -> local -> inline``
-  (the submission-order obs merge happens after whichever tier finishes,
-  so degradation never perturbs merged snapshots);
+  runs the unresolved jobs inline (the submission-order obs merge
+  happens after whichever tier finishes, so degradation never perturbs
+  merged snapshots);
 * cache I/O errors (``OSError`` from ``get``/``put``/``flush``) degrade
   to misses or uncached successes and count on
   ``fleet_cache_errors_total`` — a failing cache directory costs
@@ -53,25 +54,18 @@ cell-for-cell identical to serial execution; the test suite asserts
 exact equality, not tolerances — including under every injected fault
 of the chaos harness (:mod:`repro.fleet.chaos`).
 
-Where jobs execute is a pluggable seam: :mod:`repro.fleet.dispatch`
-defines the ``Dispatcher`` protocol, with the process pool as the
-default implementation, an in-process ``local`` worker group as the
-second, and ``inline`` as the degenerate serial case. All dispatchers
-share this module's retry accounting and success recording, so the
-determinism contract (submission-order obs merge, cache writes before
-checkpoint records) holds whichever one runs the jobs.
+Both tiers share this module's retry accounting and success recording,
+so the determinism contract (submission-order obs merge, cache writes
+before checkpoint records) holds whichever one runs the jobs.
 
-Fault injection (used by tests and the CI smoke job): setting
-``REPRO_FLEET_CRASH_ONCE=<digest-prefix>@<marker-file>`` makes the
-*first* worker that picks up a matching job hard-exit after touching the
-marker file; subsequent attempts find the marker and run normally.
+Fault injection (used by tests and the CI smoke job):
 ``REPRO_FLEET_KILL_AFTER=<n>`` SIGKILLs the *coordinating* process the
 moment the n-th computed (non-cached) job has been recorded — after its
-cache write and checkpoint record, the exact crash window the
-resume harness needs to be deterministic about. Richer, seeded
-infrastructure-fault schedules (worker kills and stalls, cache I/O
-errors, pool-break storms) come from :mod:`repro.fleet.chaos` via
-``$REPRO_FLEET_CHAOS`` or an in-process activation.
+cache write and checkpoint record, the exact crash window the resume
+harness needs to be deterministic about. Worker crashes, stalls, cache
+I/O errors and pool-break storms come from seeded plans of
+:mod:`repro.fleet.chaos`, via ``$REPRO_FLEET_CHAOS`` or an in-process
+activation.
 """
 
 from __future__ import annotations
@@ -80,27 +74,17 @@ import os
 import signal
 import time
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from repro.errors import FleetError
+from repro.fleet import chaos
 from repro.fleet.cache import ResultCache
-from repro.fleet.dispatch import get_dispatcher, resolve_dispatcher_name
 from repro.fleet.jobs import JobResult, JobSpec
 from repro.fleet.progress import NULL_PROGRESS, FleetProgress
 from repro.fleet.supervisor import DEGRADATION, BreakerOpen, Supervisor
-
-#: Environment variable enabling crash-once fault injection.
-CRASH_ONCE_ENV = "REPRO_FLEET_CRASH_ONCE"
 
 #: Environment variable enabling the kill-the-coordinator injection.
 KILL_AFTER_ENV = "REPRO_FLEET_KILL_AFTER"
@@ -120,18 +104,14 @@ class FleetConfig:
         retries: extra attempts after a failed first one.
         backoff: base seconds slept before a retry, doubled per attempt
             (jittered and budget-capped by the supervisor).
-        use_processes: force (True) or forbid (False) worker processes;
-            None decides from ``jobs``.
-        dispatcher: explicit dispatcher name (``inline`` / ``process`` /
-            ``local``); None selects from ``jobs``/``use_processes`` (or
-            ``$REPRO_FLEET_DISPATCHER``) as always.
+        dispatcher: the tier jobs start on (``process`` or ``inline``);
+            None picks ``process`` when ``jobs > 1``, else ``inline``.
     """
 
     jobs: int = 1
     timeout: float | None = None
     retries: int = 2
     backoff: float = 0.05
-    use_processes: bool | None = None
     dispatcher: str | None = None
 
     def __post_init__(self) -> None:
@@ -141,14 +121,11 @@ class FleetConfig:
             raise FleetError("timeout must be positive (or None)")
         if self.retries < 0:
             raise FleetError("retries must be >= 0")
-        if self.dispatcher is not None:
-            from repro.fleet.dispatch import DISPATCHERS
-
-            if self.dispatcher not in DISPATCHERS:
-                raise FleetError(
-                    f"unknown dispatcher {self.dispatcher!r}; "
-                    f"available: {', '.join(sorted(DISPATCHERS))}"
-                )
+        if self.dispatcher is not None and self.dispatcher not in DEGRADATION:
+            raise FleetError(
+                f"unknown dispatcher {self.dispatcher!r}; "
+                f"available: {', '.join(DEGRADATION)}"
+            )
 
 
 @dataclass
@@ -173,47 +150,18 @@ class FleetOutcome:
         return self.result is not None
 
 
-def _maybe_inject_crash(spec: JobSpec) -> None:
-    """Honour ``REPRO_FLEET_CRASH_ONCE`` (worker processes only)."""
-    inject = os.environ.get(CRASH_ONCE_ENV)
-    if not inject:
-        return
-    prefix, _, marker = inject.partition("@")
-    if not marker or not prefix or not spec.key.startswith(prefix):
-        return
-    marker_path = Path(marker)
-    if marker_path.exists():
-        return
-    try:
-        marker_path.touch(exist_ok=False)
-    except OSError:
-        return
-    os._exit(23)  # simulate a hard worker crash (no cleanup, no excepthook)
-
-
 def _worker(spec: JobSpec) -> JobResult:
     """Top-level worker entry point (must be picklable by name)."""
-    _maybe_inject_crash(spec)
-    from repro.fleet import chaos
-
     chaos.inject_worker_chaos(spec.key, in_worker=True)
     return spec.execute()
 
 
 def _execute_spec(spec: JobSpec) -> JobResult:
-    """Coordinator-side execution (inline / local tiers): same chaos
-    seam as :func:`_worker`, but kills are always raised, never signals
-    — an injected worker death must not take the coordinator down."""
-    from repro.fleet import chaos
-
+    """Inline execution: same chaos seam as :func:`_worker`, but kills
+    are always raised, never signals — an injected worker death must not
+    take the coordinator down."""
     chaos.inject_worker_chaos(spec.key, in_worker=False)
     return spec.execute()
-
-
-def _is_injected_crash(exc: BaseException) -> bool:
-    from repro.fleet.chaos import ChaosWorkerCrash
-
-    return isinstance(exc, ChaosWorkerCrash)
 
 
 def _maybe_kill_coordinator() -> None:
@@ -267,7 +215,8 @@ def run_jobs(
     checkpoint=None,
     supervisor: Supervisor | None = None,
 ) -> list[FleetOutcome]:
-    """Execute jobs through cache/dispatcher; outcomes in input order.
+    """Execute jobs through cache, pool and inline tier; outcomes in
+    input order.
 
     ``checkpoint`` (a :class:`~repro.fleet.checkpoint.SweepCheckpoint`)
     journals the batch plan and every terminal job state — cache hits
@@ -324,16 +273,27 @@ def run_jobs(
         if cache is not None:
             progress.cache_miss(spec)
         pending.append(i)
-    if pending:
-        entry = resolve_dispatcher_name(
-            config.dispatcher,
-            jobs=config.jobs,
-            use_processes=config.use_processes,
-        )
-        _run_ladder(
-            entry, specs, pending, outcomes, config, cache, progress,
-            checkpoint, supervisor,
-        )
+    tier = config.dispatcher or ("process" if config.jobs > 1 else "inline")
+    if pending and tier == "process":
+        if supervisor.tier_allowed("process"):
+            try:
+                _run_pool(
+                    specs, pending, outcomes, config, cache, progress,
+                    checkpoint, supervisor,
+                )
+            except BreakerOpen as exc:
+                progress.breaker_tripped(
+                    specs[pending[0]], exc.tier, "inline", exc.reason
+                )
+        else:
+            # Still cooling down from a trip in an earlier batch under
+            # this supervisor; once the cooldown elapsed, the batch above
+            # doubles as the half-open probe instead.
+            progress.breaker_skipped(specs[pending[0]], "process")
+    _run_inline(
+        specs, [i for i in pending if i not in outcomes], outcomes, config,
+        cache, progress, checkpoint, supervisor,
+    )
     ordered = [outcomes[i] for i in range(len(specs))]
     # Merge worker-side obs captures in submission order — never in
     # completion order — so gauge last-wins resolution (and therefore the
@@ -342,59 +302,8 @@ def run_jobs(
         if outcome.result is not None:
             progress.job_obs(outcome.spec, outcome.result)
     if cache is not None:
-        try:
-            progress.record_duration_estimates(cache, specs)
-            cache.flush()  # persist batched LRU recency bumps
-        except OSError as exc:
-            progress.cache_error(specs[0], "flush", f"{exc}")
+        progress.record_duration_estimates(cache, specs)
     return ordered
-
-
-def _run_ladder(
-    entry, specs, pending, outcomes, config, cache, progress, checkpoint,
-    supervisor,
-) -> None:
-    """Run the degradation ladder starting at the ``entry`` dispatcher.
-
-    Each tier's dispatcher resolves what it can; a tripped circuit
-    breaker surfaces as :class:`BreakerOpen` and moves the unresolved
-    jobs one tier right (``process -> local -> inline``). A tier whose
-    breaker is already open (from an earlier batch under the same
-    supervisor) is skipped up front — unless its cooldown elapsed, in
-    which case the batch doubles as the half-open probe.
-    """
-    chain = DEGRADATION.get(entry, (entry,))
-    pos = 0
-    while True:
-        remaining = [i for i in pending if i not in outcomes]
-        if not remaining:
-            return
-        while pos < len(chain) - 1 and not supervisor.tier_allowed(chain[pos]):
-            progress.breaker_skipped(specs[remaining[0]], chain[pos])
-            pos += 1
-        tier = chain[pos]
-        try:
-            get_dispatcher(tier).run(
-                specs, remaining, outcomes, config, cache, progress,
-                checkpoint, supervisor=supervisor,
-            )
-        except BreakerOpen as exc:
-            if pos >= len(chain) - 1:
-                raise FleetError(
-                    f"breaker tripped on the last-resort tier {tier!r}: "
-                    f"{exc.reason}"
-                ) from exc
-            progress.breaker_tripped(
-                specs[remaining[0]], exc.tier, chain[pos + 1], exc.reason
-            )
-            pos += 1
-            continue
-        still = [i for i in pending if i not in outcomes]
-        if still == remaining:
-            raise FleetError(
-                f"dispatcher {tier!r} made no progress on "
-                f"{len(remaining)} pending job(s)"
-            )
 
 
 def require_ok(outcomes: Sequence[FleetOutcome]) -> list[FleetOutcome]:
@@ -415,14 +324,11 @@ def require_ok(outcomes: Sequence[FleetOutcome]) -> list[FleetOutcome]:
 
 
 def _run_inline(
-    specs, pending, outcomes, config, cache, progress, checkpoint=None,
-    supervisor=None,
+    specs, pending, outcomes, config, cache, progress, checkpoint,
+    supervisor,
 ) -> None:
-    supervisor = supervisor if supervisor is not None else Supervisor()
     budget = _BackoffBudget(config.timeout)
     for idx in pending:
-        if idx in outcomes:
-            continue
         spec = specs[idx]
         attempts = 0
         while True:
@@ -432,7 +338,7 @@ def _run_inline(
                 result = _execute_spec(spec)
             except Exception as exc:  # deterministic errors still get
                 reason = f"{type(exc).__name__}: {exc}"  # their retry budget
-                if _is_injected_crash(exc) and (
+                if isinstance(exc, chaos.ChaosWorkerCrash) and (
                     supervisor.note_break(spec.key)
                     >= supervisor.config.poison_threshold
                 ):
@@ -464,7 +370,7 @@ def _run_inline(
             break
 
 
-# -- pooled paths (process workers / local worker group) -------------------
+# -- the process pool ------------------------------------------------------
 
 
 def _lpt_order(specs, pending, cache) -> list[int]:
@@ -492,7 +398,7 @@ def _make_pool(max_workers: int) -> ProcessPoolExecutor:
 
 
 def _break_pool(executor) -> bool:
-    """SIGKILL one resident worker process (chaos pool-break events)."""
+    """SIGKILL one resident worker process (real-mode pool-break events)."""
     procs = getattr(executor, "_processes", None) or {}
     for pid in list(procs):
         try:
@@ -510,78 +416,80 @@ class _InFlight(NamedTuple):
     is_hang: bool  #: deadline came from the EWMA hang detector
 
 
-def _run_supervised_pool(
-    tier, specs, pending, outcomes, config, cache, progress, checkpoint,
-    supervisor, *, process: bool,
+def _run_pool(
+    specs, pending, outcomes, config, cache, progress, checkpoint,
+    supervisor,
 ) -> None:
-    """The shared pooled execution loop (``process`` and ``local``).
+    """The supervised process-pool loop: one LPT queue, one
+    retry/backoff policy, one deadline watcher, one broken-pool protocol.
 
-    One LPT queue, one retry/backoff policy, one deadline watcher, one
-    broken-pool protocol — the only difference between the tiers is the
-    executor (worker processes vs. threads) and what a deadline expiry
-    can do about a stuck worker (processes are rebuilt; a stuck thread's
-    slot stays burned until the group winds down).
+    Resolves every index in ``pending`` unless the pool's circuit
+    breaker trips; it then raises :class:`BreakerOpen` with the
+    unresolved indices simply absent from ``outcomes``.
     """
-    from repro.fleet import chaos as chaos_mod
-
-    engine = chaos_mod.current_engine()
+    engine = chaos.current_engine()
     queue: deque[int] = deque(_lpt_order(specs, pending, cache))
     attempts: dict[int, int] = {i: 0 for i in pending}
     budget = _BackoffBudget(config.timeout)
     max_workers = min(config.jobs, len(pending)) or 1
-    if process:
-        try:
-            executor = _make_pool(max_workers)
-        except (OSError, ValueError, ImportError) as exc:
-            progress.degraded(specs[pending[0]], f"no process pool: {exc}")
-            _run_inline(
-                specs, pending, outcomes, config, cache, progress,
-                checkpoint, supervisor,
-            )
-            return
-    else:
-        executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="fleet-local"
+    try:
+        executor = _make_pool(max_workers)
+    except (OSError, ValueError, ImportError) as exc:
+        progress.degraded(specs[pending[0]], f"no process pool: {exc}")
+        _run_inline(
+            specs, pending, outcomes, config, cache, progress, checkpoint,
+            supervisor,
         )
+        return
 
-    running: dict[Future, _InFlight] = {}
+    running: dict = {}  # Future -> _InFlight
 
     def infra_failure(reason: str) -> None:
-        """Charge the tier's breaker; raise :class:`BreakerOpen` on a
-        trip (unresolved jobs move to the next ladder tier)."""
-        if supervisor.infra_failure(tier):
-            raise BreakerOpen(tier, reason)
+        """Charge the pool's breaker; raise :class:`BreakerOpen` on a
+        trip (the unresolved jobs then run inline)."""
+        if supervisor.infra_failure("process"):
+            raise BreakerOpen("process", reason)
 
     def submit_ready() -> None:
-        while queue and len(running) < max_workers:
-            idx = queue.popleft()
-            if idx in outcomes:
-                continue
-            spec = specs[idx]
-            progress.job_started(spec, mode=tier, attempt=attempts[idx] + 1)
-            deadline, is_hang = supervisor.job_deadline(
-                spec, cache, config.timeout
-            )
-            try:
-                if process:
+        submitted = []
+        try:
+            while queue and len(running) + len(submitted) < max_workers:
+                idx = queue.popleft()
+                if idx in outcomes:
+                    continue
+                spec = specs[idx]
+                progress.job_started(
+                    spec, mode="process", attempt=attempts[idx] + 1
+                )
+                deadline, is_hang = supervisor.job_deadline(
+                    spec, cache, config.timeout
+                )
+                try:
                     fut = executor.submit(_worker, spec)
-                else:
-                    fut = executor.submit(_execute_spec, spec)
-            except BrokenProcessPool:
-                # The pool died between a crash and the wait loop seeing
-                # it: requeue uncharged and let the main loop run the
-                # standard broken-pool protocol (any in-flight futures
-                # carry the same crash, and the charge, if they exist).
-                queue.appendleft(idx)
-                raise
-            running[fut] = _InFlight(idx, time.monotonic(), deadline, is_hang)
-            if engine is not None and engine.pool_break(spec.key):
-                progress.pool_break_injected(spec)
-                if not (process and _break_pool(executor)):
-                    # No worker process to kill (thread tier, or none
-                    # spawned yet): degrade the event to a pure breaker
-                    # charge — infrastructure failed, no job did.
-                    infra_failure("injected pool break")
+                except BrokenProcessPool:
+                    # The pool died between a crash and the wait loop
+                    # seeing it: requeue uncharged and let the main loop
+                    # run the standard broken-pool protocol (any in-flight
+                    # futures carry the same crash, and the charge).
+                    queue.appendleft(idx)
+                    raise
+                info = _InFlight(idx, 0.0, deadline, is_hang)
+                submitted.append((fut, info))
+                if engine is not None and engine.pool_break(spec.key):
+                    progress.pool_break_injected(spec)
+                    real = engine.plan.mode == "real"
+                    if not (real and _break_pool(executor)):
+                        # A sim plan (or a pool with no worker to kill)
+                        # charges the breaker instead: infrastructure
+                        # failed, no job did.
+                        infra_failure("injected pool break")
+        finally:
+            # One clock reading for the whole pass: jobs submitted
+            # together expire together, however long the submissions
+            # (and the worker forks they trigger) took.
+            t0 = time.monotonic()
+            for fut, info in submitted:
+                running[fut] = info._replace(t0=t0)
 
     def fail_or_requeue(
         idx: int, reason: str, *, pool_break: bool, requeue_front: bool
@@ -594,7 +502,7 @@ def _run_supervised_pool(
             >= supervisor.config.poison_threshold
         ):
             _record_poisoned(
-                idx, spec, attempts[idx], tier, reason, outcomes, cache,
+                idx, spec, attempts[idx], "process", reason, outcomes, cache,
                 progress, checkpoint, supervisor,
             )
             return
@@ -603,7 +511,8 @@ def _run_supervised_pool(
             if checkpoint is not None:
                 checkpoint.record(spec.key, "failed", error=reason)
             outcomes[idx] = FleetOutcome(
-                spec, None, attempts=attempts[idx], mode=tier, error=reason,
+                spec, None, attempts=attempts[idx], mode="process",
+                error=reason,
             )
             supervisor.tick()
             return
@@ -617,9 +526,14 @@ def _run_supervised_pool(
         else:
             queue.append(idx)
 
-    def rebuild_pool() -> bool:
-        """Replace a broken/poisoned pool; False = fall back to inline."""
+    def rebuild_pool(reason: str) -> bool:
+        """Requeue every in-flight job uncharged, charge the breaker and
+        replace the pool; False = the rest ran inline."""
         nonlocal executor
+        for info in running.values():
+            queue.appendleft(info.idx)
+        running.clear()
+        infra_failure(reason)
         try:
             executor.shutdown(wait=False, cancel_futures=True)
         except Exception:
@@ -645,11 +559,7 @@ def _run_supervised_pool(
             try:
                 submit_ready()
             except BrokenProcessPool:
-                for fut, info in list(running.items()):
-                    queue.appendleft(info.idx)
-                running.clear()
-                infra_failure("worker process crashed (pool broken)")
-                if not rebuild_pool():
+                if not rebuild_pool("worker process crashed (pool broken)"):
                     return
                 continue
             deadline_slack = None
@@ -671,8 +581,7 @@ def _run_supervised_pool(
             # rest uncharged — they died with the pool, they did not
             # crash it.
             for fut in sorted(done, key=lambda f: running[f].idx):
-                info = running.pop(fut)
-                idx = info.idx
+                idx = running.pop(fut).idx
                 try:
                     result = fut.result()
                 except BrokenProcessPool:
@@ -685,7 +594,7 @@ def _run_supervised_pool(
                             pool_break=True, requeue_front=True,
                         )
                 except Exception as exc:
-                    crash = _is_injected_crash(exc)
+                    crash = isinstance(exc, chaos.ChaosWorkerCrash)
                     fail_or_requeue(
                         idx, f"{type(exc).__name__}: {exc}",
                         pool_break=crash, requeue_front=False,
@@ -696,85 +605,50 @@ def _run_supervised_pool(
                         infra_failure("worker killed in job")
                 else:
                     _record_success(
-                        idx, specs[idx], result, attempts[idx] + 1, tier,
-                        outcomes, cache, progress, checkpoint, supervisor,
+                        idx, specs[idx], result, attempts[idx] + 1,
+                        "process", outcomes, cache, progress, checkpoint,
+                        supervisor,
                     )
             if broken:
                 # Every in-flight sibling died with the pool: requeue them
                 # (their attempt is not charged — they did nothing wrong).
-                for fut, info in list(running.items()):
-                    queue.appendleft(info.idx)
-                running.clear()
-                infra_failure("worker process crashed (pool broken)")
-                if not rebuild_pool():
+                if not rebuild_pool("worker process crashed (pool broken)"):
                     return
                 continue
             now = time.monotonic()
             expired = [
-                info
-                for info in running.values()
+                (fut, info)
+                for fut, info in running.items()
                 if info.deadline is not None and now - info.t0 > info.deadline
             ]
-            if expired:
-                for fut, info in list(running.items()):
-                    if info in expired:
-                        running.pop(fut)
-                for info in expired:
-                    spec = specs[info.idx]
-                    if info.is_hang:
-                        progress.job_hang(spec, info.deadline)
-                        reason = (
-                            f"hung: silent past {info.deadline:.3g}s "
-                            f"(duration estimate x hang factor)"
-                        )
-                    else:
-                        progress.job_timeout(spec, info.deadline)
-                        reason = f"timed out after {info.deadline:g}s"
-                    fail_or_requeue(
-                        info.idx, reason, pool_break=True, requeue_front=False
+            if not expired:
+                continue
+            for fut, info in expired:
+                running.pop(fut)
+                spec = specs[info.idx]
+                if info.is_hang:
+                    progress.job_hang(spec, info.deadline)
+                    reason = (
+                        f"hung: silent past {info.deadline:.3g}s "
+                        f"(duration estimate x hang factor)"
                     )
-                if process:
-                    # A stuck worker cannot be cancelled; rebuild the pool
-                    # and requeue the innocent bystanders.
-                    for fut, info in list(running.items()):
-                        queue.appendleft(info.idx)
-                    running.clear()
-                    infra_failure("worker deadline expired")
-                    if not rebuild_pool():
-                        return
                 else:
-                    infra_failure("worker deadline expired")
+                    progress.job_timeout(spec, info.deadline)
+                    reason = f"timed out after {info.deadline:g}s"
+                fail_or_requeue(
+                    info.idx, reason, pool_break=True, requeue_front=False
+                )
+            # A stuck worker cannot be cancelled: rebuild the pool and
+            # requeue the innocent bystanders.
+            if not rebuild_pool("worker deadline expired"):
+                return
     finally:
         executor.shutdown(wait=False, cancel_futures=True)
 
 
-def _run_processes(
-    specs, pending, outcomes, config, cache, progress, checkpoint=None,
-    supervisor=None,
-) -> None:
-    _run_supervised_pool(
-        "process", specs, pending, outcomes, config, cache, progress,
-        checkpoint,
-        supervisor if supervisor is not None else Supervisor(),
-        process=True,
-    )
-
-
-def _run_local(
-    specs, pending, outcomes, config, cache, progress, checkpoint=None,
-    supervisor=None,
-) -> None:
-    _run_supervised_pool(
-        "local", specs, pending, outcomes, config, cache, progress,
-        checkpoint,
-        supervisor if supervisor is not None else Supervisor(),
-        process=False,
-    )
-
-
 def _record_success(
     idx, spec, result, attempts, mode, outcomes, cache, progress,
-    checkpoint=None, supervisor=None,
+    checkpoint, supervisor,
 ) -> None:
     if cache is not None:
         try:
@@ -790,12 +664,10 @@ def _record_success(
     outcomes[idx] = FleetOutcome(
         spec, result, cached=False, attempts=attempts, mode=mode
     )
-    if supervisor is not None:
-        # Completion doubles as the worker heartbeat and closes the
-        # tier's breaker (consecutive-failure streak broken).
-        if mode in DEGRADATION:
-            supervisor.infra_success(mode)
-        supervisor.tick()
+    # Completion doubles as the worker heartbeat and closes the tier's
+    # breaker (consecutive-failure streak broken).
+    supervisor.infra_success(mode)
+    supervisor.tick()
     # Crash-window injection: the job's cache entry and checkpoint record
     # are durable by this point, so a SIGKILL here loses no acknowledged
     # work — the property the resume harness asserts.
@@ -804,7 +676,7 @@ def _record_success(
 
 def _record_poisoned(
     idx, spec, attempts, mode, reason, outcomes, cache, progress,
-    checkpoint=None, supervisor=None,
+    checkpoint, supervisor,
 ) -> None:
     """Quarantine one poison job: journal it, mark it cache-side, move
     on — the sweep continues without it."""
@@ -819,5 +691,4 @@ def _record_poisoned(
     outcomes[idx] = FleetOutcome(
         spec, None, attempts=attempts, mode=mode, error=reason, poisoned=True,
     )
-    if supervisor is not None:
-        supervisor.tick()
+    supervisor.tick()

@@ -28,7 +28,7 @@ Counters (all label-free, so summaries are single reads):
 * ``fleet_jobs_poisoned_total`` — jobs quarantined after repeatedly
   breaking the worker pool;
 * ``fleet_breaker_trips_total`` — circuit-breaker trips (each one
-  degrades the sweep one dispatcher tier);
+  moves the sweep from the process pool to inline execution);
 * ``fleet_cache_errors_total`` — cache I/O errors tolerated (degraded
   to misses / uncached successes);
 * ``fleet_job_duration_seconds`` — histogram of compute wall times;

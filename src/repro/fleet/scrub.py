@@ -21,10 +21,7 @@ whose code-version salt is stale are *not* corruption: they are counted
 (and deleted only when ``prune_stale`` asks for garbage collection).
 
 The scrub also repairs the store's metadata: a missing, unreadable or
-out-of-date layout manifest is rewritten, and the LRU index is rebuilt
-from the surviving entries (preserving known recency and pins), so a
-cache recovered from a crash or a partial copy budget-accounts
-correctly again.
+out-of-date layout manifest is rewritten.
 
 Every quarantine increments ``fleet_cache_corrupt_total`` (labelled by
 reason) on the cache's observability registry, same as lazy read-path
@@ -73,7 +70,6 @@ class ScrubReport:
     stale: int = 0
     bytes_total: int = 0
     manifest_repaired: bool = False
-    index_rebuilt: bool = False
     findings: list[ScrubFinding] = field(default_factory=list)
 
     @property
@@ -99,7 +95,6 @@ class ScrubReport:
             "pruned": self.pruned,
             "bytes_total": self.bytes_total,
             "manifest_repaired": self.manifest_repaired,
-            "index_rebuilt": self.index_rebuilt,
             "findings": [f.to_payload() for f in self.findings],
         }
 
@@ -127,8 +122,8 @@ def _shard_dirs(root: Path) -> list[Path]:
 def scrub_cache(
     cache: ResultCache, prune_stale: bool = False
 ) -> ScrubReport:
-    """Verify every entry of ``cache``; quarantine corruption, repair
-    the manifest, rebuild the index. Returns the :class:`ScrubReport`.
+    """Verify every entry of ``cache``; quarantine corruption and repair
+    the manifest. Returns the :class:`ScrubReport`.
 
     ``prune_stale`` additionally garbage-collects entries carrying a
     stale code-version salt — they can never be hits again, so deleting
@@ -157,7 +152,6 @@ def scrub_cache(
             )
         )
 
-    survivors: dict[str, int] = {}
     for shard in _shard_dirs(root):
         for path in sorted(shard.iterdir()):
             if not path.is_file() or path.name.endswith(
@@ -225,12 +219,7 @@ def scrub_cache(
                         )
                     )
                     continue
-            size = len(text.encode("utf-8"))
-            survivors[digest] = size
-            report.bytes_total += size
+            report.bytes_total += len(text.encode("utf-8"))
             if not stale:
                 report.ok += 1
-
-    cache.rebuild_index(survivors)
-    report.index_rebuilt = True
     return report

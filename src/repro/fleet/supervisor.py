@@ -1,11 +1,10 @@
 """Fleet supervision: heartbeats, hang detection, poison quarantine,
 circuit-breaker degradation, and reproducible retry jitter.
 
-The PR-9 :class:`~repro.fleet.dispatch.Dispatcher` seam made *where*
-jobs run pluggable; this module hardens the orchestrator against its
-own environment. One :class:`Supervisor` instance watches a whole sweep
-(it can span several :func:`~repro.fleet.pool.run_jobs` batches — the
-CLI reuses one across grids) and provides four mechanisms:
+This module hardens the orchestrator against its own environment. One
+:class:`Supervisor` instance watches a whole sweep (it can span several
+:func:`~repro.fleet.pool.run_jobs` batches — the CLI reuses one across
+grids) and provides four mechanisms:
 
 * **Heartbeats + hang detection.** Every job completion is a heartbeat
   (``fleet_heartbeats_total``). A worker that goes silent is caught
@@ -25,14 +24,15 @@ CLI reuses one across grids) and provides four mechanisms:
   sweep continues. A later sweep over the same cache skips the digest
   up front instead of breaking its pool all over again.
 
-* **Per-dispatcher circuit breakers.** ``breaker_threshold`` (default
-  3) *consecutive* infrastructure failures — pool breaks, timeouts,
-  hangs; never deterministic job exceptions — trip the tier's breaker:
-  the dispatcher raises :class:`BreakerOpen`, ``run_jobs`` counts
-  ``fleet_breaker_trips_total`` and degrades along
-  ``process -> local -> inline`` (:data:`DEGRADATION`). The submission
-  -order observability merge happens after whichever tier finishes the
-  work, so degradation never perturbs merged snapshots. Breakers
+* **A circuit breaker on the process pool.** ``breaker_threshold``
+  (default 3) *consecutive* infrastructure failures — pool breaks,
+  timeouts, hangs, injected worker kills; never deterministic job
+  exceptions — trip the pool's breaker: the pool raises
+  :class:`BreakerOpen`, ``run_jobs`` counts ``fleet_breaker_trips_total``
+  and runs the unresolved jobs inline (:data:`DEGRADATION`). The
+  submission-order observability merge happens after whichever tier
+  finishes the work, so degradation never perturbs merged snapshots.
+  Breakers
   recover by **half-open probing**: after ``breaker_cooldown`` terminal
   job events (a logical clock, not wall time — deterministic), the
   next batch is allowed one probe of the tripped tier; a success closes
@@ -64,14 +64,10 @@ __all__ = [
     "SupervisorConfig",
 ]
 
-#: Graceful-degradation ladder per entry dispatcher: when a tier's
-#: breaker trips, the sweep's remaining jobs move one step right.
-#: ``inline`` is the floor — it has no infrastructure to fail.
-DEGRADATION: dict[str, tuple[str, ...]] = {
-    "process": ("process", "local", "inline"),
-    "local": ("local", "inline"),
-    "inline": ("inline",),
-}
+#: The graceful-degradation ladder, which is also the set of tier
+#: names: when the pool's breaker trips, the sweep's remaining jobs run
+#: inline. ``inline`` is the floor — it has no infrastructure to fail.
+DEGRADATION: tuple[str, ...] = ("process", "inline")
 
 
 @dataclass(frozen=True)

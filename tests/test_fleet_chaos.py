@@ -106,9 +106,9 @@ def test_plan_validation_rejects_malformed_events():
 # -- engine firing semantics -----------------------------------------------
 
 
-def test_bounded_events_fire_exactly_n_times():
+def test_bounded_events_fire_exactly_n_times(tmp_path):
     plan = ChaosPlan(events=(PoolBreak(job="*", times=2),))
-    engine = ChaosEngine(plan)
+    engine = ChaosEngine(plan, tmp_path / "state")
     fires = [engine.pool_break("ab" * 32) for _ in range(4)]
     assert fires == [True, True, False, False]
 
@@ -124,9 +124,9 @@ def test_marker_files_share_firings_across_engines(tmp_path):
     assert a.worker_action("ab" * 32) is None
 
 
-def test_unbounded_kill_fires_forever():
+def test_unbounded_kill_fires_forever(tmp_path):
     plan = ChaosPlan(events=(WorkerKill(job="ab", times=None),))
-    engine = ChaosEngine(plan)
+    engine = ChaosEngine(plan, tmp_path / "state")
     for _ in range(5):
         assert engine.worker_action("ab" * 32) == ("kill", 0.0)
     assert engine.worker_action("cd" * 32) is None  # selector mismatch
@@ -139,7 +139,9 @@ def test_chaos_cache_injects_get_fault(tmp_path):
     plan = ChaosPlan(
         events=(CacheFault(op="get", job="*", errno_name="EACCES", times=1),)
     )
-    cache = ChaosCache(ResultCache(tmp_path / "cache"), ChaosEngine(plan))
+    cache = ChaosCache(
+        ResultCache(tmp_path / "cache"), ChaosEngine(plan, tmp_path / "state")
+    )
     with pytest.raises(OSError) as exc_info:
         cache.get("ab" * 32)
     assert exc_info.value.errno == errno.EACCES
@@ -153,7 +155,7 @@ def test_torn_put_leaves_garbage_the_read_path_absorbs(
         events=(CacheFault(op="put", job="*", torn=True, times=1),)
     )
     inner = ResultCache(tmp_path / "cache")
-    cache = ChaosCache(inner, ChaosEngine(plan))
+    cache = ChaosCache(inner, ChaosEngine(plan, tmp_path / "state"))
     with pytest.raises(OSError):
         cache.put(one_result)
     # Truncated garbage sits at the entry path; the read path
@@ -234,6 +236,28 @@ def test_poison_plans_quarantine_exactly_the_poison_digests(tmp_path):
         assert case["ok"], case["mismatches"]
         assert len(case["expected_poison"]) == 1
         assert case["actual_poison"] == case["expected_poison"]
+
+
+def test_sim_pool_breaks_charge_the_breaker_not_a_job(
+    specs, baseline, tmp_path
+):
+    """Sim-mode pool-breaks on the process pool charge the breaker and
+    never a job: with a bounded kill on top, nothing is quarantined and
+    the sweep stays byte-identical. (A pool-break that SIGKILLed a
+    worker would charge its break to the lowest in-flight job, the
+    killed job, pushing it to the poison threshold.)"""
+    keys = [s.key for s in specs]
+    plan = ChaosPlan(
+        events=(
+            PoolBreak(job="*", times=2),
+            WorkerKill(job=keys[0], times=1),
+        ),
+        seed=9,
+    )
+    verdict = run_chaos_case(specs, plan, baseline, tmp_path, jobs=2)
+    assert verdict["ok"], verdict["mismatches"]
+    assert verdict["actual_poison"] == []
+    assert verdict["fleet"]["jobs_poisoned_total"] == 0
 
 
 def test_real_mode_sigkill_and_stall_recover(specs, baseline, tmp_path):

@@ -1,6 +1,6 @@
-"""The dispatcher seam: selection policy, and the acceptance property
-that every dispatcher (inline, process pool, local worker group)
-produces byte-identical results and merged observability."""
+"""Tier selection, and the acceptance property that both tiers (the
+process pool and inline execution) produce byte-identical results and
+merged observability."""
 
 import json
 
@@ -10,7 +10,6 @@ from repro.amp.presets import odroid_xu4
 from repro.errors import FleetError
 from repro.experiments.harness import default_configs, grid_specs
 from repro.fleet import (
-    DISPATCHERS,
     FleetConfig,
     FleetProgress,
     JobSpec,
@@ -18,12 +17,6 @@ from repro.fleet import (
     run_jobs,
 )
 from repro.fleet.checkpoint import SweepCheckpoint
-from repro.fleet.dispatch import (
-    DISPATCHER_ENV,
-    Dispatcher,
-    get_dispatcher,
-    resolve_dispatcher_name,
-)
 from repro.obs.merge import comparable_snapshot
 from repro.runtime.env import OmpEnv
 from repro.workloads.registry import get_program
@@ -47,51 +40,39 @@ def small_specs():
 # -- selection policy ------------------------------------------------------
 
 
-def test_registry_exposes_all_three():
-    assert set(DISPATCHERS) == {"inline", "process", "local"}
-    for name in DISPATCHERS:
-        dispatcher = get_dispatcher(name)
-        assert isinstance(dispatcher, Dispatcher)
-        assert dispatcher.name == name
+def modes(specs, config) -> set[str]:
+    return {o.mode for o in run_jobs(specs, config)}
 
 
-def test_default_policy_matches_history():
-    assert resolve_dispatcher_name(jobs=1) == "inline"
-    assert resolve_dispatcher_name(jobs=4) == "process"
-    assert resolve_dispatcher_name(jobs=4, use_processes=False) == "inline"
-    assert resolve_dispatcher_name(jobs=1, use_processes=True) == "inline"
+def test_default_policy_matches_history(small_specs):
+    assert modes(small_specs[:1], FleetConfig(jobs=1)) == {"inline"}
+    assert modes(small_specs[:1], FleetConfig(jobs=4)) == {"process"}
 
 
-def test_explicit_name_wins(monkeypatch):
-    assert resolve_dispatcher_name("local", jobs=1) == "local"
-    monkeypatch.setenv(DISPATCHER_ENV, "local")
-    assert resolve_dispatcher_name(jobs=4) == "local"
-    # An explicit argument beats the environment.
-    assert resolve_dispatcher_name("inline", jobs=4) == "inline"
-    # use_processes=False keeps meaning "never spawn", even explicitly.
-    assert resolve_dispatcher_name(
-        "process", jobs=4, use_processes=False
-    ) == "inline"
+def test_explicit_name_wins(small_specs):
+    one = small_specs[:1]
+    inline = FleetConfig(jobs=4, dispatcher="inline")
+    process = FleetConfig(jobs=1, dispatcher="process")
+    assert modes(one, inline) == {"inline"}
+    assert modes(one, process) == {"process"}
 
 
 def test_unknown_dispatcher_rejected():
     with pytest.raises(FleetError):
-        resolve_dispatcher_name("quantum")
-    with pytest.raises(FleetError):
-        get_dispatcher("quantum")
-    with pytest.raises(FleetError):
         FleetConfig(dispatcher="quantum")
+    with pytest.raises(FleetError):
+        FleetConfig(dispatcher="local")
 
 
 # -- the byte-equality acceptance property ---------------------------------
 
 
 def test_all_dispatchers_agree_byte_for_byte(small_specs):
-    """jobs=1 inline == jobs=N process == jobs=N local: identical
-    results AND byte-identical merged snapshots."""
+    """jobs=1 inline == jobs=N process: identical results AND
+    byte-identical merged snapshots."""
     reference = None
     ref_json = None
-    for name, jobs in (("inline", 1), ("process", 3), ("local", 3)):
+    for name, jobs in (("inline", 1), ("process", 3)):
         progress = FleetProgress()
         outcomes = run_jobs(
             small_specs,
@@ -108,20 +89,7 @@ def test_all_dispatchers_agree_byte_for_byte(small_specs):
             assert snapshot == ref_json, name
 
 
-def test_local_dispatcher_reports_its_mode(small_specs):
-    outcomes = run_jobs(
-        small_specs, FleetConfig(jobs=2, dispatcher="local")
-    )
-    assert all(o.ok and o.mode == "local" for o in outcomes)
-
-
-def test_env_var_selects_dispatcher(small_specs, monkeypatch):
-    monkeypatch.setenv(DISPATCHER_ENV, "local")
-    outcomes = run_jobs(small_specs, FleetConfig(jobs=2))
-    assert all(o.mode == "local" for o in outcomes)
-
-
-def test_local_dispatcher_retries_and_fails_like_the_pool(small_specs):
+def test_process_dispatcher_retries_then_fails(small_specs):
     doomed = JobSpec(
         program=get_program("EP"),
         platform=odroid_xu4(),
@@ -131,36 +99,30 @@ def test_local_dispatcher_retries_and_fails_like_the_pool(small_specs):
     progress = FleetProgress()
     outcomes = run_jobs(
         [*small_specs, doomed],
-        FleetConfig(jobs=2, dispatcher="local", retries=1, backoff=0.001),
+        FleetConfig(jobs=2, retries=1, backoff=0.001),
         progress=progress,
     )
     assert [o.ok for o in outcomes] == [True] * len(small_specs) + [False]
     assert outcomes[-1].attempts == 2
-    assert outcomes[-1].mode == "local"
+    assert outcomes[-1].mode == "process"
     assert "ConfigError" in outcomes[-1].error
     assert progress.count("fleet_failures") == 1
 
 
-def test_local_dispatcher_journals_to_checkpoint(small_specs, tmp_path):
+def test_process_dispatcher_journals_to_checkpoint(small_specs, tmp_path):
     cp = SweepCheckpoint(tmp_path / "cp.jsonl")
     cp.begin({})
-    run_jobs(
-        small_specs,
-        FleetConfig(jobs=2, dispatcher="local"),
-        checkpoint=cp,
-    )
+    run_jobs(small_specs, FleetConfig(jobs=2), checkpoint=cp)
     cp.close()
     state = SweepCheckpoint.load(cp.path)
     assert set(state.done) == {s.key for s in small_specs}
 
 
 def test_dispatchers_share_one_cache(small_specs, tmp_path):
-    """Entries written under one dispatcher hit under another — the
-    store is dispatcher-agnostic."""
+    """Entries written by one tier hit under the other — the store is
+    tier-agnostic."""
     cache = ResultCache(tmp_path)
-    cold = run_jobs(
-        small_specs, FleetConfig(jobs=2, dispatcher="local"), cache=cache
-    )
+    cold = run_jobs(small_specs, FleetConfig(jobs=1), cache=cache)
     progress = FleetProgress()
     warm = run_jobs(
         small_specs,

@@ -17,7 +17,9 @@ from repro.fleet import (
     require_ok,
     run_jobs,
 )
-from repro.fleet.pool import CRASH_ONCE_ENV, _lpt_order
+from repro.fleet import chaos
+from repro.fleet.chaos import ChaosPlan, WorkerKill
+from repro.fleet.pool import _lpt_order
 from repro.obs.merge import JOB_SCHEMA, comparable_snapshot
 from repro.runtime.env import OmpEnv
 from repro.workloads.registry import get_program
@@ -37,6 +39,22 @@ def small_specs():
         [get_program("EP"), get_program("IS")],
         default_configs()[:2],
     )
+
+
+@pytest.fixture()
+def kill_once(tmp_path, monkeypatch):
+    """Install a real-mode plan whose only event SIGKILLs the worker
+    that first picks up ``spec``; returns the event's firing marker."""
+
+    def install(spec):
+        plan = ChaosPlan(
+            events=(WorkerKill(job=spec.key, times=1),), mode="real"
+        )
+        path = plan.save(tmp_path / "plan.json")
+        monkeypatch.setenv(chaos.CHAOS_ENV, str(path))
+        return chaos.state_dir_for(path) / "evt-0-0"
+
+    return install
 
 
 def test_config_validation():
@@ -125,11 +143,8 @@ def test_cache_hits_skip_execution(small_specs, tmp_path):
     assert progress.count("fleet_jobs_computed") == 0
 
 
-def test_worker_crash_is_retried(small_specs, tmp_path, monkeypatch):
-    marker = tmp_path / "crash.marker"
-    monkeypatch.setenv(
-        CRASH_ONCE_ENV, f"{small_specs[0].key[:12]}@{marker}"
-    )
+def test_worker_crash_is_retried(small_specs, kill_once):
+    marker = kill_once(small_specs[0])
     progress = FleetProgress()
     outcomes = run_jobs(
         small_specs, FleetConfig(jobs=2), progress=progress
@@ -145,17 +160,12 @@ def test_worker_crash_is_retried(small_specs, tmp_path, monkeypatch):
     assert [o.result for o in outcomes] == [o.result for o in serial]
 
 
-def test_pool_rebuild_charges_only_the_crashing_job(
-    small_specs, tmp_path, monkeypatch
-):
+def test_pool_rebuild_charges_only_the_crashing_job(small_specs, kill_once):
     """Regression: a crashed worker breaks the whole pool, resolving the
     innocent in-flight siblings' futures with BrokenProcessPool too. The
     one crash must charge exactly one retry unit — to the crashing job —
     and requeue the siblings uncharged."""
-    marker = tmp_path / "crash.marker"
-    monkeypatch.setenv(
-        CRASH_ONCE_ENV, f"{small_specs[0].key[:12]}@{marker}"
-    )
+    marker = kill_once(small_specs[0])
     progress = FleetProgress()
     outcomes = run_jobs(
         small_specs, FleetConfig(jobs=2, retries=1, backoff=0.001),
@@ -238,13 +248,6 @@ def test_per_job_timeout_fails_stuck_worker(small_specs, monkeypatch):
     assert "timed out" in outcomes[0].error
     assert progress.count("fleet_timeouts") == 1
     assert progress.count("fleet_failures") == 1
-
-
-def test_use_processes_false_degrades_to_inline(small_specs):
-    outcomes = run_jobs(
-        small_specs, FleetConfig(jobs=4, use_processes=False)
-    )
-    assert all(o.ok and o.mode == "inline" for o in outcomes)
 
 
 def test_pool_creation_failure_degrades_to_inline(

@@ -1,6 +1,8 @@
 """Tests for the fleet supervision layer: circuit breakers (trip,
-half-open probing, degradation ladder), poison-job quarantine, EWMA hang
-detection, seeded retry jitter, and the backoff-sleep budget."""
+half-open probing, process -> inline degradation), poison-job
+quarantine, EWMA hang detection, seeded retry jitter, and the
+backoff-sleep budget. Chaos plans count their firings in marker files
+shared by the coordinator and its forked pool workers."""
 
 import pytest
 
@@ -158,11 +160,10 @@ def test_hang_detector_aborts_silent_worker_early(small_specs, tmp_path):
             breaker_threshold=100,
         )
     )
-    with chaos.active(plan):
+    with chaos.active(plan, tmp_path / "chaos"):
         outcomes = run_jobs(
             small_specs,
-            FleetConfig(jobs=2, timeout=30.0, retries=2, backoff=0.001,
-                        dispatcher="local"),
+            FleetConfig(jobs=2, timeout=30.0, retries=2, backoff=0.001),
             cache=cache,
             progress=progress,
             supervisor=sup,
@@ -228,7 +229,7 @@ def test_poison_job_quarantined_inline(small_specs, tmp_path):
     bad = small_specs[1]
     plan = ChaosPlan(events=(WorkerKill(job=bad.key, times=None),))
     progress = FleetProgress()
-    with chaos.active(plan):
+    with chaos.active(plan, tmp_path / "chaos"):
         outcomes = run_jobs(
             small_specs,
             FleetConfig(jobs=1, retries=5, backoff=0.001),
@@ -272,17 +273,17 @@ def test_poisoned_digest_skipped_by_later_sweep(small_specs, tmp_path):
     assert retried[0].ok
 
 
-def test_pooled_poison_quarantine_exact(small_specs):
-    """Sim-mode kills attribute exactly, so pooled tiers quarantine
-    precisely the poison digest."""
+def test_pooled_poison_quarantine_exact(small_specs, tmp_path):
+    """Sim-mode kills raise in the worker and travel back through the
+    job's own future, so the process pool quarantines precisely the
+    poison digest."""
     bad = small_specs[0]
     plan = ChaosPlan(events=(WorkerKill(job=bad.key, times=None),))
     progress = FleetProgress()
-    with chaos.active(plan):
+    with chaos.active(plan, tmp_path / "chaos"):
         outcomes = run_jobs(
             small_specs,
-            FleetConfig(jobs=2, retries=5, backoff=0.001,
-                        dispatcher="local"),
+            FleetConfig(jobs=2, retries=5, backoff=0.001),
             progress=progress,
         )
     assert {o.spec.key for o in outcomes if o.poisoned} == {bad.key}
@@ -297,7 +298,7 @@ def test_failed_job_reason_lands_in_resume_table(small_specs, tmp_path):
     checkpoint = Checkpoint(tmp_path / "cp.jsonl")
     plan = ChaosPlan(events=(WorkerKill(job=bad.key, times=3),))
     sup = Supervisor(SupervisorConfig(poison_threshold=100))
-    with chaos.active(plan):
+    with chaos.active(plan, tmp_path / "chaos"):
         outcomes = run_jobs(
             small_specs,
             FleetConfig(jobs=1, retries=1, backoff=0.001),
@@ -317,46 +318,40 @@ def test_failed_job_reason_lands_in_resume_table(small_specs, tmp_path):
 # -- circuit breakers + degradation ladder ---------------------------------
 
 
-def test_breaker_degrades_process_to_local_to_inline(small_specs):
-    """Pool-break storms walk the full ladder: the process tier's breaker
-    trips on a genuine broken pool, the local tier's on the injected
-    infrastructure failure, and inline finishes the sweep."""
+def test_breaker_degrades_process_to_inline(small_specs, tmp_path):
+    """A pool-break trips the process pool's breaker at the first
+    submission, and the inline tier finishes the sweep with results
+    identical to serial."""
     serial = run_jobs(small_specs, FleetConfig(jobs=1))
     keys = [s.key for s in small_specs]
-    plan = ChaosPlan(
-        events=(
-            PoolBreak(job=keys[0], times=1),  # fires on the process tier
-            PoolBreak(job=keys[2], times=1),  # fires on the local tier
-        ),
-    )
+    plan = ChaosPlan(events=(PoolBreak(job=keys[0], times=1),))
     progress = FleetProgress()
     sup = Supervisor(
         SupervisorConfig(
             breaker_threshold=1, breaker_cooldown=1000, poison_threshold=100,
         )
     )
-    with chaos.active(plan):
+    with chaos.active(plan, tmp_path / "chaos"):
         outcomes = run_jobs(
             small_specs,
-            FleetConfig(jobs=2, retries=5, backoff=0.001,
-                        dispatcher="process"),
+            FleetConfig(jobs=2, retries=5, backoff=0.001),
             progress=progress,
             supervisor=sup,
         )
     assert all(o.ok for o in outcomes)
     assert [o.result for o in outcomes] == [o.result for o in serial]
-    assert progress.count("fleet_breaker_trips_total") == 2
+    assert progress.count("fleet_breaker_trips_total") == 1
     trips = [e for e in progress.events if e["event"] == "breaker_tripped"]
     assert [(t["tier"], t["next_tier"]) for t in trips] == [
-        ("process", "local"), ("local", "inline"),
+        ("process", "inline"),
     ]
-    # The last unresolved job can only have completed on the floor tier.
-    assert outcomes[3].mode == "inline"
+    assert all(o.mode == "inline" for o in outcomes)
     assert sup.breaker("process").state == Breaker.OPEN
-    assert sup.breaker("local").state == Breaker.OPEN
 
 
-def test_breaker_half_open_probe_recovers_across_batches(small_specs):
+def test_breaker_half_open_probe_recovers_across_batches(
+    small_specs, tmp_path
+):
     """A tripped tier is skipped while cooling down, then probed
     half-open by a later batch under the same supervisor; the probe's
     success closes the breaker."""
@@ -367,26 +362,21 @@ def test_breaker_half_open_probe_recovers_across_batches(small_specs):
     )
     plan = ChaosPlan(events=(PoolBreak(job="*", times=1),))
     progress = FleetProgress()
-    with chaos.active(plan):
+    with chaos.active(plan, tmp_path / "chaos"):
         first = run_jobs(
             small_specs,
-            FleetConfig(jobs=2, retries=5, backoff=0.001,
-                        dispatcher="local"),
+            FleetConfig(jobs=2, retries=5, backoff=0.001),
             progress=progress,
             supervisor=sup,
         )
     assert all(o.ok for o in first)
     assert progress.count("fleet_breaker_trips_total") == 1
-    assert sup.breaker("local").state == Breaker.OPEN
+    assert sup.breaker("process").state == Breaker.OPEN
     # 4 completions ticked the logical clock past the cooldown: the next
     # batch (chaos deactivated) probes the tier half-open and closes it.
-    second = run_jobs(
-        small_specs,
-        FleetConfig(jobs=2, dispatcher="local"),
-        supervisor=sup,
-    )
-    assert all(o.ok and o.mode == "local" for o in second)
-    assert sup.breaker("local").state == Breaker.CLOSED
+    second = run_jobs(small_specs, FleetConfig(jobs=2), supervisor=sup)
+    assert all(o.ok and o.mode == "process" for o in second)
+    assert sup.breaker("process").state == Breaker.CLOSED
 
 
 # -- cache-error tolerance -------------------------------------------------
@@ -404,7 +394,7 @@ def test_persistent_cache_put_errors_never_fail_the_sweep(
         )
     )
     inner = ResultCache(tmp_path / "cache")
-    cache = ChaosCache(inner, ChaosEngine(plan))
+    cache = ChaosCache(inner, ChaosEngine(plan, tmp_path / "chaos"))
     progress = FleetProgress()
     outcomes = run_jobs(
         small_specs, FleetConfig(jobs=1), cache=cache, progress=progress
