@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.check.fuzz import shrink as conformance_shrink
 from repro.check.generators import (
@@ -296,18 +296,14 @@ class DiffResult:
         return "\n".join(lines)
 
 
-def diff_fuzz(
+def campaign_cases(
     cases: int,
     seed: int,
-    backends: tuple[str, ...] = DEFAULT_BACKENDS,
     variants: tuple[str, ...] | None = None,
     platforms: tuple[str, ...] | None = None,
     faults: str | None = None,
-    shrink_failures: bool = True,
-    max_failures: int = 5,
-    progress: Callable[[int, FuzzCase], None] | None = None,
-) -> DiffResult:
-    """Run a differential campaign; stops early after ``max_failures``.
+) -> Iterator[FuzzCase]:
+    """The cases of one differential campaign, in campaign order.
 
     Case derivation matches :func:`repro.check.fuzz.fuzz` — sub-seed
     ``stable_seed("fuzz", seed, index)`` — but under its own schedule
@@ -330,12 +326,30 @@ def diff_fuzz(
         )
         if faults is None:
             variants = ("static", "static,7") + variants
-    out = DiffResult(n_cases=cases, seed=seed, backends=tuple(backends))
-    fails = lambda c: diff_case(c, out.backends) is not None  # noqa: E731
     for i in range(cases):
-        case = generate_case(
+        yield generate_case(
             stable_seed("fuzz", seed, i), variants, platforms, faults=faults
         )
+
+
+def diff_fuzz(
+    cases: int,
+    seed: int,
+    backends: tuple[str, ...] = DEFAULT_BACKENDS,
+    variants: tuple[str, ...] | None = None,
+    platforms: tuple[str, ...] | None = None,
+    faults: str | None = None,
+    shrink_failures: bool = True,
+    max_failures: int = 5,
+    progress: Callable[[int, FuzzCase], None] | None = None,
+) -> DiffResult:
+    """Run a differential campaign over :func:`campaign_cases`; stops
+    early after ``max_failures``."""
+    out = DiffResult(n_cases=cases, seed=seed, backends=tuple(backends))
+    fails = lambda c: diff_case(c, out.backends) is not None  # noqa: E731
+    for i, case in enumerate(
+        campaign_cases(cases, seed, variants, platforms, faults)
+    ):
         if progress is not None:
             progress(i, case)
         mismatch = diff_case(case, out.backends)

@@ -17,7 +17,7 @@ Subcommands:
   catches it with a small shrunk reproducer (the CI smoke that proves
   the oracle has teeth);
 * ``golden`` — check or regenerate the per-variant golden decision
-  logs under ``tests/golden/``.
+  logs and the engine corpus under ``tests/golden/``.
 
 Exit status is 0 iff every requested check passed.
 """
@@ -221,7 +221,7 @@ def _cmd_golden(args: argparse.Namespace) -> int:
     if not problems:
         print(
             f"golden: all {len(golden_mod.GOLDEN_VARIANTS)} decision logs "
-            f"match {directory}"
+            f"and the engine corpus match {directory}"
         )
         return 0
     for key, rendered in sorted(problems.items()):

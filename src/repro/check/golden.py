@@ -11,7 +11,20 @@ shifting Figs. 6/7-style results.
 Determinism notes: the ramp is a pure ``linspace`` (no RNG, so no
 numpy-version drift), the executor runs with ``rng=None`` (no wake
 jitter) and all arithmetic is plain IEEE doubles — the JSONL is
-reproducible across machines. Regenerate deliberately with::
+reproducible across machines.
+
+Next to the logs sits the *engine corpus*, ``engine_corpus.json``: for
+every case of the two CI backend-diff campaigns
+(``backends --cases 200 --seed 1`` and ``--cases 200 --seed 2 --faults
+sim``), a short SHA-256 of each field
+:func:`repro.check.backend_diff.observe_case` returns on the
+``reference`` backend — the result key, the decision log, the metrics
+JSON, the span document and the trace intervals. It ties the simulated
+engine to the outputs it produced when it was frozen, faulted runs
+included, so an engine rewrite that keeps both backends equal to each
+other still cannot drift from the old ground truth.
+
+Regenerate both deliberately with::
 
     python -m repro.check golden --update
 """
@@ -22,6 +35,11 @@ import hashlib
 import json
 from pathlib import Path
 
+from repro.check.backend_diff import (
+    BackendObservation,
+    campaign_cases,
+    observe_case,
+)
 from repro.check.generators import preset_platform, run_loop
 from repro.check.recording import CheckContext
 from repro.perfmodel.overhead import OverheadModel
@@ -42,6 +60,18 @@ GOLDEN_VARIANTS: dict[str, str] = {
 #: steals) on the 4+4 odroid preset, small enough to diff by eye.
 GOLDEN_N_ITERATIONS = 64
 _GOLDEN_COST = RampCost(5e-5, 2e-4)
+
+#: The engine corpus: file name, schema and the frozen campaigns, keyed
+#: by their ``python -m repro.check backends`` arguments ->
+#: ``(cases, seed, faults)``.
+ENGINE_CORPUS_FILE = "engine_corpus.json"
+ENGINE_CORPUS_SCHEMA = "repro.check.engine_corpus/v1"
+ENGINE_CAMPAIGNS: dict[str, tuple[int, int, str | None]] = {
+    "--cases 200 --seed 1": (200, 1, None),
+    "--cases 200 --seed 2 --faults sim": (200, 2, "sim"),
+}
+#: The digested fields of one observation, in report order.
+ENGINE_FIELDS = ("result", "decisions", "metrics", "spans", "intervals")
 
 
 def run_golden(key: str) -> CheckContext:
@@ -106,14 +136,105 @@ def render_divergence(key: str, expected: str, actual: str) -> str:
     return "\n".join(lines)
 
 
-def check_golden(directory: str | Path) -> dict[str, str]:
-    """Compare every golden file against a fresh run.
+def observation_digests(obs: BackendObservation) -> dict[str, str]:
+    """Short SHA-256 of each field of one backend observation."""
+    intervals = [
+        (i.tid, i.state.name, i.t0, i.t1, i.label) for i in obs.intervals
+    ]
+    return {
+        "result": digest(json.dumps(obs.key, default=lambda o: o.item())),
+        "decisions": digest(obs.decisions.decode("utf-8")),
+        "metrics": digest(obs.metrics),
+        "spans": digest(obs.spans),
+        "intervals": digest(json.dumps(intervals)),
+    }
 
-    Returns a map of diverging keys to rendered divergence reports
-    (empty = all match). Missing files count as divergences.
+
+def engine_corpus() -> dict[str, list[dict]]:
+    """Campaign name -> one ``{"seed", *ENGINE_FIELDS}`` row per case."""
+    return {
+        name: [
+            {"seed": case.seed,
+             **observation_digests(observe_case(case, "reference"))}
+            for case in campaign_cases(cases, seed, faults=faults)
+        ]
+        for name, (cases, seed, faults) in ENGINE_CAMPAIGNS.items()
+    }
+
+
+def engine_corpus_text(campaigns: dict[str, list[dict]]) -> str:
+    """The corpus file: one case per line, so a diff names the case."""
+    blocks = [
+        f"  {json.dumps(name)}: [\n"
+        + ",\n".join(
+            "    " + json.dumps(row, sort_keys=True) for row in rows
+        )
+        + "\n  ]"
+        for name, rows in campaigns.items()
+    ]
+    return (
+        f'{{\n "schema": "{ENGINE_CORPUS_SCHEMA}",\n "campaigns": {{\n'
+        + ",\n".join(blocks)
+        + "\n }\n}\n"
+    )
+
+
+def check_engine_corpus(path: Path) -> str | None:
+    """Compare the committed corpus with a fresh run; ``None`` = match.
+
+    A mismatch report names the campaign, the case seed and the field
+    of every diverging case.
+    """
+    if not path.exists():
+        return f"engine corpus {path} missing; run --update"
+    expected = json.loads(path.read_text(encoding="utf-8"))["campaigns"]
+    actual = engine_corpus()
+    lines = []
+    for name in sorted(set(expected) | set(actual)):
+        exp_rows = expected.get(name, [])
+        act_rows = actual.get(name, [])
+        if len(exp_rows) != len(act_rows):
+            lines.append(
+                f"campaign {name!r}: {len(exp_rows)} frozen cases, "
+                f"{len(act_rows)} generated"
+            )
+        for exp, act in zip(exp_rows, act_rows):
+            if exp["seed"] != act["seed"]:
+                lines.append(
+                    f"campaign {name!r}: case seed {exp['seed']} "
+                    f"generated as {act['seed']}"
+                )
+                continue
+            for field_name in ENGINE_FIELDS:
+                if exp[field_name] != act[field_name]:
+                    lines.append(
+                        f"campaign {name!r}, case seed {exp['seed']}: "
+                        f"{field_name} {exp[field_name]} != "
+                        f"{act[field_name]}"
+                    )
+    if not lines:
+        return None
+    return "\n".join(
+        [f"engine corpus {path.name} diverged in {len(lines)} place(s):"]
+        + lines
+        + ["if the engine change is intentional, regenerate with: "
+           "python -m repro.check golden --update"]
+    )
+
+
+def check_golden(directory: str | Path) -> dict[str, str]:
+    """Compare every golden file and the engine corpus against a fresh
+    run.
+
+    Returns a map of diverging keys (variant keys, or
+    :data:`ENGINE_CORPUS_FILE`) to rendered divergence reports (empty =
+    all match). Missing files count as divergences.
     """
     directory = Path(directory)
     problems: dict[str, str] = {}
+    corpus = check_engine_corpus(directory / ENGINE_CORPUS_FILE)
+    if corpus is not None:
+        problems[ENGINE_CORPUS_FILE] = corpus
     for key in GOLDEN_VARIANTS:
         path = directory / f"{key}.jsonl"
         actual = golden_jsonl(key)
@@ -127,7 +248,8 @@ def check_golden(directory: str | Path) -> dict[str, str]:
 
 
 def update_golden(directory: str | Path) -> list[str]:
-    """(Re)write every golden file; returns the paths written."""
+    """(Re)write every golden file and the engine corpus; returns the
+    paths written."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
@@ -135,4 +257,7 @@ def update_golden(directory: str | Path) -> list[str]:
         path = directory / f"{key}.jsonl"
         path.write_text(golden_jsonl(key), encoding="utf-8")
         written.append(str(path))
+    path = directory / ENGINE_CORPUS_FILE
+    path.write_text(engine_corpus_text(engine_corpus()), encoding="utf-8")
+    written.append(str(path))
     return written

@@ -1,10 +1,11 @@
-"""Golden decision-log regression tests.
+"""Golden decision-log and engine-corpus regression tests.
 
 Each AID variant's canonical run on the odroid preset must reproduce
 the committed decision log byte-for-byte. A digest change means the
 scheduler's decision sequence changed — fail with the oracle-rendered
-divergence; if intentional, regenerate with
-``python -m repro.check golden --update``.
+divergence. The engine corpus pins every case of the two CI
+backend-diff campaigns field by field. If a change is intentional,
+regenerate with ``python -m repro.check golden --update``.
 """
 
 from __future__ import annotations
@@ -15,9 +16,14 @@ from pathlib import Path
 import pytest
 
 from repro.check.golden import (
+    ENGINE_CAMPAIGNS,
+    ENGINE_CORPUS_FILE,
+    ENGINE_FIELDS,
     GOLDEN_VARIANTS,
+    check_engine_corpus,
     check_golden,
     digest,
+    engine_corpus_text,
     golden_jsonl,
     render_divergence,
     run_golden,
@@ -51,12 +57,48 @@ def test_golden_runs_pass_the_oracle():
         assert report.ok, f"{key}: {report.render()}"
 
 
+def test_engine_corpus_matches_golden():
+    report = check_engine_corpus(GOLDEN_DIR / ENGINE_CORPUS_FILE)
+    assert report is None, report
+
+
+def test_engine_corpus_covers_both_campaigns():
+    doc = json.loads((GOLDEN_DIR / ENGINE_CORPUS_FILE).read_text())
+    assert set(doc["campaigns"]) == set(ENGINE_CAMPAIGNS)
+    for name, (cases, _seed, _faults) in ENGINE_CAMPAIGNS.items():
+        rows = doc["campaigns"][name]
+        assert len(rows) == cases
+        assert all(set(row) == {"seed", *ENGINE_FIELDS} for row in rows)
+
+
+def test_engine_corpus_text_is_what_update_writes():
+    text = (GOLDEN_DIR / ENGINE_CORPUS_FILE).read_text(encoding="utf-8")
+    assert engine_corpus_text(json.loads(text)["campaigns"]) == text
+
+
+def test_engine_corpus_mismatch_names_campaign_seed_and_field(tmp_path):
+    committed = (GOLDEN_DIR / ENGINE_CORPUS_FILE).read_text(encoding="utf-8")
+    campaigns = json.loads(committed)["campaigns"]
+    name = "--cases 200 --seed 2 --faults sim"
+    victim = campaigns[name][7]
+    victim["spans"] = "0" * 16
+    path = tmp_path / ENGINE_CORPUS_FILE
+    path.write_text(engine_corpus_text(campaigns), encoding="utf-8")
+    report = check_engine_corpus(path)
+    assert report is not None
+    assert f"campaign {name!r}, case seed {victim['seed']}: spans" in report
+    assert "1 place(s)" in report
+
+
 def test_check_golden_flags_tampered_file(tmp_path):
     for key in GOLDEN_VARIANTS:
         (tmp_path / f"{key}.jsonl").write_text(
             golden_jsonl(key), encoding="utf-8"
         )
-    assert check_golden(tmp_path) == {}
+    (tmp_path / ENGINE_CORPUS_FILE).write_text(
+        (GOLDEN_DIR / ENGINE_CORPUS_FILE).read_text(encoding="utf-8"),
+        encoding="utf-8",
+    )
     # tamper: flip one record's tid
     victim = tmp_path / "aid_static.jsonl"
     lines = victim.read_text(encoding="utf-8").splitlines()
@@ -72,7 +114,7 @@ def test_check_golden_flags_tampered_file(tmp_path):
 
 def test_check_golden_flags_missing_file(tmp_path):
     problems = check_golden(tmp_path)
-    assert set(problems) == set(GOLDEN_VARIANTS)
+    assert set(problems) == set(GOLDEN_VARIANTS) | {ENGINE_CORPUS_FILE}
     assert all("missing" in p for p in problems.values())
 
 
