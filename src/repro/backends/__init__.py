@@ -8,9 +8,9 @@ Public surface:
   :func:`resolve_backend` — the registry and selection rules
   (explicit name > ``$REPRO_BACKEND`` > ``reference``).
 * :class:`LoopRunRequest` — the argument bundle every backend consumes.
-* The three built-in backends: :class:`ReferenceBackend` (the
-  discrete-event ground truth), :class:`VectorizedBackend` (numpy
-  closed-form batches, byte-identical decision logs) and
+* The three built-in backends: :class:`ReferenceBackend` and
+  :class:`VectorizedBackend`, the slot engine with its closed-form pool
+  drain off and on (byte-identical decision logs either way), and
   :class:`RealBackend` (actual threads via :mod:`repro.exec_real`).
 """
 

@@ -2,13 +2,14 @@
 
 Every backend receives the same :class:`LoopRunRequest` (the arguments
 of :meth:`repro.runtime.executor.LoopExecutor.run`, bundled) and the
-simulator backends share the same prologue and epilogue:
+slot engine both simulator backends run has this prologue and
+epilogue:
 
 * :func:`prepare_run` — validation, conformance hello, per-thread entry
   and wake times, the cost prefix sum, rates, the
   :class:`~repro.runtime.context.LoopContext` and the scheduler
-  instance. Everything here is backend-independent, so the reference
-  and vectorized engines cannot drift apart on setup.
+  instance. Everything here is independent of the pool drain, so the
+  two simulator backends cannot drift apart on setup.
 * :func:`finish_run` — the executed-iteration-count self-check, the
   :class:`~repro.runtime.executor.LoopResult`, the conformance goodbye
   and the metrics publication.
@@ -17,14 +18,13 @@ simulator backends share the same prologue and epilogue:
   dispatch log; at loop end this projection turns the log into the
   registry's timeseries, digests and per-thread time totals, the span
   recorder's wake/chunk/empty-take spans and the trace recorder's
-  intervals. No engine feeds a sink directly, so the reference and
-  vectorized engines publish identical observability by construction.
+  intervals. The engine feeds no sink directly, so the drain and the
+  stepped path publish identical observability by construction.
 
 The epilogue takes the pool attempt counters *explicitly* rather than
-reading the work-share structure: a batching backend that advances the
-pool in closed form never touches the shared structure's atomics, yet
-must publish the same ``workshare_take_attempts_total`` a stepped run
-would.
+reading the work-share structure: the drain advances the pool in closed
+form and never touches the shared structure's atomics, yet must publish
+the same ``workshare_take_attempts_total`` a stepped run would.
 """
 
 from __future__ import annotations

@@ -4,20 +4,22 @@ An :class:`ExecutionBackend` is the engine that actually plays out one
 runtime-scheduled parallel loop for a
 :class:`~repro.runtime.executor.LoopExecutor`. The executor owns the
 *what* (team, cost vector, schedule spec, models); the backend owns the
-*how* (event-driven simulation, closed-form numpy batches, real
-threads). All backends consume the same
+*how* (the event-driven slot engine, with or without its closed-form
+pool drain, or real threads). All backends consume the same
 :class:`~repro.backends.common.LoopRunRequest` and return the same
 :class:`~repro.runtime.executor.LoopResult`, so everything above the
 executor — program runner, fleet, experiments — is backend-agnostic.
 
 Three implementations register themselves here:
 
-* ``reference`` — the discrete-event simulator, one event per dispatch.
-  The semantics every other backend is measured against.
-* ``vectorized`` — a numpy engine that advances uniform chunk batches in
-  closed form, handing faulted runs to ``reference``. Decision logs,
+* ``reference`` — the slot engine of :mod:`repro.backends.vectorized`
+  with its pool drain off: every event, fault-plan firings included, is
+  stepped one at a time. The semantics every other backend is measured
+  against.
+* ``vectorized`` — the same engine with the drain on, advancing pure
+  fixed-chunk pool drains in closed form. Decision logs,
   :class:`~repro.runtime.executor.LoopResult` fields and observability
-  output are byte-identical to ``reference`` by construction.
+  output are byte-identical to ``reference``.
 * ``real`` — wraps :mod:`repro.exec_real`: the loop runs on actual
   Python threads in wall-clock time (non-deterministic; cross-validation
   only).

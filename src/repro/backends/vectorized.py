@@ -1,15 +1,22 @@
-"""The vectorized backend: numpy closed-form batches, identical logs.
+"""The slot engine: every simulated loop, faulted or not.
 
-The reference engine spends its time in two places: the event heap and
-per-dispatch Python closures. This backend removes both while
-reproducing the reference semantics *bit for bit*:
+Both simulated backends run :func:`slot_engine`; ``vectorized`` turns
+its pool drain on, ``reference`` (:mod:`repro.backends.reference`) off.
 
-* **Slot engine** — fault-free runs have exactly one outstanding event
-  per thread, so the heap collapses to a per-thread ``(time, seq)`` slot
-  and a linear min-scan. The seq counter mirrors the simulator's push
-  counter, so FIFO tie-breaking is preserved and every scheduler sees
-  the same ``(tid, now)`` call sequence in the same order — decision
-  logs are byte-identical by construction, for every policy.
+* **Slots** — a thread never has more than one event pending (its wake,
+  its block completion or its redispatch), so the event heap collapses
+  to a per-thread ``(time, seq)`` slot (:class:`Slots`) and a linear
+  min-scan. ``seq`` mirrors a heap's push counter, so ties break in
+  push order and every scheduler sees the same ``(tid, now)`` call
+  sequence whichever path runs it. Fault-free, a block's completion
+  *is* its thread's next dispatch.
+* **Faults** — a non-empty fault plan arms
+  :class:`~repro.faults.engine.SimFaultEngine`. The plan's firings take
+  the first seqs and join the min-scan ahead of every thread slot at
+  their instant; the fault engine owns a busy thread's slot, which
+  holds the block's completion (re-timed piecewise when a throttle
+  boundary changes the core's rate) and then its redispatch, a second
+  event at the completion's instant.
 * **Integrated pool drains** — when the scheduler declares a
   :class:`~repro.sched.base.PoolAdvancement` (a pure fixed-chunk pool
   drain, e.g. ``schedule(dynamic)``), the whole drain runs against
@@ -18,24 +25,19 @@ reproducing the reference semantics *bit for bit*:
   every chunk's compute time in closed form). The event loop then only
   chains additions of precomputed floats, folding consecutive chunks of
   one thread into a single slot update while their completions precede
-  the earliest other pending event.
-* **One dispatch log** — both engines write the shared dispatch log of
-  :mod:`repro.backends.common` (the generic engine one row per event,
-  the drain one array after its loop: chunks in dispatch order, then
-  the empty takes), and :func:`~repro.backends.common.publish_log`
-  projects it onto the metrics registry, the span recorder and the
-  trace recorder exactly as it does for the reference engine.
-
-Whatever the engine cannot reproduce exactly it does not approximate:
-runs with a non-empty fault plan are delegated to the reference backend
-wholesale (the sim fault engine already integrates piecewise fault-rate
-segments in closed form), and a conformance recorder forces the slot
-engine onto the real work-share structure so ``on_take`` hooks fire
-from the genuine call sites.
+  the earliest other pending event. Faulted runs and runs with a
+  conformance recorder never take it: a fault can cut a chunk, and the
+  recorder's ``on_take`` hooks must fire from the genuine work-share
+  call sites.
+* **One dispatch log** — the engine writes the shared dispatch log of
+  :mod:`repro.backends.common` (one row per scheduler call; the drain
+  one array after its loop: chunks in dispatch order, then the empty
+  takes), and :func:`~repro.backends.common.publish_log` projects it
+  onto the metrics registry, the span recorder and the trace recorder.
 
 Float-exactness notes (load-bearing, do not "simplify"):
 
-* The reference computes ``overhead_dt = dispatch_cost + extra`` then
+* A stepped dispatch computes ``overhead_dt = dispatch_cost + extra`` then
   ``overhead_dt += (begin - now) + takes * svc``. With ``extra == 0``
   and ``begin == now`` this collapses to ``fl(dc + svc)`` — the
   per-thread drain constant ``C``. ``fl(dc + svc) >= svc`` for
@@ -44,7 +46,7 @@ Float-exactness notes (load-bearing, do not "simplify"):
   keeping ``begin == now`` exact throughout.
 * The drain is only entered when ``now >= pool_free`` so the first
   ``max(now, pool_free)`` is exactly ``now``; the rare busy case runs a
-  scalar step that replays the reference expression verbatim.
+  scalar step that replays the stepped expression verbatim.
 * Chunk compute times are ``fl(fl(slowdown * work) / rate)``; numpy
   float64 elementwise arithmetic performs the identical roundings, and
   the ownership warm fraction — a count of owned segments divided by a
@@ -66,7 +68,6 @@ from repro.backends.common import (
     prepare_run,
 )
 from repro.backends.core import ExecutionBackend
-from repro.backends.reference import ReferenceBackend
 from repro.errors import SimulationError
 
 
@@ -127,26 +128,52 @@ class _FastSlowdown:
 
 
 class VectorizedBackend(ExecutionBackend):
-    """Slot/drain engine; faulted runs are delegated to reference."""
+    """The slot engine with the pool drain on."""
 
     name = "vectorized"
 
-    def __init__(self) -> None:
-        self._reference = ReferenceBackend()
-
     def run_scheduled(self, executor, req: LoopRunRequest):
-        if req.faults is not None and not req.faults.is_empty:
-            if executor.obs.enabled:
-                executor.obs.registry.counter(
-                    "backend_fallbacks_total", backend=self.name,
-                    reason="faults",
-                ).inc()
-            return self._reference.run_scheduled(executor, req)
-        return _slot_engine(executor, req)
+        return slot_engine(executor, req, drain=True)
 
 
-def _slot_engine(executor, req: LoopRunRequest):
-    """One outstanding event per thread; heap replaced by a min-scan."""
+class Slots:
+    """The pending events of one simulated loop, one slot per thread.
+
+    A thread never has more than one event pending (its wake, its block
+    completion or its redispatch), so the event heap collapses to three
+    per-thread lists and a linear min-scan. ``seq`` mirrors a heap's
+    push counter: the fault plan's firings take the first values, the
+    wakes the next ones in tid order, and every push takes a new one (a
+    cancel frees none). At one instant events fire in seq order, so a
+    re-timed completion or a redispatch pushed at the current instant
+    fires after every event already queued for it. ``now`` is the
+    instant of the event being processed.
+    """
+
+    __slots__ = ("times", "seqs", "active", "seq", "now")
+
+    def __init__(self, wakes: list[float], first_seq: int) -> None:
+        n = len(wakes)
+        self.times = list(wakes)
+        self.seqs = list(range(first_seq, first_seq + n))
+        self.active = [True] * n
+        self.seq = first_seq + n
+        self.now = 0.0
+
+    def push(self, tid: int, t: float) -> None:
+        """Make ``tid``'s pending event fire at ``t``, under a new seq."""
+        self.times[tid] = t
+        self.seqs[tid] = self.seq
+        self.seq += 1
+        self.active[tid] = True
+
+    def cancel(self, tid: int) -> None:
+        self.active[tid] = False
+
+
+def slot_engine(executor, req: LoopRunRequest, drain: bool):
+    """Play out one loop on per-thread slots plus the fault plan's
+    firings; ``drain`` allows the integrated pool drain."""
     from repro.runtime.executor import _EVENT_BUDGET_SLACK
 
     setup: RunSetup = prepare_run(executor, req)
@@ -169,103 +196,179 @@ def _slot_engine(executor, req: LoopRunRequest):
     calls = [0] * nt
     assigned: list[tuple[int, int, int]] = []
     slow = _FastSlowdown(executor.locality, req.ownership, loop.kernel)
-
-    # Per-thread event slots: the simulator's heap degenerates to one
-    # (time, seq) pair per thread. seq mirrors the push counter, so FIFO
-    # tie-breaking matches the reference: wakes are pushed in tid order,
-    # every completion re-push takes the next global value.
-    times = list(setup.wake_begin)
-    seqs = list(range(nt))
-    active = [True] * nt
-    live = nt
-    seq_counter = nt
-
-    # The integrated pool drain: legal only when the scheduler declares
-    # a pure fixed-chunk drain AND no conformance recorder needs the
-    # real work-share call sites.
-    adv = scheduler.advancement() if check is None else None
+    execs = setup.execs
 
     budget = (loop.n_iterations + nt * _EVENT_BUDGET_SLACK) * 2
-    events = 0
+    fault = None
+    firings: list = []
+    if req.faults is not None and not req.faults.is_empty:
+        from repro.faults.engine import SimFaultEngine
 
+        fault = SimFaultEngine(
+            plan=req.faults,
+            scheduler=scheduler,
+            prefix=prefix,
+            cpu_of_tid=[executor.team.cpu_of(t) for t in range(nt)],
+            loop_name=loop.name,
+            obs=executor.obs,
+            check=check,
+        )
+        firings = fault.firings(setup.start_time)
+
+        def record_exec(tid, dispatch_t, lo, hi, t0, t1):
+            if execs is not None:
+                execs.append(
+                    (tid, dispatch_t, t0, t1, lo, hi, max(0.0, t1 - t0))
+                )
+            if hi > lo:
+                if check is not None:
+                    check.on_dispatch(tid, dispatch_t, (lo, hi))
+                assigned.append((tid, lo, hi))
+                iters[tid] += hi - lo
+
+        # A block completion and its redispatch are two events, and
+        # every fault boundary can preempt (and thus redispatch) up to
+        # one chunk per thread.
+        budget = (2 * loop.n_iterations + nt * _EVENT_BUDGET_SLACK) * 2
+        budget += (nt + 2) * (fault.n_plan_events + 2) * 4
+    slots = Slots(setup.wake_begin, len(firings))
+    if fault is not None:
+        fault.bind(slots, record_exec, finish.__setitem__)
+
+    # The integrated pool drain: legal only when the scheduler declares
+    # a pure fixed-chunk drain, no conformance recorder needs the real
+    # work-share call sites and no fault can cut a chunk.
+    adv = (
+        scheduler.advancement()
+        if drain and check is None and fault is None
+        else None
+    )
     if adv is not None:
         out = _drain_engine(
             req, setup, slow, adv.chunk, dc, svc, pool_free,
-            times, seqs, active, live, seq_counter, finish, calls, budget,
+            slots.times, slots.seqs, slots.active, nt, slots.seq,
+            finish, calls, budget,
         )
         iters, assigned, dispatches, attempts, empty_takes = out
-    else:
-        log = setup.log
-        # Cached work-share internals: the simulator single-steps events,
-        # so the advisory-read counter collapses to a plain attribute
-        # read (see WorkShare.dispatch_count).
-        ws = ctx.workshare
-        ws_disp = ws._dispatches
-        next_range = scheduler.next_range
-        # Generic engine: real scheduler, real work-share, one scalar
-        # step per event — the reference step function verbatim, minus
-        # the heap.
-        while live:
-            best = -1
-            bt = 0.0
-            bs = 0
-            for t in range(nt):
-                if active[t]:
-                    ti = times[t]
-                    if best < 0 or ti < bt or (ti == bt and seqs[t] < bs):
-                        best, bt, bs = t, ti, seqs[t]
-            tid = best
-            now = bt
-            events += 1
-            if events > budget:
-                raise SimulationError(
-                    f"simulation exceeded {budget} events; "
-                    "likely a livelocked scheduler"
-                )
+        return finish_run(
+            executor, req, setup,
+            finish=finish, iters=iters, calls=calls, assigned=assigned,
+            dispatches=dispatches, attempts=attempts,
+            empty_takes=empty_takes,
+        )
 
-            takes_before = ws_disp._value
-            got = next_range(tid, now)
-            calls[tid] += 1
-            if check is not None:
-                check.on_dispatch(tid, now, got)
-            extra = pending_overhead[tid]
-            pending_overhead[tid] = 0.0
-            overhead_dt = dc[tid] + extra
-            if svc > 0.0:
-                takes = ws_disp._value - takes_before
-                if got is None:
-                    takes += 1
-                if takes > 0:
-                    begin = max(now, pool_free)
-                    pool_free = begin + takes * svc
-                    overhead_dt += (begin - now) + takes * svc
-            if got is None:
-                finish[tid] = now + overhead_dt
-                active[tid] = False
-                live -= 1
-                if log is not None:
-                    log.append(
-                        (tid, now, overhead_dt, ws.remaining, -1, 0, 0.0)
-                    )
+    times, seqs, active = slots.times, slots.seqs, slots.active
+    seq = slots.seq
+    n_fire = len(firings)
+    fi = 0
+    fire_t = firings[0][0] if firings else math.inf
+    events = 0
+    log = setup.log
+    # Cached work-share internals: the engine single-steps events, so
+    # the advisory-read counter collapses to a plain attribute read
+    # (see WorkShare.dispatch_count).
+    ws = ctx.workshare
+    ws_disp = ws._dispatches
+    next_range = scheduler.next_range
+    while True:
+        best = -1
+        bt = 0.0
+        bs = 0
+        for t in range(nt):
+            if active[t]:
+                ti = times[t]
+                if best < 0 or ti < bt or (ti == bt and seqs[t] < bs):
+                    best, bt, bs = t, ti, seqs[t]
+        if best < 0 and fi == n_fire:
+            break
+        events += 1
+        if events > budget:
+            raise SimulationError(
+                f"simulation exceeded {budget} events; "
+                "likely a livelocked scheduler"
+            )
+        if fault is not None:
+            if best < 0 or fire_t <= bt:
+                # A plan firing: its seq precedes every thread slot's.
+                slots.now = fire_t
+                firings[fi][1]()
+                fi += 1
+                fire_t = firings[fi][0] if fi < n_fire else math.inf
                 continue
-            lo, hi = got
-            assigned.append((tid, lo, hi))
-            scheduler.note_execution_start(tid, now + overhead_dt)
-            work = float(prefix[hi] - prefix[lo])
-            sdn = slow.scalar(tid, lo, hi)
-            compute_dt = sdn * work / rates[tid]
-            iters[tid] += hi - lo
-            t_done = (now + overhead_dt) + compute_dt
+            slots.now = bt
+            active[best] = False
+            if not fault.slot_fired(best):
+                continue
+        tid = best
+        now = bt
+
+        takes_before = ws_disp._value
+        got = next_range(tid, now)
+        calls[tid] += 1
+        if check is not None and fault is None:
+            check.on_dispatch(tid, now, got)
+        extra = pending_overhead[tid]
+        pending_overhead[tid] = 0.0
+        overhead_dt = dc[tid] + extra
+        if svc > 0.0:
+            # The work-share cache line is a serialization point: each
+            # genuine pool access (a removal, or the final fetch-and-add
+            # that finds the pool empty) occupies it for atomic_service
+            # seconds, and a thread arriving while it is busy queues
+            # behind it. Thread-local ranges (AID-steal) never queue.
+            takes = ws_disp._value - takes_before
+            if got is None:
+                takes += 1
+            if takes > 0:
+                begin = max(now, pool_free)
+                pool_free = begin + takes * svc
+                overhead_dt += (begin - now) + takes * svc
+        if fault is not None:
+            # A fault may cut or delay the chunk, so its accounting
+            # (conformance record, executed range, iteration counts,
+            # execution row) waits for its completion or preemption.
+            overhead_dt = fault.adjust_overhead(tid, now, overhead_dt)
+            lo, hi = got if got is not None else (-1, 0)
             if log is not None:
-                log.append(
-                    (tid, now, overhead_dt, ws.remaining, lo, hi, compute_dt)
-                )
-            times[tid] = t_done
-            seqs[tid] = seq_counter
-            seq_counter += 1
-        dispatches = ws.dispatch_count
-        attempts = ws.attempt_count
-        empty_takes = ws.empty_take_count
+                log.append((tid, now, overhead_dt, ws.remaining, lo, hi, 0.0))
+            end = now + overhead_dt
+            if got is None:
+                finish[tid] = end
+                if execs is not None:
+                    execs.append((tid, now, end, end, -1, 0, 0.0))
+                if check is not None:
+                    check.on_dispatch(tid, now, None)
+                fault.worker_retired(tid)
+                continue
+            scheduler.note_execution_start(tid, end)
+            fault.begin_block(
+                tid, dispatch_t=now, compute_start=end, lo=lo, hi=hi,
+                speed0=rates[tid] / slow.scalar(tid, lo, hi),
+            )
+            continue
+        if got is None:
+            finish[tid] = now + overhead_dt
+            active[tid] = False
+            if log is not None:
+                log.append((tid, now, overhead_dt, ws.remaining, -1, 0, 0.0))
+            continue
+        # Fault-free, the block's completion *is* the thread's next
+        # dispatch: one event per chunk.
+        lo, hi = got
+        assigned.append((tid, lo, hi))
+        scheduler.note_execution_start(tid, now + overhead_dt)
+        work = float(prefix[hi] - prefix[lo])
+        sdn = slow.scalar(tid, lo, hi)
+        compute_dt = sdn * work / rates[tid]
+        iters[tid] += hi - lo
+        t_done = (now + overhead_dt) + compute_dt
+        if log is not None:
+            log.append(
+                (tid, now, overhead_dt, ws.remaining, lo, hi, compute_dt)
+            )
+        times[tid] = t_done
+        seqs[tid] = seq
+        seq += 1
 
     return finish_run(
         executor, req, setup,
@@ -273,9 +376,10 @@ def _slot_engine(executor, req: LoopRunRequest):
         iters=iters,
         calls=calls,
         assigned=assigned,
-        dispatches=dispatches,
-        attempts=attempts,
-        empty_takes=empty_takes,
+        dispatches=ws.dispatch_count,
+        attempts=ws.attempt_count,
+        empty_takes=ws.empty_take_count,
+        engine=fault,
     )
 
 
@@ -304,7 +408,7 @@ def _drain_engine(
     n_chunks = (N + c - 1) // c
 
     # Per-chunk work and per-tid chunk durations, one numpy pass.
-    # cds[t][j] is exactly the reference's fl(fl(slowdown*work)/rate)
+    # cds[t][j] is exactly the stepped fl(fl(slowdown*work)/rate)
     # for thread t executing chunk j.
     los_all = c * np.arange(n_chunks)
     his_all = np.minimum(los_all + c, N)
@@ -384,7 +488,7 @@ def _drain_engine(
 
         cds_t = cds_list[tid]
         if svc > 0.0 and now < pool_free:
-            # Pool line busy at dispatch time: replay the reference
+            # Pool line busy at dispatch time: replay the stepped
             # expression verbatim for one chunk (rounding of the
             # queueing delay makes the drain constant invalid here).
             j = nxc

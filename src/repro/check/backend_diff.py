@@ -1,29 +1,32 @@
-"""Differential backend fuzzing: reference vs vectorized, byte for byte.
+"""Differential backend fuzzing: drain off vs drain on, byte for byte.
 
-The vectorized execution backend's contract is not "close enough" — it
-is *byte identity*: the same :class:`~repro.runtime.executor.LoopResult`,
-the same scheduler decision log and the same observability output as
-the reference discrete-event simulator, for every schedule, platform,
-cost distribution and fault plan. This module is the gate on that
-contract.
+Both simulated backends run the one slot engine of
+:mod:`repro.backends.vectorized`: ``reference`` steps every event,
+``vectorized`` integrates pure fixed-chunk pool drains in closed form.
+The contract between them is not "close enough" — it is *byte
+identity*: the same :class:`~repro.runtime.executor.LoopResult`, the
+same scheduler decision log and the same observability output, for
+every schedule, platform, cost distribution and fault plan. This module
+is the gate on that contract.
 
 :func:`diff_case` runs one :class:`~repro.check.generators.FuzzCase`
 through each backend with a fresh observability bundle, span recorder
 and trace recorder, and compares the result tuple, the canonical
-decision log, the canonical metrics snapshot (minus
-``backend_fallbacks_total``, which only the delegating backend counts),
-the span document and the trace intervals. :func:`diff_fuzz` drives a
-seeded campaign over randomly generated cases (the same generator the
-conformance fuzzer uses, so the pools are identical) and greedily
-shrinks any mismatch to a minimal reproducer with the conformance
-shrinker — a differential failure's counterexample is a tiny,
-replayable case, not a 500-iteration haystack.
+decision log, the canonical metrics snapshot, the span document and the
+trace intervals. :func:`diff_fuzz` drives a seeded campaign over
+:func:`campaign_cases` (the generator the conformance fuzzer uses, so
+the pools are identical) and greedily shrinks any mismatch to a minimal
+reproducer with the conformance shrinker — a differential failure's
+counterexample is a tiny, replayable case, not a 500-iteration
+haystack.
 
-Cases with fault plans exercise the vectorized backend's delegation
-path: faulted runs fall back to reference semantics, so the diff proves
-the fallback is transparent. CI runs ``python -m repro.check backends``
-with and without ``--faults sim`` (200 cases each) and uploads the
-shrunk counterexamples on failure.
+Cases with fault plans never take the drain, so under ``--faults sim``
+both names step the same events; that campaign guards the fault path's
+determinism, and :mod:`repro.check.golden`'s engine corpus ties both
+campaigns to the event-heap simulator the slot engine replaced. CI
+runs ``python -m repro.check backends`` with and without ``--faults
+sim`` (200 cases each) and uploads the shrunk counterexamples on
+failure.
 """
 
 from __future__ import annotations
@@ -85,14 +88,8 @@ def decision_bytes(obs: Observability) -> bytes:
 
 
 def metrics_json(obs: Observability) -> str:
-    """The run's metrics snapshot in canonical JSON, minus
-    ``backend_fallbacks_total`` (only a delegating backend counts it)."""
-    return canonical_json(
-        {
-            kind: [m for m in items if m["name"] != "backend_fallbacks_total"]
-            for kind, items in obs.registry.snapshot().items()
-        }
-    )
+    """The run's metrics snapshot in canonical JSON."""
+    return canonical_json(obs.registry.snapshot())
 
 
 @dataclass

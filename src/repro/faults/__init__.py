@@ -9,18 +9,20 @@ package provides
 * a declarative, JSON-round-trippable fault model
   (:mod:`repro.faults.model`),
 * the simulator-side injection engine
-  (:mod:`repro.faults.engine`, wired into
-  :meth:`repro.runtime.executor.LoopExecutor.run` via ``faults=``),
+  (:mod:`repro.faults.engine`, driven by the slot engine of
+  :mod:`repro.backends.vectorized` when
+  :meth:`repro.runtime.executor.LoopExecutor.run` gets ``faults=``),
 * real-thread stall injection and a stalled-worker watchdog
   (:meth:`repro.exec_real.team.ThreadTeam.parallel_for` consumes
   :class:`~repro.faults.model.WorkerStallEvent` plans via ``stalls=``),
 * a resilience CLI (``python -m repro.faults``).
 
-Determinism contract: a plan's firings enter the simulator as ordinary
-:class:`repro.sim.events.Event`\\ s, so tie-breaking and replayability
-are exactly the simulator's. An empty plan (or ``faults=None``) is a
-strict no-op — the executor takes the identical code path and produces
-byte-identical results.
+Determinism contract: a plan's firings are slots in the slot engine's
+``(time, seq)`` min-scan, taking the first seqs in plan order, so at one
+instant they fire before any thread event and tie-breaking and
+replayability are exactly the engine's. An empty plan (or
+``faults=None``) is a strict no-op — the executor takes the identical
+code path and produces byte-identical results.
 """
 
 from repro.faults.model import (

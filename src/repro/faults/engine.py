@@ -1,12 +1,15 @@
 """Simulator-side fault injection: time-varying core speed, offlining,
-stalls and overhead spikes, driven as ordinary simulator events.
+stalls and overhead spikes, driven through the slot engine.
 
-The engine sits between :class:`repro.runtime.executor.LoopExecutor` and
-the discrete-event simulator. The executor (only when handed a
-non-empty :class:`~repro.faults.model.FaultPlan`) routes every compute
-block through :meth:`SimFaultEngine.begin_block`; the engine owns the
-block's completion event and re-integrates its cost piecewise whenever a
-throttle boundary changes the owning core's effective rate:
+The engine sits inside the slot engine of
+:mod:`repro.backends.vectorized`. When a loop is handed a non-empty
+:class:`~repro.faults.model.FaultPlan`, the plan's boundaries become
+firings the slot engine's min-scan orders ahead of every thread slot at
+the same instant (:meth:`SimFaultEngine.firings`), and every compute
+block goes through :meth:`SimFaultEngine.begin_block`. The engine owns
+the block's thread slot — first its completion, then its redispatch —
+and re-integrates the block's cost piecewise whenever a throttle
+boundary changes the owning core's effective rate:
 
     work_done += (t_boundary - t_segment_start) * rate * multiplier
 
@@ -39,6 +42,8 @@ the metrics registry.
 
 from __future__ import annotations
 
+from functools import partial
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,7 +64,7 @@ class _Block:
 
     __slots__ = (
         "tid", "lo", "hi", "dispatch_t", "compute_start", "t_seg",
-        "work_done", "total_work", "speed0", "mult", "event",
+        "work_done", "total_work", "speed0", "mult",
     )
 
     def __init__(self, tid, lo, hi, dispatch_t, compute_start, total_work,
@@ -76,24 +81,22 @@ class _Block:
         self.total_work = total_work
         self.speed0 = speed0
         self.mult = mult
-        self.event = None
 
 
 class SimFaultEngine:
     """Applies one :class:`FaultPlan` to one simulated loop execution.
 
-    The executor binds three callbacks after construction
-    (:meth:`bind`): ``restart`` re-enters its dispatch loop for a
-    thread, ``record_exec`` performs the deferred per-chunk accounting
-    (conformance dispatch record, executed-ranges list, iteration
-    counters, the dispatch log's execution row), and ``set_finish``
-    updates a thread's finish time when it parks.
+    The slot engine binds its
+    :class:`~repro.backends.vectorized.Slots` and two callbacks after
+    construction (:meth:`bind`): ``record_exec`` performs the deferred
+    per-chunk accounting (conformance dispatch record, executed-ranges
+    list, iteration counters, the dispatch log's execution row), and
+    ``set_finish`` updates a thread's finish time when it parks.
     """
 
     def __init__(
         self,
         plan: FaultPlan,
-        sim,
         scheduler,
         prefix: np.ndarray,
         cpu_of_tid: Sequence[int],
@@ -102,7 +105,6 @@ class SimFaultEngine:
         check=None,
     ) -> None:
         self.plan = plan
-        self.sim = sim
         self.scheduler = scheduler
         self.prefix = prefix
         self._cpu_of = list(cpu_of_tid)
@@ -135,8 +137,8 @@ class SimFaultEngine:
         self._pending_stall: dict[int, float] = {}
         self._stall_by_tid: dict[int, float] = {}
         self._counts: dict[str, float] = {}
-        # -- executor callbacks (bound via bind()) ------------------------
-        self._restart_cb: Callable[[int, float], None] | None = None
+        # -- slot-engine wiring (bound via bind()) ------------------------
+        self.slots = None
         self._record_exec: Callable[..., None] | None = None
         self._set_finish: Callable[[int, float], None] | None = None
 
@@ -144,11 +146,11 @@ class SimFaultEngine:
 
     def bind(
         self,
-        restart: Callable[[int, float], None],
+        slots,
         record_exec: Callable[..., None],
         set_finish: Callable[[int, float], None],
     ) -> None:
-        self._restart_cb = restart
+        self.slots = slots
         self._record_exec = record_exec
         self._set_finish = set_finish
 
@@ -156,56 +158,52 @@ class SimFaultEngine:
     def n_plan_events(self) -> int:
         return len(self.plan.events)
 
-    def schedule(self, start_time: float) -> None:
-        """Inject the plan's firings as ordinary simulator events.
+    def firings(self, start_time: float) -> list[tuple[float, Callable]]:
+        """The plan's firings as ``(time, action)``, in firing order.
 
         Windows that ended before ``start_time`` are dropped; firings in
-        the past are clamped to ``start_time``. Scheduling happens before
-        the workers' wake events are pushed, so at equal times fault
-        firings carry lower sequence numbers and are delivered first —
-        the deterministic tie-break the invariants rely on.
+        the past are clamped to ``start_time``. The firings take the
+        first seqs, in plan order, so at equal times a fault fires
+        before any thread slot and plan order breaks ties between
+        firings — the deterministic tie-break the invariants rely on.
         """
         clamp = lambda t: max(float(t), start_time)  # noqa: E731
+        out: list[tuple[float, Callable]] = []
         for ev in self.plan.events:
             if isinstance(ev, ThrottleEvent):
                 if ev.t1 <= start_time:
                     continue
-                self.sim.at(clamp(ev.t0),
-                            (lambda e: lambda: self._fire_throttle_begin(e))(ev),
-                            tag="fault")
-                self.sim.at(clamp(ev.t1),
-                            (lambda e: lambda: self._fire_throttle_end(e))(ev),
-                            tag="fault")
+                out.append((clamp(ev.t0), partial(self._fire_throttle_begin, ev)))
+                out.append((clamp(ev.t1), partial(self._fire_throttle_end, ev)))
             elif isinstance(ev, CoreOfflineEvent):
-                self.sim.at(clamp(ev.t),
-                            (lambda e: lambda: self._fire_offline(e))(ev),
-                            tag="fault")
+                out.append((clamp(ev.t), partial(self._fire_offline, ev)))
             elif isinstance(ev, CoreOnlineEvent):
-                self.sim.at(clamp(ev.t),
-                            (lambda e: lambda: self._fire_online(e))(ev),
-                            tag="fault")
+                out.append((clamp(ev.t), partial(self._fire_online, ev)))
             elif isinstance(ev, WorkerStallEvent):
-                self.sim.at(clamp(ev.t),
-                            (lambda e: lambda: self._fire_stall(e))(ev),
-                            tag="fault")
+                out.append((clamp(ev.t), partial(self._fire_stall, ev)))
             elif isinstance(ev, OverheadSpikeEvent):
                 if ev.t1 <= start_time:
                     continue
-                self.sim.at(clamp(ev.t0),
-                            (lambda e: lambda: self._fire_spike_begin(e))(ev),
-                            tag="fault")
-                self.sim.at(clamp(ev.t1),
-                            (lambda e: lambda: self._fire_spike_end(e))(ev),
-                            tag="fault")
+                out.append((clamp(ev.t0), partial(self._fire_spike_begin, ev)))
+                out.append((clamp(ev.t1), partial(self._fire_spike_end, ev)))
+        out.sort(key=itemgetter(0))  # stable: seq order within an instant
+        return out
 
-    # -- executor-facing API ----------------------------------------------
+    # -- slot-engine-facing API -------------------------------------------
 
-    def on_wake(self, tid: int) -> None:
-        """The worker's dispatch loop reached ``tid`` at least once."""
+    def slot_fired(self, tid: int) -> bool:
+        """``tid``'s slot fired at ``slots.now``; True = dispatch now.
+
+        A thread with a block in flight holds that block's completion
+        in its slot, which is handled here; otherwise the slot is a
+        wake or redispatch, which a parked worker ignores.
+        """
+        block = self._inflight.get(tid)
+        if block is not None:
+            self._complete(block)
+            return False
         self._woke.add(tid)
-
-    def is_parked(self, tid: int) -> bool:
-        return tid in self._parked
+        return tid not in self._parked
 
     def worker_retired(self, tid: int) -> None:
         self._retired.add(tid)
@@ -255,15 +253,13 @@ class SimFaultEngine:
         block = _Block(tid, lo, hi, dispatch_t, compute_start, total,
                        speed0, mult)
         t_done = compute_start + (total / (speed0 * mult) if total > 0 else 0.0)
-        block.event = self.sim.at(
-            t_done, (lambda b: lambda: self._complete(b))(block), tag=f"t{tid}"
-        )
+        self.slots.push(tid, t_done)
         self._inflight[tid] = block
 
     def publish(self) -> None:
         """Fold the run's fault counters into the metrics registry."""
         if self._srec is not None:
-            self._close_open_spans(self.sim.now)
+            self._close_open_spans(self.slots.now)
         if not getattr(self._obs, "enabled", False):
             return
         reg = self._obs.registry
@@ -298,7 +294,11 @@ class SimFaultEngine:
         self._open_spans.clear()
 
     def _restart(self, tid: int, t: float) -> None:
-        self._restart_cb(tid, t)
+        """Queue ``tid``'s redispatch at ``t``, behind the events already
+        queued for that instant. A worker back online whose redispatch
+        from before it parked has not fired yet keeps that one."""
+        if not self.slots.active[tid]:
+            self.slots.push(tid, t)
 
     def _completed_iters(self, block: _Block) -> int:
         """Whole iterations of ``block`` finished given ``work_done``."""
@@ -321,20 +321,18 @@ class SimFaultEngine:
     def _complete(self, block: _Block) -> None:
         tid = block.tid
         self._inflight.pop(tid, None)
-        block.event = None
-        now = self.sim.now
+        now = self.slots.now
         self._record_exec(
             tid, block.dispatch_t, block.lo, block.hi, block.compute_start, now
         )
-        # The worker redispatches synchronously — this *is* its
-        # completion event, exactly like the fault-free executor path.
+        # The redispatch is a separate event at this instant: it fires
+        # after the events already queued for it.
         self._restart(tid, now)
 
     def _preempt(self, block: _Block, t: float, k: int, reason: str) -> None:
         """Cut ``block`` at iteration boundary ``k`` and reclaim the tail."""
         tid = block.tid
-        self.sim.queue.cancel(block.event)
-        block.event = None
+        self.slots.cancel(tid)
         del self._inflight[tid]
         # A preempt inside the overhead window (compute never started)
         # truncates the RUNTIME segment at the preempt time and records
@@ -364,7 +362,7 @@ class SimFaultEngine:
     # -- firings -----------------------------------------------------------
 
     def _fire_throttle_begin(self, ev: ThrottleEvent) -> None:
-        t = self.sim.now
+        t = self.slots.now
         self._count("fault_events_total@throttle")
         self._active_throttles.setdefault(ev.cpu, []).append(ev.factor)
         self._span_open(
@@ -375,7 +373,7 @@ class SimFaultEngine:
         self._recompute_mult(ev.cpu, t)
 
     def _fire_throttle_end(self, ev: ThrottleEvent) -> None:
-        t = self.sim.now
+        t = self.slots.now
         active = self._active_throttles.get(ev.cpu, [])
         if ev.factor in active:
             active.remove(ev.factor)
@@ -407,13 +405,11 @@ class SimFaultEngine:
                 self._preempt(block, t, k, reason="throttle")
                 self._restart(tid, t)
             else:
-                self.sim.queue.cancel(block.event)
+                # Re-timed: the completion takes a new seq, so it fires
+                # after the events already queued for its instant.
                 remaining = max(0.0, block.total_work - block.work_done)
                 t_new = block.t_seg + remaining / (block.speed0 * new)
-                block.event = self.sim.at(
-                    t_new, (lambda b: lambda: self._complete(b))(block),
-                    tag=f"t{tid}",
-                )
+                self.slots.push(tid, t_new)
         dec_records = (
             getattr(self._obs.decisions, "records", None)
             if self._srec is not None
@@ -455,7 +451,7 @@ class SimFaultEngine:
         ]
 
     def _fire_offline(self, ev: CoreOfflineEvent) -> None:
-        t = self.sim.now
+        t = self.slots.now
         self._count("fault_events_total@offline")
         if ev.cpu in self._offline:
             return
@@ -484,7 +480,7 @@ class SimFaultEngine:
             self.scheduler.on_worker_lost(tid, t)
 
     def _fire_online(self, ev: CoreOnlineEvent) -> None:
-        t = self.sim.now
+        t = self.slots.now
         self._count("fault_events_total@online")
         if ev.cpu not in self._offline:
             return
@@ -501,11 +497,12 @@ class SimFaultEngine:
                 self.scheduler.on_worker_back(tid, t)
             if tid in self._woke:
                 self._restart(tid, t)
-            # else: the worker's initial wake event is still pending and
-            # will start its dispatch loop (the core is back by then).
+            # else: the worker's initial wake is still pending in its
+            # slot and will start its dispatch loop (the core is back by
+            # then).
 
     def _fire_stall(self, ev: WorkerStallEvent) -> None:
-        t = self.sim.now
+        t = self.slots.now
         self._count("fault_events_total@stall")
         if ev.tid >= self._nt:
             return
@@ -516,7 +513,7 @@ class SimFaultEngine:
             self.dec.emit(ev.tid, t, "stall_fired", seconds=ev.seconds)
 
     def _fire_spike_begin(self, ev: OverheadSpikeEvent) -> None:
-        t = self.sim.now
+        t = self.slots.now
         self._count("fault_events_total@spike")
         self._active_spikes.append(ev.factor)
         self._span_open("spike", (ev.factor,), t, factor=ev.factor)
@@ -524,7 +521,7 @@ class SimFaultEngine:
             self.dec.emit(-1, t, "spike_begin", factor=ev.factor)
 
     def _fire_spike_end(self, ev: OverheadSpikeEvent) -> None:
-        t = self.sim.now
+        t = self.slots.now
         if ev.factor in self._active_spikes:
             self._active_spikes.remove(ev.factor)
         self._span_close("spike", (ev.factor,), t)

@@ -6,8 +6,7 @@ Usage::
     python -m repro.obs.report diff A.json B.json [--fail-on-regression]
     python -m repro.obs.report trajectory [HISTORY.jsonl] [--source S]
     python -m repro.obs.report timeline SNAPSHOT.json [--loop L] [--metric M]
-    python -m repro.obs.report profile [--platform P] [--backend B]
-                                       [--top N] [--json PATH]
+    python -m repro.obs.report profile SNAPSHOT.json [--json PATH]
     python -m repro.obs.report critpath SNAPSHOT.json [--job S] [--json PATH]
     python -m repro.obs.report explain A.json B.json [--job S] [--top N]
 
@@ -28,10 +27,9 @@ sparkline trend tables. ``timeline`` renders the snapshot's windowed
 timeseries as sparkline lanes over sim time plus a tail table
 (p50/p99/p999) of its quantile digests — and, when the snapshot carries
 span traces, a critical-path lane showing which category blocked the
-makespan at every point of sim time. ``profile`` runs an experiment
-grid under the hot-path profiler and prints the ranked wall-clock
-hotspots alongside the deterministic sim-time cost attribution — the
-ROADMAP-item-1 baseline CI keeps as an artifact.
+makespan at every point of sim time. ``profile`` renders a snapshot's
+deterministic sim-time cost attribution (compute / overhead / stall /
+idle per loop and core type).
 
 ``critpath`` extracts each span trace's critical path
 (:mod:`repro.obs.critpath`) and prints the per-category "where the
@@ -494,73 +492,37 @@ def _timeline_main(argv: list[str]) -> int:
 
 
 def _profile_main(argv: list[str]) -> int:
-    from repro.obs.profile import (
-        PROFILE_SCHEMA,
-        cost_attribution,
-        format_cost_attribution,
-        format_hotspots,
-        profile_grid,
-    )
+    from repro.obs.profile import cost_attribution, format_cost_attribution
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.report profile",
-        description="Run an experiment grid under the hot-path profiler; "
-        "print ranked wall-clock hotspots and the sim-time cost "
-        "attribution.",
+        description="Print a snapshot's sim-time cost attribution.",
     )
-    parser.add_argument(
-        "--platform", default="odroid_xu4",
-        help="repro.amp.presets factory name (default %(default)s)",
-    )
-    parser.add_argument(
-        "--programs", default=None,
-        help="comma-separated program names (default: all registered)",
-    )
-    parser.add_argument(
-        "--top", type=int, default=20,
-        help="hotspot rows to keep (default %(default)s)",
-    )
-    parser.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="execution backend to profile (reference, vectorized, "
-        "real; default: $REPRO_BACKEND, then reference)",
-    )
+    parser.add_argument("snapshot", help="path to a snapshot JSON file")
     parser.add_argument(
         "--json", default=None, metavar="PATH",
-        help="also write hotspots + attribution as a JSON document",
+        help="also write the attribution rows as a JSON document",
     )
     args = parser.parse_args(argv)
-    programs = args.programs.split(",") if args.programs else None
-    import time as _time
-
-    t0 = _time.perf_counter()
-    hotspots, snapshot, scenario = profile_grid(
-        platform_name=args.platform, programs=programs, top=args.top,
-        backend=args.backend,
-    )
-    wall = _time.perf_counter() - t0
     try:
-        print(format_hotspots(hotspots, scenario=scenario))
-        attribution = format_cost_attribution(snapshot)
-        if attribution:
-            print()
-            print(attribution)
-        backend = snapshot.get("meta", {}).get("backend")
-        print(f"\nbackend={backend}  wall_clock={wall:.2f}s")
+        snapshot = load_snapshot(args.snapshot)
+    except ObsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        print(
+            format_cost_attribution(snapshot)
+            or "no sim_time_seconds_total counters in snapshot"
+        )
     except BrokenPipeError:
         pass
     if args.json:
-        doc = {
-            "schema": PROFILE_SCHEMA,
-            "scenario": scenario,
-            "platform": args.platform,
-            "backend": snapshot.get("meta", {}).get("backend"),
-            "wall_clock_seconds": wall,
-            "hotspots": hotspots,
-            "cost_attribution": cost_attribution(snapshot),
-        }
         Path(args.json).write_text(
-            json.dumps(doc, sort_keys=True, indent=2) + "\n",
+            json.dumps(
+                {"cost_attribution": cost_attribution(snapshot)},
+                sort_keys=True, indent=2,
+            )
+            + "\n",
             encoding="utf-8",
         )
     return 0

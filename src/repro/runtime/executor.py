@@ -4,8 +4,9 @@ The executor is the meeting point of every substrate: it takes a
 :class:`~repro.runtime.team.Team` (threads pinned on an AMP), a
 per-iteration cost vector, a :class:`~repro.perfmodel.speed.PerfModel`
 (work units -> seconds per core) and a
-:class:`~repro.sched.base.ScheduleSpec`, and plays out the loop on the
-discrete-event simulator:
+:class:`~repro.sched.base.ScheduleSpec`, and hands the loop to its
+execution backend — for simulated runs, the discrete-event slot engine
+of :mod:`repro.backends.vectorized`, fault plans included:
 
 * each worker thread alternates *dispatch* (one scheduler call, charged
   as runtime overhead) and *compute* (executing the returned iteration
@@ -267,7 +268,8 @@ class LoopExecutor:
 
         The execution itself is delegated to the executor's
         :class:`~repro.backends.ExecutionBackend` (``reference`` by
-        default); all backends share this method's semantics.
+        default); all backends share this method's semantics, and both
+        simulated ones run the same slot engine, faulted runs included.
         """
         from repro.backends.common import LoopRunRequest
 

@@ -1,24 +1,16 @@
-"""Deterministic discrete-event simulation core.
+"""Reproducible random streams for the simulated runtime.
 
-This package provides the timing substrate on which the OpenMP-like runtime
-executes: a virtual clock, an event queue with deterministic tie-breaking,
-and reproducible per-component random streams.
-
-The simulator is intentionally minimal — parallel-loop execution only needs
-"thread becomes ready at time t" events — but it is written as a
-general-purpose DES so the runtime layer stays independent of scheduling
-policy internals.
+Workload costs, wake jitter and measurement noise draw from
+:class:`numpy.random.Generator` streams derived from stable string keys
+(:func:`stable_seed`, :class:`RngStreams`), never from global state, so
+equal seeds give bit-identical runs across processes. The event engine
+that plays loops out in virtual time is the slot engine of
+:mod:`repro.backends.vectorized`.
 """
 
-from repro.sim.clock import VirtualClock
-from repro.sim.events import Event, EventQueue, Simulator
 from repro.sim.rng import RngStreams, stable_seed
 
 __all__ = [
-    "Event",
-    "EventQueue",
-    "Simulator",
-    "VirtualClock",
     "RngStreams",
     "stable_seed",
 ]

@@ -4,9 +4,11 @@ The acceptance property of the backend subsystem: for every schedule the
 grids run — static, dynamic, guided and all five AID variants — the
 vectorized engine produces the *same bytes* as the reference simulator:
 equal :class:`LoopResult` fields and an equal canonical decision log.
-The 200-case CI campaigns (``python -m repro.check backends``) cover the
-random space; these tests pin the named configurations and the fallback
-wiring.
+Both backends are the one slot engine, with the pool drain off
+(``reference``) and on (``vectorized``). The 200-case CI campaigns
+(``python -m repro.check backends``) cover the random space; these tests
+pin the named configurations and that no run leaves the engine it was
+handed.
 """
 
 from __future__ import annotations
@@ -90,42 +92,32 @@ class TestByteIdentity:
 
 
 class TestFallbacks:
-    def test_faulted_run_delegates_and_matches(self):
+    """There are none: both names run the one slot engine, faulted and
+    traced runs included."""
+
+    def test_faulted_run_matches_without_delegating(self, monkeypatch):
+        from repro.backends.reference import ReferenceBackend
+
         platform = preset_platform("dual:2:2")
         costs = np.full(64, 1e-4)
         plan = plan_from_tuples((("throttle", 0, 0.001, 0.004, 0.25),))
         spec = parse_schedule("aid_dynamic,1,5")
 
-        obs = Observability()
-        vec = run_loop(
-            platform, spec, n_iterations=64, costs=costs, faults=plan,
-            obs=obs, backend="vectorized",
-        )
-        ref = run_loop(
-            platform, spec, n_iterations=64, costs=costs, faults=plan,
-            backend="reference",
-        )
-        assert result_key(vec) == result_key(ref)
-        # The delegation is observable, not silent.
-        assert obs.registry.value(
-            "backend_fallbacks_total", backend="vectorized", reason="faults"
-        ) == 1.0
-
-    def test_empty_fault_plan_does_not_delegate(self):
-        from repro.errors import ObsError
-
-        platform = preset_platform("dual:2:2")
-        obs = Observability()
-        run_loop(
-            platform, parse_schedule("dynamic,1"), n_iterations=32,
-            faults=plan_from_tuples(()), obs=obs, backend="vectorized",
-        )
-        # The fallback counter is only minted when a fallback happens.
-        with pytest.raises(ObsError, match="backend_fallbacks_total"):
-            obs.registry.value(
-                "backend_fallbacks_total",
-                backend="vectorized", reason="faults",
+        def run(backend):
+            obs = Observability()
+            result = run_loop(
+                platform, spec, n_iterations=64, costs=costs, faults=plan,
+                obs=obs, backend=backend,
             )
+            return result_key(result), decision_bytes(obs)
+
+        ref = run("reference")
+
+        def no_reference(self, executor, req):
+            raise AssertionError("vectorized entered the reference backend")
+
+        monkeypatch.setattr(ReferenceBackend, "run_scheduled", no_reference)
+        assert run("vectorized") == ref
 
     def test_traced_run_stays_on_the_fast_engine(self):
         from repro.tracing.trace import TraceRecorder
@@ -134,19 +126,13 @@ class TestFallbacks:
         for schedule in ("dynamic,1", "aid_hybrid,80"):
             traces = {}
             for backend in DEFAULT_BACKENDS:
-                obs = Observability()
                 trace = TraceRecorder()
                 run_loop(
                     odroid_xu4(), parse_schedule(schedule), n_iterations=48,
-                    costs=np.linspace(1e-4, 3e-4, 48), trace=trace, obs=obs,
-                    backend=backend,
+                    costs=np.linspace(1e-4, 3e-4, 48), trace=trace,
+                    obs=Observability(), backend=backend,
                 )
                 traces[backend] = trace.intervals
-                counters = obs.registry.snapshot()["counters"]
-                assert not [
-                    c for c in counters
-                    if c["name"] == "backend_fallbacks_total"
-                ], (schedule, backend)
             assert traces["vectorized"] == traces["reference"], schedule
             assert traces["reference"]
 

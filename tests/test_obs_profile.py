@@ -1,17 +1,12 @@
-"""Tests for repro.obs.profile (sim-time cost attribution + wall-clock
-hotspot profiler) and the ``report timeline`` / ``report profile``
-subcommands."""
+"""Tests for repro.obs.profile (sim-time cost attribution) and the
+``report timeline`` / ``report profile`` subcommands."""
 
 import json
 
 from repro.obs.profile import (
     CATEGORIES,
-    HotspotProfiler,
     cost_attribution,
     format_cost_attribution,
-    format_hotspots,
-    profile_grid,
-    scenario_digest,
 )
 from repro.obs.report import main as report_main
 
@@ -71,85 +66,34 @@ class TestCostAttribution:
         assert format_cost_attribution(snap([])) == ""
 
 
-class TestHotspotProfiler:
-    def test_profiled_function_ranks(self):
-        def burn():
-            return sum(i * i for i in range(200_000))
-
-        p = HotspotProfiler()
-        assert p.run(burn) == burn()
-        rows = p.hotspots(top=10)
-        assert rows
-        assert any("burn" in r["function"] or "genexpr" in r["function"]
-                   for r in rows)
-        # Ranked by self time, descending.
-        selfs = [r["self_seconds"] for r in rows]
-        assert selfs == sorted(selfs, reverse=True)
-
-    def test_rows_have_the_documented_shape(self):
-        p = HotspotProfiler()
-        p.run(lambda: sorted(range(1000)))
-        row = p.hotspots(top=1)[0]
-        assert set(row) == {"function", "location", "ncalls",
-                            "self_seconds", "cumulative_seconds"}
-
-    def test_format_is_a_ranked_table(self):
-        rows = [{"function": "f", "location": "/x/repro/sim/core.py:3",
-                 "ncalls": 5, "self_seconds": 0.5,
-                 "cumulative_seconds": 0.6}]
-        text = format_hotspots(rows, scenario="abcdef0123456789")
-        assert "scenario=abcdef012345" in text
-        assert "repro/sim/core.py:3" in text
-
-
-class TestScenarioDigest:
-    def test_order_sensitive_and_stable(self):
-        class Spec:
-            def __init__(self, key):
-                self.key = key
-
-        a = [Spec("k1"), Spec("k2")]
-        assert scenario_digest(a) == scenario_digest(a)
-        assert scenario_digest(a) != scenario_digest(list(reversed(a)))
-
-
-class TestProfileGrid:
-    def test_one_program_grid_profiles_end_to_end(self):
-        hotspots, snapshot, scenario = profile_grid(programs=["EP"], top=5)
-        assert len(hotspots) == 5
-        assert len(scenario) == 64
-        rows = cost_attribution(snapshot)
-        assert rows, "the profiled grid must publish sim_time counters"
-        # Both odroid core types show up for the EP loop.
-        types = {r["core_type"] for r in rows}
-        assert {"cortex-a7", "cortex-a15"} <= types
-
-
 class TestProfileCli:
     def test_profile_subcommand_writes_json(self, tmp_path, capsys):
-        out = tmp_path / "profile.json"
-        assert report_main([
-            "profile", "--programs", "EP", "--top", "5",
-            "--json", str(out),
-        ]) == 0
-        text = capsys.readouterr().out
-        assert "wall-clock hotspots" in text
-        assert "sim-time cost attribution" in text
-        doc = json.loads(out.read_text())
-        assert doc["schema"] == "repro.obs.profile/v2"
-        assert len(doc["hotspots"]) == 5
-        assert doc["cost_attribution"]
-        assert doc["backend"] == "reference"
-        assert doc["wall_clock_seconds"] > 0.0
+        from repro.amp.presets import odroid_xu4
+        from repro.experiments.harness import run_grid
+        from repro.fleet.progress import FleetProgress
+        from repro.workloads.registry import get_program
 
-    def test_profile_subcommand_backend_flag(self, tmp_path):
-        out = tmp_path / "profile-vec.json"
-        assert report_main([
-            "profile", "--programs", "EP", "--top", "5",
-            "--backend", "vectorized", "--json", str(out),
-        ]) == 0
-        doc = json.loads(out.read_text())
-        assert doc["backend"] == "vectorized"
+        progress = FleetProgress()
+        run_grid(odroid_xu4(), programs=[get_program("EP")],
+                 progress=progress)
+        path = tmp_path / "snap.json"
+        path.write_text(json.dumps(progress.obs_snapshot()))
+        out = tmp_path / "profile.json"
+        assert report_main(["profile", str(path), "--json", str(out)]) == 0
+        assert "sim-time cost attribution" in capsys.readouterr().out
+        rows = json.loads(out.read_text())["cost_attribution"]
+        assert rows == cost_attribution(json.loads(path.read_text()))
+        # Both odroid core types show up for the EP loop.
+        assert {"cortex-a7", "cortex-a15"} <= {r["core_type"] for r in rows}
+
+    def test_profile_subcommand_without_attribution(self, tmp_path, capsys):
+        from repro.obs import Observability
+        from repro.obs.snapshot import write_snapshot
+
+        path = tmp_path / "empty.json"
+        write_snapshot(path, Observability())
+        assert report_main(["profile", str(path)]) == 0
+        assert "no sim_time_seconds_total" in capsys.readouterr().out
 
 
 class TestTimelineCli:

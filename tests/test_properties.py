@@ -3,8 +3,8 @@
 The load-bearing invariant of the whole system: *every scheduling policy
 executes every iteration of every loop exactly once*, for any platform
 shape, trip count, chunking and cost profile. Plus structural properties
-of the building blocks (event ordering, pool partitioning, static
-blocks, AID target arithmetic, cost-model sanity).
+of the building blocks (pool partitioning, static blocks, AID target
+arithmetic, cost-model sanity).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.sched.aid_steal import AidStealSpec
 from repro.sched.dynamic import DynamicSpec
 from repro.sched.guided import GuidedSpec
 from repro.sched.static import StaticSpec, static_block
-from repro.sim.events import EventQueue
 from repro.runtime.workshare import WorkShare
 from repro.workloads.costmodels import (
     BimodalCost,
@@ -138,21 +137,6 @@ def test_workshare_takes_partition(n, chunks):
         assert lo == cursor
         cursor = hi
     assert cursor == n
-
-
-# -- event queue ---------------------------------------------------------------------
-
-
-@settings(max_examples=100, deadline=None)
-@given(times=st.lists(st.floats(0.0, 1e6), min_size=0, max_size=200))
-def test_event_queue_pops_sorted(times):
-    q = EventQueue()
-    for t in times:
-        q.push(t, lambda: None)
-    popped = []
-    while (ev := q.pop()) is not None:
-        popped.append(ev.time)
-    assert popped == sorted(times)
 
 
 # -- AID target arithmetic --------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Edge cases of the simulation core: zero-length chunks, simultaneous
 event ties, and fault windows landing exactly on chunk boundaries.
 
-These are the boundaries where the reference event engine and the
-vectorized closed-form engine could most plausibly drift apart, so each
-scenario that touches scheduling is asserted byte-identical across both
-execution backends on top of its own invariant.
+These are the boundaries where the slot engine's stepped path
+(``reference``) and its closed-form pool drain (``vectorized``) could
+most plausibly drift apart, so each scenario that touches scheduling is
+asserted byte-identical across both execution backends on top of its
+own invariant.
 """
 
 from __future__ import annotations
@@ -13,14 +14,15 @@ import numpy as np
 import pytest
 
 from repro.amp.presets import odroid_xu4
+from repro.backends.vectorized import Slots
 from repro.check.backend_diff import decision_bytes, result_key
 from repro.check.generators import preset_platform, run_loop
 from repro.errors import WorkShareError
+from repro.faults.engine import SimFaultEngine
 from repro.faults.model import plan_from_tuples
-from repro.obs import Observability
+from repro.obs import NULL_OBS, Observability
 from repro.runtime.workshare import WorkShare
 from repro.sched.registry import parse_schedule
-from repro.sim.events import EventQueue
 from repro.tracing.trace import ThreadState, TraceRecorder
 
 
@@ -84,31 +86,111 @@ class TestZeroLengthChunks:
 # -- simultaneous-event tie-breaking ------------------------------------------
 
 
+class _Policy:
+    """The scheduler hooks a fault engine calls, as no-ops."""
+
+    def on_rates_changed(self, t, mults):
+        pass
+
+    def reclaim(self, tid, lo, hi):
+        pass
+
+    def on_worker_lost(self, tid, t):
+        pass
+
+    def on_worker_back(self, tid, t):
+        pass
+
+
+def _fault_engine(events, wakes):
+    """A fault engine over unit-cost iterations, one thread per CPU,
+    writing the slots of threads woken at ``wakes``."""
+    plan = plan_from_tuples(events)
+    engine = SimFaultEngine(
+        plan=plan, scheduler=_Policy(), prefix=np.arange(65, dtype=float),
+        cpu_of_tid=list(range(len(wakes))), loop_name="L", obs=NULL_OBS,
+    )
+    firings = engine.firings(0.0)
+    slots = Slots(wakes, len(firings))
+    engine.bind(slots, lambda *row: None, lambda tid, t: None)
+    return engine, slots, firings
+
+
+def _firing_order(slots):
+    """Pending threads in the order the engine's min-scan fires them:
+    earliest time first, then lowest seq."""
+    pending = [t for t in range(len(slots.times)) if slots.active[t]]
+    return sorted(pending, key=lambda t: (slots.times[t], slots.seqs[t]))
+
+
 class TestSimultaneousEventTies:
     def test_cancelling_inside_a_tie_group_preserves_fifo(self):
-        q = EventQueue()
-        hits = []
-        q.push(1.0, lambda: hits.append("a"))
-        b = q.push(1.0, lambda: hits.append("b"))
-        q.push(1.0, lambda: hits.append("c"))
-        q.cancel(b)
-        while (ev := q.pop()) is not None:
-            ev.action()
-        assert hits == ["a", "c"]
+        # Rule 1: a re-timed completion takes a new seq, so it fires
+        # after the events already queued for its new instant. Thread
+        # 0 computes [0, 4) at half speed (due at 8.0); the throttle
+        # lifts at 2.0 with one unit done, moving the completion to
+        # exactly 5.0, where thread 1's event was queued first.
+        engine, slots, firings = _fault_engine(
+            (("throttle", 0, 0.0, 2.0, 0.5),), [0.0, 0.0]
+        )
+        (t_begin, begin), (t_end, end) = firings
+        slots.now = t_begin
+        begin()
+        slots.cancel(0)
+        engine.begin_block(
+            0, dispatch_t=0.0, compute_start=0.0, lo=0, hi=4, speed0=1.0
+        )
+        assert slots.times[0] == 8.0
+        slots.push(1, 5.0)
+        slots.now = t_end
+        end()
+        assert slots.times[0] == slots.times[1] == 5.0
+        assert _firing_order(slots) == [1, 0]
 
     def test_same_time_event_scheduled_during_tie_fires_last(self):
-        # An event scheduled *at the current time* from within a
-        # same-time group gets the next sequence number, so it fires
-        # after every event already queued for that instant — the FIFO
-        # rule the thread-wakeup ordering relies on.
-        q = EventQueue()
-        hits = []
-        q.push(2.0, lambda: (hits.append("first"),
-                             q.push(2.0, lambda: hits.append("nested"))))
-        q.push(2.0, lambda: hits.append("second"))
-        while (ev := q.pop()) is not None:
-            ev.action()
-        assert hits == ["first", "second", "nested"]
+        # Rule 2: a block completion and its redispatch are two events.
+        # The redispatch is pushed at the completion's instant under a
+        # new seq, so it fires after every event already queued for
+        # that instant — here thread 1's, queued after the completion.
+        engine, slots, _ = _fault_engine((("stall", 0, 0.5, 0.1),), [0.0, 0.0])
+        slots.cancel(0)
+        engine.begin_block(
+            0, dispatch_t=0.0, compute_start=0.0, lo=0, hi=4, speed0=1.0
+        )
+        slots.push(1, 4.0)
+        assert _firing_order(slots) == [0, 1]
+        slots.now = 4.0
+        slots.cancel(0)
+        assert engine.slot_fired(0) is False  # the completion
+        assert slots.active[0] and slots.times[0] == 4.0
+        assert _firing_order(slots) == [1, 0]
+        slots.cancel(0)
+        assert engine.slot_fired(0) is True  # the redispatch
+
+    def test_online_keeps_a_pending_redispatch(self):
+        # A slot holds one event. A throttle preempts thread 0 at 1.0
+        # and queues its redispatch; its core goes offline and comes
+        # back at that same instant. The worker keeps the redispatch it
+        # already has instead of queueing a second one.
+        engine, slots, firings = _fault_engine(
+            (("throttle", 0, 1.0, 3.0, 0.5), ("offline", 0, 1.0),
+             ("online", 0, 1.0)),
+            [0.0, 0.0],
+        )
+        slots.cancel(0)
+        assert engine.slot_fired(0) is True  # the wake
+        engine.begin_block(
+            0, dispatch_t=0.0, compute_start=0.0, lo=0, hi=4, speed0=1.0
+        )
+        (t1, throttle), (t2, offline), (t3, online), _ = firings
+        assert t1 == t2 == t3 == 1.0
+        slots.now = 1.0
+        throttle()
+        queued = (slots.times[0], slots.seqs[0])
+        assert slots.active[0] and queued[0] == 1.0
+        offline()
+        online()
+        assert slots.active[0] and (slots.times[0], slots.seqs[0]) == queued
 
     def test_tied_dispatches_are_deterministic_and_backend_identical(self):
         # Uniform costs on a flat dual:2:2 platform make same-type
