@@ -179,16 +179,11 @@ def engine_corpus_text(campaigns: dict[str, list[dict]]) -> str:
     )
 
 
-def check_engine_corpus(path: Path) -> str | None:
-    """Compare the committed corpus with a fresh run; ``None`` = match.
-
-    A mismatch report names the campaign, the case seed and the field
-    of every diverging case.
-    """
-    if not path.exists():
-        return f"engine corpus {path} missing; run --update"
-    expected = json.loads(path.read_text(encoding="utf-8"))["campaigns"]
-    actual = engine_corpus()
+def corpus_divergence(
+    expected: dict[str, list[dict]], actual: dict[str, list[dict]]
+) -> list[str]:
+    """One line per divergence between two corpora, naming the
+    campaign, the case seed and the field."""
     lines = []
     for name in sorted(set(expected) | set(actual)):
         exp_rows = expected.get(name, [])
@@ -212,6 +207,15 @@ def check_engine_corpus(path: Path) -> str | None:
                         f"{field_name} {exp[field_name]} != "
                         f"{act[field_name]}"
                     )
+    return lines
+
+
+def check_engine_corpus(path: Path) -> str | None:
+    """Compare the committed corpus with a fresh run; ``None`` = match."""
+    if not path.exists():
+        return f"engine corpus {path} missing; run --update"
+    expected = json.loads(path.read_text(encoding="utf-8"))["campaigns"]
+    lines = corpus_divergence(expected, engine_corpus())
     if not lines:
         return None
     return "\n".join(

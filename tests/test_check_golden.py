@@ -22,6 +22,7 @@ from repro.check.golden import (
     GOLDEN_VARIANTS,
     check_engine_corpus,
     check_golden,
+    corpus_divergence,
     digest,
     engine_corpus_text,
     golden_jsonl,
@@ -76,18 +77,21 @@ def test_engine_corpus_text_is_what_update_writes():
     assert engine_corpus_text(json.loads(text)["campaigns"]) == text
 
 
-def test_engine_corpus_mismatch_names_campaign_seed_and_field(tmp_path):
+def test_engine_corpus_mismatch_names_campaign_seed_and_field():
     committed = (GOLDEN_DIR / ENGINE_CORPUS_FILE).read_text(encoding="utf-8")
-    campaigns = json.loads(committed)["campaigns"]
+    actual = json.loads(committed)["campaigns"]
+    expected = json.loads(committed)["campaigns"]
     name = "--cases 200 --seed 2 --faults sim"
-    victim = campaigns[name][7]
+    victim = expected[name][7]
     victim["spans"] = "0" * 16
-    path = tmp_path / ENGINE_CORPUS_FILE
-    path.write_text(engine_corpus_text(campaigns), encoding="utf-8")
-    report = check_engine_corpus(path)
-    assert report is not None
-    assert f"campaign {name!r}, case seed {victim['seed']}: spans" in report
-    assert "1 place(s)" in report
+    assert corpus_divergence(expected, actual) == [
+        f"campaign {name!r}, case seed {victim['seed']}: spans "
+        f"{'0' * 16} != {actual[name][7]['spans']}"
+    ]
+    del expected[name][-1]
+    assert corpus_divergence(expected, actual)[0] == (
+        f"campaign {name!r}: 199 frozen cases, 200 generated"
+    )
 
 
 def test_check_golden_flags_tampered_file(tmp_path):
@@ -99,6 +103,7 @@ def test_check_golden_flags_tampered_file(tmp_path):
         (GOLDEN_DIR / ENGINE_CORPUS_FILE).read_text(encoding="utf-8"),
         encoding="utf-8",
     )
+    assert check_golden(tmp_path) == {}
     # tamper: flip one record's tid
     victim = tmp_path / "aid_static.jsonl"
     lines = victim.read_text(encoding="utf-8").splitlines()
