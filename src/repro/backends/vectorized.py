@@ -237,7 +237,9 @@ def slot_engine(executor, req: LoopRunRequest, drain: bool):
 
     # The integrated pool drain: legal only when the scheduler declares
     # a pure fixed-chunk drain, no conformance recorder needs the real
-    # work-share call sites and no fault can cut a chunk.
+    # work-share call sites and no fault can cut a chunk. The drain then
+    # owns the slots, and a local copy of their seq counter, to the end
+    # of the run.
     adv = (
         scheduler.advancement()
         if drain and check is None and fault is None
@@ -258,7 +260,6 @@ def slot_engine(executor, req: LoopRunRequest, drain: bool):
         )
 
     times, seqs, active = slots.times, slots.seqs, slots.active
-    seq = slots.seq
     n_fire = len(firings)
     fi = 0
     fire_t = firings[0][0] if firings else math.inf
@@ -366,9 +367,11 @@ def slot_engine(executor, req: LoopRunRequest, drain: bool):
             log.append(
                 (tid, now, overhead_dt, ws.remaining, lo, hi, compute_dt)
             )
+        # Slots.push inlined: the slot is already active, and its seq
+        # comes from the one counter every push draws from.
         times[tid] = t_done
-        seqs[tid] = seq
-        seq += 1
+        seqs[tid] = slots.seq
+        slots.seq += 1
 
     return finish_run(
         executor, req, setup,

@@ -1,5 +1,6 @@
 """Edge cases of the simulation core: zero-length chunks, simultaneous
-event ties, and fault windows landing exactly on chunk boundaries.
+event ties, fault windows landing exactly on chunk boundaries, and the
+event budget that stops a livelocked scheduler.
 
 These are the boundaries where the slot engine's stepped path
 (``reference``) and its closed-form pool drain (``vectorized``) could
@@ -17,11 +18,12 @@ from repro.amp.presets import odroid_xu4
 from repro.backends.vectorized import Slots
 from repro.check.backend_diff import decision_bytes, result_key
 from repro.check.generators import preset_platform, run_loop
-from repro.errors import WorkShareError
+from repro.errors import SimulationError, WorkShareError
 from repro.faults.engine import SimFaultEngine
 from repro.faults.model import plan_from_tuples
 from repro.obs import NULL_OBS, Observability
 from repro.runtime.workshare import WorkShare
+from repro.sched.base import LoopScheduler, ScheduleSpec
 from repro.sched.registry import parse_schedule
 from repro.tracing.trace import ThreadState, TraceRecorder
 
@@ -192,6 +194,45 @@ class TestSimultaneousEventTies:
         online()
         assert slots.active[0] and (slots.times[0], slots.seqs[0]) == queued
 
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_retimed_completion_fires_last_end_to_end(self, backend):
+        # Rule 1 through the whole engine. dual:1:1 maps thread 0 to
+        # the big core (CPU 1, rate 2) and thread 1 to the small one
+        # (CPU 0, rate 1); dynamic,4 hands out [0, 4) then [4, 8). At
+        # t=0 thread 0 starts 4 units at half speed (due at 4.0) and
+        # thread 1 starts 2.5 units (due at 2.5). The throttle lifts at
+        # 1.0 with one unit done, re-timing thread 0 to exactly 2.5,
+        # behind thread 1's completion: thread 1 finishes first and
+        # takes [8, 12) before thread 0 takes [12, 16).
+        costs = np.array([1.0] * 4 + [0.625] * 4 + [1.0] * 8)
+        plan = plan_from_tuples((("throttle", 1, 0.0, 1.0, 0.5),))
+        r = run_loop(
+            preset_platform("dual:1:1"), parse_schedule("dynamic,4"),
+            n_iterations=16, costs=costs, faults=plan, backend=backend,
+        )
+        assert r.ranges == [(1, 4, 8), (0, 0, 4), (0, 12, 16), (1, 8, 12)]
+        assert r.finish_times == [4.5, 6.5]
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_redispatch_fires_last_end_to_end(self, backend):
+        # Rule 2 through the whole engine, on the same threads with unit
+        # costs. At 2.0 thread 0 completes [0, 4) just as a throttle on
+        # thread 1's core begins. The firing goes first: it cuts thread
+        # 1's [4, 8) after two iterations, requeues [6, 8) and queues
+        # thread 1's redispatch at 2.0. Thread 0's completion then
+        # queues its redispatch behind it, so thread 1 takes the
+        # requeued [6, 8) and thread 0 takes [8, 12).
+        plan = plan_from_tuples((("throttle", 0, 2.0, 3.0, 0.5),))
+        r = run_loop(
+            preset_platform("dual:1:1"), parse_schedule("dynamic,4"),
+            n_iterations=16, costs=np.full(16, 1.0), faults=plan,
+            backend=backend,
+        )
+        assert r.ranges == [
+            (1, 4, 6), (0, 0, 4), (0, 8, 12), (1, 6, 8), (0, 12, 16),
+        ]
+        assert r.finish_times == [6.0, 4.5]
+
     def test_tied_dispatches_are_deterministic_and_backend_identical(self):
         # Uniform costs on a flat dual:2:2 platform make same-type
         # threads finish chunks at exactly equal times; tie-breaking
@@ -283,3 +324,38 @@ class TestFaultBoundaryOnChunkBoundary:
         )
         assert sum(ref.iterations) == ni
         assert result_key(ref) == result_key(vec)
+
+
+# -- event budget -------------------------------------------------------------
+
+
+class _EmptyRanges(LoopScheduler):
+    """Hands every thread the empty range ``(0, 0)``, forever."""
+
+    def next_range(self, tid, now):
+        return (0, 0)
+
+
+class _EmptyRangesSpec(ScheduleSpec):
+    name = "empty-ranges"
+
+    def create(self, ctx):
+        return _EmptyRanges(ctx)
+
+
+class TestEventBudget:
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("faulted", [False, True])
+    def test_livelocked_scheduler_exceeds_the_budget(self, backend, faulted):
+        # The pool never drains and, with zero overheads, virtual time
+        # never advances: only the event budget ends the run. A faulted
+        # run spends two events per chunk and gets a larger budget.
+        plan = (
+            plan_from_tuples((("throttle", 0, 0.0, 1.0, 0.5),))
+            if faulted else None
+        )
+        with pytest.raises(SimulationError, match="exceeded"):
+            run_loop(
+                preset_platform("dual:1:1"), _EmptyRangesSpec(),
+                n_iterations=8, faults=plan, backend=backend,
+            )
