@@ -21,12 +21,13 @@ counterexample is a tiny, replayable case, not a 500-iteration
 haystack.
 
 Cases with fault plans never take the drain, so under ``--faults sim``
-both names step the same events; that campaign guards the fault path's
-determinism, and :mod:`repro.check.golden`'s engine corpus ties both
-campaigns to the event-heap simulator the slot engine replaced. CI
-runs ``python -m repro.check backends`` with and without ``--faults
-sim`` (200 cases each) and uploads the shrunk counterexamples on
-failure.
+both names step the same events and the campaign checks only run-to-run
+determinism. CI therefore runs ``python -m repro.check backends --cases
+200 --seed 1`` alone and uploads the shrunk counterexamples on failure;
+:mod:`repro.check.golden`'s engine corpus ties both that campaign and
+``--cases 200 --seed 2 --faults sim`` to the event-heap simulator the
+slot engine replaced, and the fault-plan conformance fuzz
+(``python -m repro.check fuzz --faults sim``) covers the fault path.
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@ Subcommands:
 * ``backends`` — differential fuzzing of the vectorized execution
   backend against the reference simulator: every case must produce a
   byte-identical decision log and loop result (CI acceptance:
-  ``backends --cases 200`` with and without ``--faults sim``);
+  ``backends --cases 200 --seed 1``; faulted cases never take the
+  drain, so the ``--faults sim`` campaign is pinned by ``golden``'s
+  engine corpus instead);
 * ``verify`` — structural validation of an on-disk result payload
   (obs snapshot or experiment grid JSON);
 * ``diff`` — differential run of one loop through every variant plus

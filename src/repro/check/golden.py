@@ -14,9 +14,9 @@ jitter) and all arithmetic is plain IEEE doubles — the JSONL is
 reproducible across machines.
 
 Next to the logs sits the *engine corpus*, ``engine_corpus.json``: for
-every case of the two CI backend-diff campaigns
-(``backends --cases 200 --seed 1`` and ``--cases 200 --seed 2 --faults
-sim``), a short SHA-256 of each field
+every case of two backend-diff campaigns (CI's ``backends --cases 200
+--seed 1``, and ``--cases 200 --seed 2 --faults sim``, which CI checks
+only here), a short SHA-256 of each field
 :func:`repro.check.backend_diff.observe_case` returns on the
 ``reference`` backend — the result key, the decision log, the metrics
 JSON, the span document and the trace intervals. It ties the simulated

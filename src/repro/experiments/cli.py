@@ -77,12 +77,6 @@ def main(argv: list[str] | None = None) -> int:
         help="execution backend for every simulated loop (reference, "
         "vectorized, real; default: $REPRO_BACKEND, then reference)",
     )
-    parser.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="journal sweep progress to this JSONL file (fleet grid "
-        "experiments only); a killed run resumes from acknowledged work "
-        "when pointed at the same journal and cache",
-    )
     args = parser.parse_args(argv)
 
     if args.backend is not None:
@@ -112,34 +106,20 @@ def main(argv: list[str] | None = None) -> int:
         print(f"unknown experiments: {unknown}", file=sys.stderr)
         print(f"available: {', '.join(EXPERIMENTS)}", file=sys.stderr)
         return 2
-    # Fleet kwargs are passed only when explicitly requested, keeping the
-    # historical run(seed=...) call shape for defaults and for the serial
-    # experiments.
-    fleet_kwargs: dict = {}
-    if args.jobs != 1:
-        fleet_kwargs["jobs"] = args.jobs
-    checkpoint = None
-    if args.checkpoint is not None:
-        from repro.fleet.checkpoint import SweepCheckpoint
-
-        checkpoint = SweepCheckpoint(args.checkpoint)
-        checkpoint.begin(
-            {"tool": "experiments", "names": names, "seed": args.seed}
-        )
-        fleet_kwargs["checkpoint"] = checkpoint
     for name in names:
         module, desc = EXPERIMENTS[name]
         t0 = time.perf_counter()
-        if name in SUPPORTS_JOBS and fleet_kwargs:
-            result = module.run(seed=args.seed, **fleet_kwargs)
+        # ``jobs`` is passed only when explicitly requested, keeping the
+        # historical run(seed=...) call shape for defaults and for the
+        # serial experiments.
+        if name in SUPPORTS_JOBS and args.jobs != 1:
+            result = module.run(seed=args.seed, jobs=args.jobs)
         else:
             result = module.run(seed=args.seed)
         elapsed = time.perf_counter() - t0
         print(f"{'=' * 72}\n{name}: {desc}  [{elapsed:.1f}s]\n{'=' * 72}")
         print(module.format_report(result))
         print()
-    if checkpoint is not None:
-        checkpoint.finish()
     return 0
 
 

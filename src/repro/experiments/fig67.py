@@ -27,18 +27,13 @@ def run(
     cache=None,
     timeout=None,
     progress=None,
-    checkpoint=None,
 ) -> Fig67Result:
     """Run both grids (Fig. 6: Platform A, Fig. 7: Platform B).
 
     ``jobs``/``cache``/``timeout``/``progress`` route the cells through
     the :mod:`repro.fleet` pool; results are identical to serial runs.
-    ``checkpoint`` journals cell completion for resumable sweeps.
     """
-    fleet = dict(
-        jobs=jobs, cache=cache, timeout=timeout, progress=progress,
-        checkpoint=checkpoint,
-    )
+    fleet = dict(jobs=jobs, cache=cache, timeout=timeout, progress=progress)
     return Fig67Result(
         platform_a=run_grid(
             odroid_xu4(), programs=programs, root_seed=seed, **fleet

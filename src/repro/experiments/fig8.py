@@ -84,7 +84,6 @@ def run(
     cache=None,
     timeout=None,
     progress=None,
-    checkpoint=None,
 ) -> Fig8Result:
     platform = platform if platform is not None else odroid_xu4()
     grid = run_grid(
@@ -96,7 +95,6 @@ def run(
         cache=cache,
         timeout=timeout,
         progress=progress,
-        checkpoint=checkpoint,
     )
     norm = grid.normalized("static(SB)")
     best_gain = {}

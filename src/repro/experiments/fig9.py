@@ -68,7 +68,6 @@ def run(
     cache=None,
     timeout=None,
     progress=None,
-    checkpoint=None,
 ) -> Fig9Result:
     if platforms is None:
         platforms = (odroid_xu4(), xeon_emulated())
@@ -112,7 +111,6 @@ def run(
             FleetConfig(jobs=jobs, timeout=timeout),
             cache=cache,
             progress=progress,
-            checkpoint=checkpoint,
         )
     )
     it = iter(outcomes)

@@ -272,10 +272,10 @@ def run_grid(
     one labeled span tree per cell, byte-identically across worker
     counts and cache states. ``checkpoint`` (a
     :class:`~repro.fleet.checkpoint.SweepCheckpoint`) journals the
-    grid's digest plan and every terminal cell state so a killed sweep
-    resumes from acknowledged work, and ``dispatcher`` forces the tier
-    the cells start on (``process`` or ``inline``; default: ``process``
-    when ``jobs > 1``).
+    grid's digest plan and its failed or poisoned cells; with ``cache``,
+    a killed sweep resumes from the entries it wrote. ``dispatcher``
+    forces the tier the cells start on (``process`` or ``inline``;
+    default: ``process`` when ``jobs > 1``).
     ``supervisor`` (a :class:`~repro.fleet.supervisor.Supervisor`)
     shares hang-detection, poison-quarantine and circuit-breaker state
     across grids — the CLI passes one per invocation so a breaker

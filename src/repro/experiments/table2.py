@@ -55,7 +55,6 @@ def run(
     cache=None,
     timeout=None,
     progress=None,
-    checkpoint=None,
 ) -> Table2Result:
     """Aggregate Table 2 from the Fig. 6/7 grids (re-running if needed).
 
@@ -63,8 +62,7 @@ def run(
     regeneration right after a fleet-cached Fig. 6/7 run costs nothing.
     """
     fig67 = fig67 if fig67 is not None else run_fig67(
-        seed=seed, jobs=jobs, cache=cache, timeout=timeout,
-        progress=progress, checkpoint=checkpoint,
+        seed=seed, jobs=jobs, cache=cache, timeout=timeout, progress=progress
     )
     return Table2Result(
         gains={

@@ -15,8 +15,10 @@ costs. This subsystem turns the serial
 * :mod:`~repro.fleet.scrub` — :func:`scrub_cache`, the cache's fsck:
   verify every entry, quarantine corruption, repair the manifest;
 * :mod:`~repro.fleet.checkpoint` — :class:`SweepCheckpoint`, an
-  append-only JSONL journal making sweeps resumable after a crash
-  (``python -m repro.fleet --resume``);
+  append-only JSONL journal of a sweep's plans and failed cells; with
+  the cache, whose entries are the only record of finished cells, it
+  makes sweeps resumable after a crash (``python -m repro.fleet
+  --resume``);
 * :mod:`~repro.fleet.pool` — :func:`run_jobs`: process-pool execution
   with LPT (longest-first) dispatch, per-job timeouts, bounded retry
   with backoff, broken-pool recovery, and graceful degradation to

@@ -5,7 +5,9 @@ Layout (under ``.fleet-cache/`` or ``$FLEET_CACHE_DIR``)::
     <root>/
       manifest.json               versioned layout manifest
       durations.json              coarse per-(program, schedule, platform)
-                                  wall-time estimates feeding LPT ordering
+                                  wall-time estimates feeding LPT ordering,
+                                  written once per run_jobs batch
+      checkpoint.jsonl            the fleet CLI's sweep journal
       ab/abcdef...json            one JSON document per cached result,
                                   sharded by the first two digest hexits
       ab/abcdef...json.corrupt    quarantined bad bytes, kept aside
@@ -50,7 +52,9 @@ Writes are crash-atomic (fsynced ``tmp-<pid>`` sibling + ``os.replace``)
 so even a SIGKILLed coordinator never leaves a half-written entry under
 a live name — at worst a stale tmp file the scrub prunes — and all
 cache I/O happens in the coordinating parent process — worker processes
-only compute.
+only compute. An entry is the sweep's only per-job record that a job
+finished: :meth:`~repro.fleet.checkpoint.SweepCheckpoint.load` counts a
+planned digest as done when its entry file exists.
 
 """
 
@@ -315,20 +319,21 @@ class ResultCache:
         return dict(sorted(self._load_durations().items()))
 
     def note_duration(self, spec: JobSpec, duration: float) -> None:
-        """Update the duration estimate for a job shape (EWMA so one
-        noisy run does not dominate the LPT order) and flush it: the
-        table drives hang detection, so every update is made durable."""
+        """Update the in-memory duration estimate for a job shape (EWMA
+        so one noisy run does not dominate the LPT order); :meth:`flush`
+        makes it durable."""
         durations = self._load_durations()
         prev = durations.get(spec.profile_key)
         durations[spec.profile_key] = (
             duration if prev is None else 0.5 * prev + 0.5 * duration
         )
         self._durations_dirty = True
-        self.flush()
 
     def flush(self) -> None:
         """Write the duration table if it changed since the last flush;
-        the only writer of ``durations.json``."""
+        the only writer of ``durations.json``. ``run_jobs`` calls it once
+        per batch: a killed batch loses only estimates of cells whose
+        entries a resume replays, never a result."""
         if not self._durations_dirty:
             return
         self._write_atomic(

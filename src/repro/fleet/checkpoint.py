@@ -2,27 +2,30 @@
 
 A paper-scale sweep is thousands of independent jobs; a killed process
 must not cost the completed ones. The content-addressed cache already
-preserves every finished *result* — what it cannot answer is "which
-sweep was running, over which jobs, and how far did it get?". The
-:class:`SweepCheckpoint` journal records exactly that:
+records every finished job — its entry is written the moment the job
+completes, and nothing else is. What the cache cannot answer is "which
+sweep was running, over which jobs, and why did some of them fail?".
+The :class:`SweepCheckpoint` journal records exactly that:
 
 * ``begin`` — sweep metadata (grid names, seed, backend, worker count),
   written once per CLI invocation so ``python -m repro.fleet --resume``
   can reconstruct the command;
 * ``plan`` — the digest universe of one ``run_jobs`` batch;
-* ``job`` — one digest transitioning to ``done`` (computed or replayed
-  from cache), ``failed`` (retries exhausted) or ``poisoned``
-  (quarantined by the supervisor: its failures repeatedly broke the
-  worker pool); failure records carry the last error reason, so a
-  resume can print *why* each cell failed, not just that it did;
+* ``job`` — one digest that ended ``failed`` (retries exhausted) or
+  ``poisoned`` (quarantined by the supervisor: its failures repeatedly
+  broke the worker pool), with the last error reason, so a resume can
+  print *why* each cell failed, not just that it did;
 * ``end`` — the sweep completed.
+
+Finished jobs get no record: :meth:`SweepCheckpoint.load` derives
+``done`` by checking the plan against the cache, so the fact "this cell
+finished" lives in one place.
 
 The journal is **append-only JSONL, flushed and fsynced per record**: a
 SIGKILL can tear at most the final line, and :meth:`SweepCheckpoint.load`
 tolerates a torn tail. On resume the journal simply grows — a second
-``begin`` with the same metadata, fresh ``job`` records for the cells
-the resumed sweep resolves (the already-done ones as instant cache
-hits) — so the file is a complete, replayable history of the sweep.
+``begin`` with the same metadata, the same plans again, fresh failure
+records — so the file is the sweep's history.
 
 Determinism contract: a checkpoint changes *what is recomputed*, never
 what is computed. A killed-and-resumed sweep produces byte-identical
@@ -48,6 +51,9 @@ CHECKPOINT_SCHEMA = "repro.fleet.checkpoint/v1"
 #: Default journal file name, beside the cache's manifest.
 DEFAULT_NAME = "checkpoint.jsonl"
 
+#: The terminal states a ``job`` record carries.
+STATUSES = ("failed", "poisoned")
+
 
 @dataclass
 class CheckpointState:
@@ -56,17 +62,13 @@ class CheckpointState:
     path: str
     meta: dict = field(default_factory=dict)  #: last ``begin``'s metadata
     planned: tuple[str, ...] = ()  #: digest universe (union of plans)
-    statuses: dict[str, str] = field(default_factory=dict)
+    done: tuple[str, ...] = ()  #: planned digests with a cache entry
+    statuses: dict[str, str] = field(default_factory=dict)  #: digest ->
+    #: last recorded status, for digests that are not done
     errors: dict[str, str] = field(default_factory=dict)  #: digest -> last
     #: recorded failure/quarantine reason
     ended: bool = False  #: an ``end`` record follows the last ``begin``
     torn_lines: int = 0  #: unparseable (crash-torn) lines skipped
-
-    @property
-    def done(self) -> tuple[str, ...]:
-        return tuple(
-            d for d in self.planned if self.statuses.get(d) == "done"
-        )
 
     @property
     def failed(self) -> tuple[str, ...]:
@@ -84,9 +86,10 @@ class CheckpointState:
     def pending(self) -> tuple[str, ...]:
         # Failed cells stay pending (a resume retries them); poisoned
         # cells do not — quarantine means "stop feeding this job pools".
+        done = set(self.done)
         return tuple(
             d for d in self.planned
-            if self.statuses.get(d) not in ("done", "poisoned")
+            if d not in done and self.statuses.get(d) != "poisoned"
         )
 
     def summary(self) -> dict:
@@ -105,7 +108,7 @@ class CheckpointState:
         rows = []
         for digest in self.planned:
             status = self.statuses.get(digest)
-            if status not in ("failed", "poisoned"):
+            if status is None:
                 continue
             reason = self.errors.get(digest, "(no reason recorded)")
             rows.append(f"  {digest[:12]}  {status:<9s} {reason}")
@@ -136,22 +139,14 @@ class SweepCheckpoint:
         self._append({"event": "plan", "digests": list(digests)})
 
     def record(
-        self,
-        digest: str,
-        status: str,
-        *,
-        cached: bool = False,
-        error: str | None = None,
+        self, digest: str, status: str, *, error: str | None = None
     ) -> None:
-        """Journal one job's terminal state for this sweep."""
-        if status not in ("done", "failed", "poisoned"):
+        """Journal one job that ended unfinished for this sweep."""
+        if status not in STATUSES:
             raise FleetError(
-                "checkpoint status must be done, failed or poisoned, "
-                f"got {status!r}"
+                f"checkpoint status must be failed or poisoned, got {status!r}"
             )
         rec: dict = {"event": "job", "digest": digest, "status": status}
-        if cached:
-            rec["cached"] = True
         if error is not None:
             rec["error"] = error
         self._append(rec)
@@ -170,7 +165,7 @@ class SweepCheckpoint:
 
     def _append(self, rec: Mapping) -> None:
         """One record, durably: flush + fsync so a SIGKILL immediately
-        after a ``job`` record cannot lose it."""
+        after a record cannot lose it."""
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = self.path.open("a", encoding="utf-8")
@@ -181,8 +176,15 @@ class SweepCheckpoint:
     # -- reading -----------------------------------------------------------
 
     @classmethod
-    def load(cls, path: str | Path) -> CheckpointState:
+    def load(cls, path: str | Path, cache=None) -> CheckpointState:
         """Fold the journal into a :class:`CheckpointState`.
+
+        A planned digest is done when ``cache`` (a
+        :class:`~repro.fleet.cache.ResultCache`) holds an entry file for
+        it, whatever the journal says; with no cache, nothing is done.
+        The resumed sweep's own ``get`` still validates each entry.
+        ``job`` records with a status other than ``failed`` or
+        ``poisoned`` are skipped.
 
         Tolerant by design: a torn final line (the record a crash
         interrupted mid-write) is skipped and counted, never fatal.
@@ -195,8 +197,7 @@ class SweepCheckpoint:
         except OSError as exc:
             raise FleetError(f"no checkpoint journal at {path}: {exc}") from exc
         state = CheckpointState(path=str(path))
-        planned: list[str] = []
-        seen: set[str] = set()
+        planned: dict[str, None] = {}
         for line in text.splitlines():
             if not line.strip():
                 continue
@@ -214,25 +215,19 @@ class SweepCheckpoint:
                 state.meta = dict(meta) if isinstance(meta, Mapping) else {}
                 state.ended = False
             elif event == "plan":
-                for digest in rec.get("digests", []):
-                    digest = str(digest)
-                    if digest not in seen:
-                        seen.add(digest)
-                        planned.append(digest)
-            elif event == "job":
+                planned.update(dict.fromkeys(map(str, rec.get("digests", []))))
+            elif event == "job" and rec.get("status") in STATUSES:
                 digest = str(rec.get("digest", ""))
-                status = str(rec.get("status", ""))
-                if digest and status in ("done", "failed", "poisoned"):
-                    if digest not in seen:
-                        seen.add(digest)
-                        planned.append(digest)
-                    # done is sticky: a later failed retry of an
-                    # already-done digest cannot un-finish it.
-                    if state.statuses.get(digest) != "done":
-                        state.statuses[digest] = status
-                    if status != "done" and "error" in rec:
-                        state.errors[digest] = str(rec["error"])
+                state.statuses[digest] = rec["status"]
+                if "error" in rec:
+                    state.errors[digest] = str(rec["error"])
             elif event == "end":
                 state.ended = True
         state.planned = tuple(planned)
+        if cache is not None:
+            state.done = tuple(
+                d for d in state.planned if cache.path_for(d).is_file()
+            )
+        for digest in state.done:
+            state.statuses.pop(digest, None)
         return state

@@ -26,15 +26,15 @@ record (cache-hit rate, runtime-overhead seconds, wall clock) to the
 perf observatory history.
 
 **Resumable sweeps.** Whenever the cache is enabled, the run journals
-its plan and every terminal job state to ``checkpoint.jsonl`` beside the
-cache (``--checkpoint`` points it elsewhere; ``--no-cache`` disables it
-unless ``--checkpoint`` is explicit). After a crash or SIGKILL,
-``--resume`` reloads the journal, reconstructs the sweep (grids, seed,
-backend) from its ``begin`` metadata, and reruns it — completed cells
-replay instantly from the cache, so only unacknowledged work is
-recomputed, and the resumed sweep's grid tables and merged obs snapshot
-are byte-identical to an uninterrupted run (modulo cache-temperature
-counters).
+its plans and its failed or poisoned cells to ``checkpoint.jsonl`` in
+the cache directory; ``--no-cache`` writes no journal. A finished cell's
+only record is its cache entry. After a crash or SIGKILL, ``--resume``
+reloads the journal, counts as done every planned cell with an entry,
+reconstructs the sweep (grids, seed, backend) from its ``begin``
+metadata, and reruns it — completed cells replay instantly from the
+cache, so only unacknowledged work is recomputed, and the resumed
+sweep's grid tables and merged obs snapshot are byte-identical to an
+uninterrupted run (modulo cache-temperature counters).
 
 **Maintenance.** ``scrub`` fsck's the cache: verifies every entry's
 name, shard placement, schema and digests, quarantines corruption and
@@ -73,7 +73,7 @@ from pathlib import Path
 
 from repro.errors import ReproError
 from repro.fleet.cache import ResultCache
-from repro.fleet.checkpoint import SweepCheckpoint
+from repro.fleet.checkpoint import DEFAULT_NAME, SweepCheckpoint
 from repro.fleet.progress import FleetProgress
 
 
@@ -186,14 +186,8 @@ def main(argv: list[str] | None = None) -> int:
         ".fleet-cache)",
     )
     parser.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="sweep checkpoint journal (default: checkpoint.jsonl beside "
-        "the cache when caching is on; with --no-cache, no journal "
-        "unless this flag is given)",
-    )
-    parser.add_argument(
         "--resume", action="store_true",
-        help="resume the sweep recorded in the checkpoint journal: grid "
+        help="resume the sweep journaled in the cache directory: grid "
         "names, seed and backend come from the journal unless given "
         "explicitly; completed cells replay from the cache",
     )
@@ -274,23 +268,21 @@ def main(argv: list[str] | None = None) -> int:
     if args.names == ["chaos"]:
         return _run_chaos(args)
 
-    # Resolve the checkpoint journal: beside the cache by default, an
-    # explicit --checkpoint anywhere, no journal only when both are off.
-    checkpoint_path = args.checkpoint
-    if checkpoint_path is None and cache is not None:
-        checkpoint_path = str(cache.root / "checkpoint.jsonl")
+    # The journal lives in the cache directory: without a cache a resume
+    # could count nothing as done, so there is no journal.
+    checkpoint_path = None if cache is None else cache.root / DEFAULT_NAME
 
     backend_arg = args.backend
     seed = args.seed
     if args.resume:
-        if checkpoint_path is None:
+        if cache is None:
             print(
-                "error: --resume needs a checkpoint journal "
-                "(--checkpoint, or drop --no-cache)", file=sys.stderr,
+                "error: --resume needs the result cache that holds the "
+                "sweep's finished cells (drop --no-cache)", file=sys.stderr,
             )
             return 2
         try:
-            state = SweepCheckpoint.load(checkpoint_path)
+            state = SweepCheckpoint.load(checkpoint_path, cache)
         except ReproError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -344,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     checkpoint = None
-    if checkpoint_path is not None:
+    if cache is not None:
         checkpoint = SweepCheckpoint(checkpoint_path)
         checkpoint.begin(
             {

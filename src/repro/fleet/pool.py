@@ -55,17 +55,17 @@ exact equality, not tolerances — including under every injected fault
 of the chaos harness (:mod:`repro.fleet.chaos`).
 
 Both tiers share this module's retry accounting and success recording,
-so the determinism contract (submission-order obs merge, cache writes
-before checkpoint records) holds whichever one runs the jobs.
+so the determinism contract (submission-order obs merge, a computed job
+acknowledged by its cache entry alone) holds whichever one runs the
+jobs.
 
 Fault injection (used by tests and the CI smoke job):
 ``REPRO_FLEET_KILL_AFTER=<n>`` SIGKILLs the *coordinating* process the
 moment the n-th computed (non-cached) job has been recorded — after its
-cache write and checkpoint record, the exact crash window the resume
-harness needs to be deterministic about. Worker crashes, stalls, cache
-I/O errors and pool-break storms come from seeded plans of
-:mod:`repro.fleet.chaos`, via ``$REPRO_FLEET_CHAOS`` or an in-process
-activation.
+cache write, the exact crash window the resume harness needs to be
+deterministic about. Worker crashes, stalls, cache I/O errors and
+pool-break storms come from seeded plans of :mod:`repro.fleet.chaos`,
+via ``$REPRO_FLEET_CHAOS`` or an in-process activation.
 """
 
 from __future__ import annotations
@@ -167,9 +167,9 @@ def _execute_spec(spec: JobSpec) -> JobResult:
 def _maybe_kill_coordinator() -> None:
     """Honour ``REPRO_FLEET_KILL_AFTER`` (crash-resume test harness).
 
-    Called after a computed job's cache write and checkpoint record —
-    the crash therefore never loses acknowledged work, which is exactly
-    the durability property the resume tests pin.
+    Called after a computed job's cache write — the entry that
+    acknowledges it — so the crash never loses acknowledged work, which
+    is exactly the durability property the resume tests pin.
     """
     raw = os.environ.get(KILL_AFTER_ENV)
     if not raw:
@@ -219,10 +219,13 @@ def run_jobs(
     input order.
 
     ``checkpoint`` (a :class:`~repro.fleet.checkpoint.SweepCheckpoint`)
-    journals the batch plan and every terminal job state — cache hits
-    and computed successes as ``done``, exhausted retries as ``failed``,
-    quarantined poison jobs as ``poisoned`` — durably enough that a
-    SIGKILLed sweep resumes from exactly the work it acknowledged.
+    journals the batch plan, exhausted retries as ``failed`` and
+    quarantined poison jobs as ``poisoned``, each with its reason. Cache
+    hits append nothing and a computed job's cache entry is its only
+    record, so a SIGKILLed sweep resumes from exactly the entries it
+    wrote. The cache's duration table is flushed once, after the batch;
+    an ``OSError`` there counts on ``fleet_cache_errors_total`` and
+    never fails the batch.
 
     ``supervisor`` (a :class:`~repro.fleet.supervisor.Supervisor`)
     carries hang detection, poison quarantine, circuit-breaker and
@@ -248,8 +251,6 @@ def run_jobs(
                 progress.cache_error(spec, "get", f"{exc}")
         if hit is not None:
             progress.cache_hit(spec)
-            if checkpoint is not None:
-                checkpoint.record(spec.key, "done", cached=True)
             outcomes[i] = FleetOutcome(
                 spec, hit, cached=True, attempts=0, mode="cache"
             )
@@ -301,7 +302,11 @@ def run_jobs(
     for outcome in ordered:
         if outcome.result is not None:
             progress.job_obs(outcome.spec, outcome.result)
-    if cache is not None:
+    if cache is not None and specs:
+        try:
+            cache.flush()
+        except OSError as exc:
+            progress.cache_error(specs[0], "flush", f"{exc}")
         progress.record_duration_estimates(cache, specs)
     return ordered
 
@@ -365,7 +370,7 @@ def _run_inline(
                 continue
             _record_success(
                 idx, spec, result, attempts, "inline", outcomes, cache,
-                progress, checkpoint, supervisor,
+                progress, supervisor,
             )
             break
 
@@ -606,8 +611,7 @@ def _run_pool(
                 else:
                     _record_success(
                         idx, specs[idx], result, attempts[idx] + 1,
-                        "process", outcomes, cache, progress, checkpoint,
-                        supervisor,
+                        "process", outcomes, cache, progress, supervisor,
                     )
             if broken:
                 # Every in-flight sibling died with the pool: requeue them
@@ -647,9 +651,11 @@ def _run_pool(
 
 
 def _record_success(
-    idx, spec, result, attempts, mode, outcomes, cache, progress,
-    checkpoint, supervisor,
+    idx, spec, result, attempts, mode, outcomes, cache, progress, supervisor,
 ) -> None:
+    """Acknowledge one computed job: its cache entry is the only durable
+    write (the duration estimate stays in memory until the batch's
+    flush), then the outcome, heartbeat and kill-after injection."""
     if cache is not None:
         try:
             cache.put(result)
@@ -658,8 +664,6 @@ def _record_success(
             # A failing cache directory costs a future recompute, never
             # the sweep: the result is still recorded and merged.
             progress.cache_error(spec, "put", f"{exc}")
-    if checkpoint is not None:
-        checkpoint.record(spec.key, "done")
     progress.job_completed(spec, duration=result.duration, attempts=attempts)
     outcomes[idx] = FleetOutcome(
         spec, result, cached=False, attempts=attempts, mode=mode
@@ -668,9 +672,9 @@ def _record_success(
     # breaker (consecutive-failure streak broken).
     supervisor.infra_success(mode)
     supervisor.tick()
-    # Crash-window injection: the job's cache entry and checkpoint record
-    # are durable by this point, so a SIGKILL here loses no acknowledged
-    # work — the property the resume harness asserts.
+    # Crash-window injection: the job's cache entry is durable by this
+    # point, so a SIGKILL here loses no acknowledged work — the property
+    # the resume harness asserts.
     _maybe_kill_coordinator()
 
 

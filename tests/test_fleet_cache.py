@@ -151,7 +151,8 @@ def test_duration_estimates_feed_lpt(tmp_path):
     assert cache.duration_estimate(spec) == 1.5
     # Seeds share a duration profile (same program/schedule/platform).
     assert cache.duration_estimate(make_spec(seed=9)) == 1.5
-    # And a fresh cache object reads it back from disk.
+    # And a fresh cache object reads it back from disk once flushed.
+    cache.flush()
     assert ResultCache(tmp_path).duration_estimate(spec) == 1.5
 
 

@@ -110,12 +110,15 @@ def test_process_dispatcher_retries_then_fails(small_specs):
 
 
 def test_process_dispatcher_journals_to_checkpoint(small_specs, tmp_path):
+    cache = ResultCache(tmp_path / "cache")
     cp = SweepCheckpoint(tmp_path / "cp.jsonl")
     cp.begin({})
-    run_jobs(small_specs, FleetConfig(jobs=2), checkpoint=cp)
+    run_jobs(small_specs, FleetConfig(jobs=2), cache=cache, checkpoint=cp)
     cp.close()
-    state = SweepCheckpoint.load(cp.path)
+    state = SweepCheckpoint.load(cp.path, cache)
+    assert state.planned == tuple(s.key for s in small_specs)
     assert set(state.done) == {s.key for s in small_specs}
+    assert '"job"' not in cp.path.read_text(encoding="utf-8")
 
 
 def test_dispatchers_share_one_cache(small_specs, tmp_path):

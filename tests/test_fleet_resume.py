@@ -22,6 +22,7 @@ from repro.fleet import (
     run_jobs,
 )
 from repro.fleet.checkpoint import CHECKPOINT_SCHEMA, SweepCheckpoint
+from repro.fleet.cli import main
 from repro.obs.merge import comparable_snapshot
 from repro.runtime.env import OmpEnv
 from repro.workloads.registry import get_program
@@ -48,24 +49,45 @@ def comparable_json(progress: FleetProgress) -> str:
 # -- journal unit behavior -------------------------------------------------
 
 
+def _entry(cache: ResultCache, digest: str) -> None:
+    """Stand-in cache entry: ``load`` checks only that the file exists
+    (the resumed sweep's own ``get`` validates its contents)."""
+    path = cache.path_for(digest)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("{}", encoding="utf-8")
+
+
+def _job_records(path: Path) -> list[dict]:
+    records = [
+        json.loads(line)
+        for line in path.read_text(encoding="utf-8").splitlines()
+    ]
+    return [r for r in records if r["event"] == "job"]
+
+
 def test_checkpoint_roundtrip(tmp_path):
     path = tmp_path / "cp.jsonl"
+    cache = ResultCache(tmp_path / "cache")
     cp = SweepCheckpoint(path)
     cp.begin({"tool": "test", "grids": ["smoke"], "seed": 7})
     cp.plan(["d1", "d2", "d3"])
-    cp.record("d1", "done")
     cp.record("d2", "failed", error="boom")
     cp.finish()
-    state = SweepCheckpoint.load(path)
+    _entry(cache, "d1")
+    state = SweepCheckpoint.load(path, cache)
     assert state.meta["grids"] == ["smoke"] and state.meta["seed"] == 7
     assert state.planned == ("d1", "d2", "d3")
     assert state.done == ("d1",)
     assert state.failed == ("d2",)
+    assert state.errors["d2"] == "boom"
     assert state.pending == ("d2", "d3")  # failed jobs rerun on resume
     assert state.ended
     assert state.torn_lines == 0
     first = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
     assert first["schema"] == CHECKPOINT_SCHEMA
+    # Without a cache nothing is done: the journal records no finished job.
+    bare = SweepCheckpoint.load(path)
+    assert bare.done == () and bare.pending == ("d1", "d2", "d3")
 
 
 def test_checkpoint_missing_journal_raises(tmp_path):
@@ -77,19 +99,24 @@ def test_checkpoint_rejects_unknown_status(tmp_path):
     cp = SweepCheckpoint(tmp_path / "cp.jsonl")
     with pytest.raises(FleetError):
         cp.record("d1", "maybe")
+    # A finished job's record is its cache entry, never a journal line.
+    with pytest.raises(FleetError):
+        cp.record("d1", "done")
+    assert not cp.path.exists()
 
 
 def test_checkpoint_tolerates_torn_tail(tmp_path):
     path = tmp_path / "cp.jsonl"
+    cache = ResultCache(tmp_path / "cache")
     cp = SweepCheckpoint(path)
     cp.begin({})
     cp.plan(["d1", "d2"])
-    cp.record("d1", "done")
     cp.close()
+    _entry(cache, "d1")
     # Simulate the record a SIGKILL interrupted mid-write.
     with path.open("a", encoding="utf-8") as fh:
         fh.write('{"event": "job", "digest": "d2", "sta')
-    state = SweepCheckpoint.load(path)
+    state = SweepCheckpoint.load(path, cache)
     assert state.torn_lines == 1
     assert state.done == ("d1",)
     assert state.pending == ("d2",)
@@ -97,19 +124,27 @@ def test_checkpoint_tolerates_torn_tail(tmp_path):
 
 def test_checkpoint_done_is_sticky_and_plan_dedups(tmp_path):
     path = tmp_path / "cp.jsonl"
+    cache = ResultCache(tmp_path / "cache")
     cp = SweepCheckpoint(path)
     cp.begin({})
     cp.plan(["d1", "d2"])
-    cp.record("d1", "done")
     # A resumed sweep re-plans the same universe and may re-fail a
     # digest that an earlier pass already completed.
     cp.begin({})
     cp.plan(["d2", "d1", "d3"])
     cp.record("d1", "failed", error="later noise")
     cp.close()
-    state = SweepCheckpoint.load(path)
+    # A journal from before entries were the only record of finished
+    # jobs still loads: its ``done`` lines are skipped, and the cache
+    # decides.
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write('{"digest": "d2", "event": "job", "status": "done"}\n')
+    _entry(cache, "d1")
+    state = SweepCheckpoint.load(path, cache)
     assert state.planned == ("d1", "d2", "d3")
-    assert state.done == ("d1",)
+    assert state.done == ("d1",)  # an entry is done whatever the journal says
+    assert state.failed == ()
+    assert state.pending == ("d2", "d3")
     assert not state.ended
 
 
@@ -126,14 +161,16 @@ def small_specs():
 
 
 def test_run_jobs_journals_plan_and_done(small_specs, tmp_path):
+    cache = ResultCache(tmp_path / "cache")
     cp = SweepCheckpoint(tmp_path / "cp.jsonl")
     cp.begin({})
-    run_jobs(small_specs, FleetConfig(jobs=1), checkpoint=cp)
+    run_jobs(small_specs, FleetConfig(jobs=1), cache=cache, checkpoint=cp)
     cp.finish()
-    state = SweepCheckpoint.load(cp.path)
+    state = SweepCheckpoint.load(cp.path, cache)
     assert state.planned == tuple(s.key for s in small_specs)
     assert set(state.done) == {s.key for s in small_specs}
     assert state.ended
+    assert _job_records(cp.path) == []
 
 
 def test_run_jobs_journals_cache_hits_and_failures(small_specs, tmp_path):
@@ -154,17 +191,60 @@ def test_run_jobs_journals_cache_hits_and_failures(small_specs, tmp_path):
         checkpoint=cp,
     )
     cp.close()
-    state = SweepCheckpoint.load(cp.path)
+    state = SweepCheckpoint.load(cp.path, cache)
     assert set(state.done) == {s.key for s in small_specs}
     assert state.failed == (doomed.key,)
-    records = [
-        json.loads(line)
-        for line in cp.path.read_text(encoding="utf-8").splitlines()
-    ]
-    cached = [r for r in records if r.get("cached")]
-    assert {r["digest"] for r in cached} == {s.key for s in small_specs}
-    failed = [r for r in records if r.get("status") == "failed"]
-    assert failed and "ConfigError" in failed[0]["error"]
+    # Cache hits append nothing; the failure is the batch's only record.
+    (failed,) = _job_records(cp.path)
+    assert failed["digest"] == doomed.key and failed["status"] == "failed"
+    assert "ConfigError" in failed["error"]
+
+
+def test_clean_cached_batch_writes_entries_and_one_duration_table(
+    small_specs, tmp_path, monkeypatch
+):
+    """A computed job's only durable write is its cache entry: a clean
+    batch appends no ``job`` record and writes ``durations.json`` once."""
+    cache = ResultCache(tmp_path / "cache")
+    written: list[Path] = []
+    write_atomic = ResultCache._write_atomic
+
+    def counting(path, text):
+        written.append(path)
+        write_atomic(path, text)
+
+    monkeypatch.setattr(ResultCache, "_write_atomic", staticmethod(counting))
+    cp = SweepCheckpoint(tmp_path / "cp.jsonl")
+    cp.begin({})
+    progress = FleetProgress()
+    run_jobs(
+        small_specs, FleetConfig(jobs=1), cache=cache, progress=progress,
+        checkpoint=cp,
+    )
+    cp.close()
+    assert progress.count("fleet_jobs_computed") == len(small_specs)
+    assert _job_records(cp.path) == []
+    assert written.count(cache.durations_path) == 1
+    assert {cache.path_for(s.key) for s in small_specs} <= set(written)
+    fresh = ResultCache(tmp_path / "cache")
+    assert fresh.profile_estimates() == cache.profile_estimates()
+    assert all(fresh.duration_estimate(s) is not None for s in small_specs)
+
+
+def test_failed_duration_flush_is_a_cache_error(small_specs, tmp_path):
+    class FailingFlush(ResultCache):
+        def flush(self):
+            raise OSError("injected flush failure")
+
+    progress = FleetProgress()
+    outcomes = run_jobs(
+        small_specs, FleetConfig(jobs=1),
+        cache=FailingFlush(tmp_path / "cache"), progress=progress,
+    )
+    assert all(o.ok for o in outcomes)
+    assert progress.count("fleet_cache_errors_total") == 1
+    errors = [e for e in progress.events if e["event"] == "cache_error"]
+    assert [e["op"] for e in errors] == ["flush"]
 
 
 def test_resumed_grid_is_byte_identical_in_process(small_specs, tmp_path):
@@ -181,7 +261,7 @@ def test_resumed_grid_is_byte_identical_in_process(small_specs, tmp_path):
     )
 
     # "Crashed" sweep: only the first program's cells got computed (and
-    # acknowledged in cache + journal) before the coordinator died.
+    # acknowledged by their cache entries) before the coordinator died.
     cache = ResultCache(tmp_path / "cache")
     cp = SweepCheckpoint(tmp_path / "cp.jsonl")
     cp.begin({})
@@ -197,7 +277,7 @@ def test_resumed_grid_is_byte_identical_in_process(small_specs, tmp_path):
     )
     assert resumed.times == reference.times
     assert comparable_json(resumed_progress) == comparable_json(ref_progress)
-    state = SweepCheckpoint.load(cp.path)
+    state = SweepCheckpoint.load(cp.path, cache)
     assert set(state.done) == {
         s.key for s in grid_specs(platform, programs, configs)
     }
@@ -254,8 +334,9 @@ def test_sigkilled_sweep_resumes_byte_identical(tmp_path, kill_after):
     )
     assert killed.returncode in (-signal.SIGKILL, 128 + signal.SIGKILL)
 
-    # The journal acknowledged exactly the computed jobs, durably.
-    state = SweepCheckpoint.load(cache_dir / "checkpoint.jsonl")
+    # The cache acknowledged exactly the computed jobs, durably.
+    cache = ResultCache(cache_dir)
+    state = SweepCheckpoint.load(cache_dir / "checkpoint.jsonl", cache)
     assert len(state.done) == kill_after
     assert len(state.pending) == len(state.planned) - kill_after
     assert not state.ended
@@ -288,8 +369,8 @@ def test_sigkilled_sweep_resumes_byte_identical(tmp_path, kill_after):
         docs.append(json.dumps(doc, sort_keys=True))
     assert docs[0] == docs[1]
 
-    # Property 3: the journal now shows the whole sweep acknowledged.
-    state = SweepCheckpoint.load(cache_dir / "checkpoint.jsonl")
+    # Property 3: the cache now holds the whole planned sweep.
+    state = SweepCheckpoint.load(cache_dir / "checkpoint.jsonl", cache)
     assert len(state.done) == len(state.planned)
     assert state.ended
 
@@ -301,3 +382,39 @@ def test_resume_without_journal_fails_cleanly(tmp_path):
     )
     assert res.returncode == 2
     assert "no checkpoint journal" in res.stderr
+
+
+def test_resume_without_cache_fails_cleanly(tmp_path, capsys):
+    """The journal counts a cell done by its cache entry, so a resume
+    without the cache has nothing to go on."""
+    assert main(["--resume", "--no-cache"]) == 2
+    err = capsys.readouterr().err
+    assert "cache" in err and "--checkpoint" not in err
+    with pytest.raises(SystemExit) as exc:
+        main(["smoke", "--checkpoint", str(tmp_path / "cp.jsonl")])
+    assert exc.value.code == 2
+
+
+def test_deleted_entry_is_pending_and_recomputed_on_resume(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    assert main(["smoke", "--cache-dir", str(cache_dir)]) == 0
+    cache = ResultCache(cache_dir)
+    journal = cache_dir / "checkpoint.jsonl"
+    state = SweepCheckpoint.load(journal, cache)
+    assert state.ended and state.pending == ()
+    lost = state.planned[3]
+    cache.path_for(lost).unlink()
+
+    state = SweepCheckpoint.load(journal, cache)
+    assert state.pending == (lost,)
+    assert len(state.done) == len(state.planned) - 1
+
+    summary = tmp_path / "resumed.json"
+    assert main([
+        "--resume", "--cache-dir", str(cache_dir),
+        "--summary-json", str(summary),
+    ]) == 0
+    assert "1 pending of 8 planned" in capsys.readouterr().out
+    doc = json.loads(summary.read_text(encoding="utf-8"))
+    assert doc["jobs_computed"] == 1 and doc["cache_hits"] == 7
+    assert SweepCheckpoint.load(journal, cache).pending == ()
