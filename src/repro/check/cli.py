@@ -19,7 +19,8 @@ Subcommands:
   catches it with a small shrunk reproducer (the CI smoke that proves
   the oracle has teeth);
 * ``golden`` — check or regenerate the per-variant golden decision
-  logs and the engine corpus under ``tests/golden/``.
+  logs, the engine corpus and the resilience sweep pin under
+  ``tests/golden/``.
 
 Exit status is 0 iff every requested check passed.
 """
@@ -222,8 +223,9 @@ def _cmd_golden(args: argparse.Namespace) -> int:
     problems = golden_mod.check_golden(directory)
     if not problems:
         print(
-            f"golden: all {len(golden_mod.GOLDEN_VARIANTS)} decision logs "
-            f"and the engine corpus match {directory}"
+            f"golden: all {len(golden_mod.GOLDEN_VARIANTS)} decision logs, "
+            f"the engine corpus and the resilience sweep pin match "
+            f"{directory}"
         )
         return 0
     for key, rendered in sorted(problems.items()):

@@ -24,7 +24,14 @@ engine to the outputs it produced when it was frozen, faulted runs
 included, so an engine rewrite that keeps both backends equal to each
 other still cannot drift from the old ground truth.
 
-Regenerate both deliberately with::
+The *resilience sweep pin*, ``resilience_sweep.json``, holds one SHA-256
+per root seed of the canonical-JSON payload of a small
+:func:`repro.experiments.resilience.sweep` (every AID variant, three
+fault intensities, seeded random fault plans). It pins the fault
+engine's end-to-end numbers — degradation and recovery per cell — the
+way the engine corpus pins single loops.
+
+Regenerate all of them deliberately with::
 
     python -m repro.check golden --update
 """
@@ -42,6 +49,7 @@ from repro.check.backend_diff import (
 )
 from repro.check.generators import preset_platform, run_loop
 from repro.check.recording import CheckContext
+from repro.obs.snapshot import canonical_json
 from repro.perfmodel.overhead import OverheadModel
 from repro.sched.registry import parse_schedule
 from repro.workloads.costmodels import RampCost
@@ -72,6 +80,14 @@ ENGINE_CAMPAIGNS: dict[str, tuple[int, int, str | None]] = {
 }
 #: The digested fields of one observation, in report order.
 ENGINE_FIELDS = ("result", "decisions", "metrics", "spans", "intervals")
+
+#: The resilience sweep pin: file name, schema, the sweep's size
+#: (``sweep(seeds=..., n_iterations=...)``) and the root seeds it runs at.
+SWEEP_PIN_FILE = "resilience_sweep.json"
+SWEEP_PIN_SCHEMA = "repro.check.resilience_sweep/v1"
+SWEEP_SEEDS = 2
+SWEEP_N_ITERATIONS = 1024
+SWEEP_ROOT_SEEDS = (0, 1)
 
 
 def run_golden(key: str) -> CheckContext:
@@ -226,19 +242,75 @@ def check_engine_corpus(path: Path) -> str | None:
     )
 
 
-def check_golden(directory: str | Path) -> dict[str, str]:
-    """Compare every golden file and the engine corpus against a fresh
-    run.
+def sweep_digests() -> dict[str, str]:
+    """Root seed (as a string) -> full SHA-256 of the canonical-JSON
+    resilience sweep payload."""
+    from repro.experiments.resilience import sweep
 
-    Returns a map of diverging keys (variant keys, or
-    :data:`ENGINE_CORPUS_FILE`) to rendered divergence reports (empty =
-    all match). Missing files count as divergences.
+    return {
+        str(seed): hashlib.sha256(
+            canonical_json(
+                sweep(
+                    seeds=SWEEP_SEEDS, n_iterations=SWEEP_N_ITERATIONS,
+                    root_seed=seed,
+                ).to_payload()
+            ).encode("utf-8")
+        ).hexdigest()
+        for seed in SWEEP_ROOT_SEEDS
+    }
+
+
+def sweep_pin_text(digests: dict[str, str]) -> str:
+    """The sweep pin file: the sweep's size and one digest per seed."""
+    doc = {
+        "schema": SWEEP_PIN_SCHEMA,
+        "seeds": SWEEP_SEEDS,
+        "n_iterations": SWEEP_N_ITERATIONS,
+        "digests": digests,
+    }
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def check_sweep_pin(path: Path) -> str | None:
+    """Compare the committed sweep pin with a fresh sweep; ``None`` =
+    match. A mismatch names each diverging root seed."""
+    if not path.exists():
+        return f"resilience sweep pin {path} missing; run --update"
+    expected = json.loads(path.read_text(encoding="utf-8"))["digests"]
+    actual = sweep_digests()
+    lines = [
+        f"root seed {seed}: payload digest {expected.get(seed)} != "
+        f"{actual.get(seed)}"
+        for seed in sorted(set(expected) | set(actual), key=int)
+        if expected.get(seed) != actual.get(seed)
+    ]
+    if not lines:
+        return None
+    return "\n".join(
+        [f"resilience sweep pin {path.name} diverged:"]
+        + lines
+        + ["if the change is intentional, regenerate with: "
+           "python -m repro.check golden --update"]
+    )
+
+
+def check_golden(directory: str | Path) -> dict[str, str]:
+    """Compare every golden file, the engine corpus and the resilience
+    sweep pin against a fresh run.
+
+    Returns a map of diverging keys (variant keys,
+    :data:`ENGINE_CORPUS_FILE` or :data:`SWEEP_PIN_FILE`) to rendered
+    divergence reports (empty = all match). Missing files count as
+    divergences.
     """
     directory = Path(directory)
     problems: dict[str, str] = {}
     corpus = check_engine_corpus(directory / ENGINE_CORPUS_FILE)
     if corpus is not None:
         problems[ENGINE_CORPUS_FILE] = corpus
+    pin = check_sweep_pin(directory / SWEEP_PIN_FILE)
+    if pin is not None:
+        problems[SWEEP_PIN_FILE] = pin
     for key in GOLDEN_VARIANTS:
         path = directory / f"{key}.jsonl"
         actual = golden_jsonl(key)
@@ -252,8 +324,8 @@ def check_golden(directory: str | Path) -> dict[str, str]:
 
 
 def update_golden(directory: str | Path) -> list[str]:
-    """(Re)write every golden file and the engine corpus; returns the
-    paths written."""
+    """(Re)write every golden file, the engine corpus and the sweep
+    pin; returns the paths written."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
@@ -263,5 +335,8 @@ def update_golden(directory: str | Path) -> list[str]:
         written.append(str(path))
     path = directory / ENGINE_CORPUS_FILE
     path.write_text(engine_corpus_text(engine_corpus()), encoding="utf-8")
+    written.append(str(path))
+    path = directory / SWEEP_PIN_FILE
+    path.write_text(sweep_pin_text(sweep_digests()), encoding="utf-8")
     written.append(str(path))
     return written

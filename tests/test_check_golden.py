@@ -4,8 +4,10 @@ Each AID variant's canonical run on the odroid preset must reproduce
 the committed decision log byte-for-byte. A digest change means the
 scheduler's decision sequence changed — fail with the oracle-rendered
 divergence. The engine corpus pins every case of the two CI
-backend-diff campaigns field by field. If a change is intentional,
-regenerate with ``python -m repro.check golden --update``.
+backend-diff campaigns field by field, and the resilience sweep pin
+holds one payload digest per root seed of a small fault sweep. If a
+change is intentional, regenerate with
+``python -m repro.check golden --update``.
 """
 
 from __future__ import annotations
@@ -20,14 +22,18 @@ from repro.check.golden import (
     ENGINE_CORPUS_FILE,
     ENGINE_FIELDS,
     GOLDEN_VARIANTS,
+    SWEEP_PIN_FILE,
+    SWEEP_ROOT_SEEDS,
     check_engine_corpus,
     check_golden,
+    check_sweep_pin,
     corpus_divergence,
     digest,
     engine_corpus_text,
     golden_jsonl,
     render_divergence,
     run_golden,
+    sweep_pin_text,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -94,15 +100,41 @@ def test_engine_corpus_mismatch_names_campaign_seed_and_field():
     )
 
 
+def test_resilience_sweep_matches_pin():
+    report = check_sweep_pin(GOLDEN_DIR / SWEEP_PIN_FILE)
+    assert report is None, report
+
+
+def test_sweep_pin_text_is_what_update_writes():
+    text = (GOLDEN_DIR / SWEEP_PIN_FILE).read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert set(doc["digests"]) == {str(s) for s in SWEEP_ROOT_SEEDS}
+    assert sweep_pin_text(doc["digests"]) == text
+
+
+def test_tampered_sweep_pin_names_the_root_seed(tmp_path):
+    doc = json.loads((GOLDEN_DIR / SWEEP_PIN_FILE).read_text())
+    good = doc["digests"]["1"]
+    doc["digests"]["1"] = "0" * 64
+    path = tmp_path / SWEEP_PIN_FILE
+    path.write_text(sweep_pin_text(doc["digests"]), encoding="utf-8")
+    report = check_sweep_pin(path)
+    assert report is not None
+    assert f"root seed 1: payload digest {'0' * 64} != {good}" in report
+    assert "root seed 0" not in report
+    assert "--update" in report
+
+
 def test_check_golden_flags_tampered_file(tmp_path):
     for key in GOLDEN_VARIANTS:
         (tmp_path / f"{key}.jsonl").write_text(
             golden_jsonl(key), encoding="utf-8"
         )
-    (tmp_path / ENGINE_CORPUS_FILE).write_text(
-        (GOLDEN_DIR / ENGINE_CORPUS_FILE).read_text(encoding="utf-8"),
-        encoding="utf-8",
-    )
+    for name in (ENGINE_CORPUS_FILE, SWEEP_PIN_FILE):
+        (tmp_path / name).write_text(
+            (GOLDEN_DIR / name).read_text(encoding="utf-8"),
+            encoding="utf-8",
+        )
     assert check_golden(tmp_path) == {}
     # tamper: flip one record's tid
     victim = tmp_path / "aid_static.jsonl"
@@ -119,7 +151,9 @@ def test_check_golden_flags_tampered_file(tmp_path):
 
 def test_check_golden_flags_missing_file(tmp_path):
     problems = check_golden(tmp_path)
-    assert set(problems) == set(GOLDEN_VARIANTS) | {ENGINE_CORPUS_FILE}
+    assert set(problems) == (
+        set(GOLDEN_VARIANTS) | {ENGINE_CORPUS_FILE, SWEEP_PIN_FILE}
+    )
     assert all("missing" in p for p in problems.values())
 
 
