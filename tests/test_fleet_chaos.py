@@ -186,8 +186,10 @@ def test_kill_during_put_never_leaves_a_truncated_entry(tmp_path):
         "os.replace = lambda src, dst: os._exit(7)\n"
         "cache.put(result)  # dies between tmp write and atomic rename\n"
     )
+    # -B: the bare child environment drops any PYTHONDONTWRITEBYTECODE,
+    # and the child must not leave bytecode behind under src/.
     proc = subprocess.run(
-        [sys.executable, "-c", child, str(cache_dir)],
+        [sys.executable, "-B", "-c", child, str(cache_dir)],
         env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
         capture_output=True,
         text=True,
