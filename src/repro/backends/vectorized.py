@@ -13,10 +13,16 @@ its pool drain on, ``reference`` (:mod:`repro.backends.reference`) off.
 * **Faults** — a non-empty fault plan arms
   :class:`~repro.faults.engine.SimFaultEngine`. The plan's firings take
   the first seqs and join the min-scan ahead of every thread slot at
-  their instant; the fault engine owns a busy thread's slot, which
-  holds the block's completion (re-timed piecewise when a throttle
-  boundary changes the core's rate) and then its redispatch, a second
-  event at the completion's instant.
+  their instant. A dispatch writes its block into ``Slots.blocks`` and
+  the thread's slot holds the block's completion, which the fault
+  engine's firings may re-time (piecewise, when a throttle boundary
+  changes the core's rate) or cut. When the completion fires, the
+  engine accounts the executed range and, unless another thread's
+  event is queued for that instant, dispatches the thread in the same
+  step: one event per chunk, as fault-free. A tie queues the
+  redispatch as a second event behind it (:meth:`Slots.requeue_on_tie`).
+  The fault engine is called per dispatch only while an overhead spike
+  is active or a stall is pending.
 * **Integrated pool drains** — when the scheduler declares a
   :class:`~repro.sched.base.PoolAdvancement` (a pure fixed-chunk pool
   drain, e.g. ``schedule(dynamic)``), the whole drain runs against
@@ -148,9 +154,14 @@ class Slots:
     re-timed completion or a redispatch pushed at the current instant
     fires after every event already queued for it. ``now`` is the
     instant of the event being processed.
+
+    Under a fault plan, ``blocks[tid]`` is the in-flight block whose
+    completion ``tid``'s slot holds (a tuple laid out as
+    :data:`repro.faults.engine.BLOCK_FIELDS`), or ``None`` while the
+    slot holds a wake or a redispatch, or nothing.
     """
 
-    __slots__ = ("times", "seqs", "active", "seq", "now")
+    __slots__ = ("times", "seqs", "active", "seq", "now", "blocks")
 
     def __init__(self, wakes: list[float], first_seq: int) -> None:
         n = len(wakes)
@@ -159,6 +170,7 @@ class Slots:
         self.active = [True] * n
         self.seq = first_seq + n
         self.now = 0.0
+        self.blocks: list[tuple | None] = [None] * n
 
     def push(self, tid: int, t: float) -> None:
         """Make ``tid``'s pending event fire at ``t``, under a new seq."""
@@ -169,6 +181,23 @@ class Slots:
 
     def cancel(self, tid: int) -> None:
         self.active[tid] = False
+
+    def requeue_on_tie(self, tid: int) -> bool:
+        """``tid``'s block completed at ``now`` and its slot is free.
+
+        If another thread's event is queued for this instant, the
+        redispatch is a second event behind it: push it under a new seq
+        and return True. Otherwise return False, and the caller
+        dispatches ``tid`` in the same step — the redispatch would be
+        the next event anyway, since firings win ties and so have all
+        fired before any thread slot at their instant is taken.
+        """
+        now, times, active = self.now, self.times, self.active
+        for t in range(len(times)):
+            if active[t] and times[t] == now:
+                self.push(tid, now)
+                return True
+        return False
 
 
 def slot_engine(executor, req: LoopRunRequest, drain: bool):
@@ -226,9 +255,9 @@ def slot_engine(executor, req: LoopRunRequest, drain: bool):
                 assigned.append((tid, lo, hi))
                 iters[tid] += hi - lo
 
-        # A block completion and its redispatch are two events, and
-        # every fault boundary can preempt (and thus redispatch) up to
-        # one chunk per thread.
+        # A block completion and its redispatch count as two events,
+        # even when one step runs both, and every fault boundary can
+        # preempt (and thus redispatch) up to one chunk per thread.
         budget = (2 * loop.n_iterations + nt * _EVENT_BUDGET_SLACK) * 2
         budget += (nt + 2) * (fault.n_plan_events + 2) * 4
     slots = Slots(setup.wake_begin, len(firings))
@@ -260,6 +289,12 @@ def slot_engine(executor, req: LoopRunRequest, drain: bool):
         )
 
     times, seqs, active = slots.times, slots.seqs, slots.active
+    if fault is not None:
+        blocks = slots.blocks
+        parked = fault.parked
+        tid_mult = fault.tid_mult
+        spikes, stalls = fault.active_spikes, fault.pending_stall
+        cost = prefix.tolist()
     n_fire = len(firings)
     fi = 0
     fire_t = firings[0][0] if firings else math.inf
@@ -298,7 +333,24 @@ def slot_engine(executor, req: LoopRunRequest, drain: bool):
                 continue
             slots.now = bt
             active[best] = False
-            if not fault.slot_fired(best):
+            block = blocks[best]
+            if block is not None:
+                # The block's completion: account the executed range,
+                # then redispatch in this same step unless another
+                # thread's event is queued for this instant (the C-level
+                # count is the cheap pre-check).
+                blocks[best] = None
+                record_exec(best, block[0], block[1], block[2], block[3], bt)
+                if times.count(bt) > 1 and slots.requeue_on_tie(best):
+                    continue
+                events += 1
+                if events > budget:
+                    raise SimulationError(
+                        f"simulation exceeded {budget} events; "
+                        "likely a livelocked scheduler"
+                    )
+            elif best in parked:
+                # A wake or redispatch of a worker whose core is offline.
                 continue
         tid = best
         now = bt
@@ -328,7 +380,8 @@ def slot_engine(executor, req: LoopRunRequest, drain: bool):
             # A fault may cut or delay the chunk, so its accounting
             # (conformance record, executed range, iteration counts,
             # execution row) waits for its completion or preemption.
-            overhead_dt = fault.adjust_overhead(tid, now, overhead_dt)
+            if spikes or stalls:
+                overhead_dt = fault.adjust_overhead(tid, now, overhead_dt)
             lo, hi = got if got is not None else (-1, 0)
             if log is not None:
                 log.append((tid, now, overhead_dt, ws.remaining, lo, hi, 0.0))
@@ -342,10 +395,16 @@ def slot_engine(executor, req: LoopRunRequest, drain: bool):
                 fault.worker_retired(tid)
                 continue
             scheduler.note_execution_start(tid, end)
-            fault.begin_block(
-                tid, dispatch_t=now, compute_start=end, lo=lo, hi=hi,
-                speed0=rates[tid] / slow.scalar(tid, lo, hi),
-            )
+            # The in-flight block (BLOCK_FIELDS) and its completion, at
+            # the core's current throttle multiplier.
+            speed0 = rates[tid] / slow.scalar(tid, lo, hi)
+            mult = tid_mult[tid]
+            total = cost[hi] - cost[lo]
+            blocks[tid] = (now, lo, hi, end, speed0, mult, end, 0.0)
+            times[tid] = end + (total / (speed0 * mult) if total > 0 else 0.0)
+            seqs[tid] = slots.seq
+            slots.seq += 1
+            active[tid] = True
             continue
         if got is None:
             finish[tid] = now + overhead_dt

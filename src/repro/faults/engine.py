@@ -5,17 +5,21 @@ The engine sits inside the slot engine of
 :mod:`repro.backends.vectorized`. When a loop is handed a non-empty
 :class:`~repro.faults.model.FaultPlan`, the plan's boundaries become
 firings the slot engine's min-scan orders ahead of every thread slot at
-the same instant (:meth:`SimFaultEngine.firings`), and every compute
-block goes through :meth:`SimFaultEngine.begin_block`. The engine owns
-the block's thread slot — first its completion, then its redispatch —
-and re-integrates the block's cost piecewise whenever a throttle
-boundary changes the owning core's effective rate:
+the same instant (:meth:`SimFaultEngine.firings`). The slot engine
+itself writes each dispatched block into ``Slots.blocks`` (see
+:data:`BLOCK_FIELDS`), holds its completion in the thread's slot and
+accounts it when it fires; this engine handles only what fires rarely.
+Its firings read and edit that in-flight state: a throttle boundary
+that changes the owning core's effective rate re-integrates the
+block's cost piecewise,
 
     work_done += (t_boundary - t_segment_start) * rate * multiplier
 
 so a chunk spanning N speed segments costs exactly the sum of its
 per-segment integrals — the piecewise-rate generalization of the
-executor's single ``work / rate`` division.
+executor's single ``work / rate`` division. Between firings the slot
+engine calls in only to apply an active spike or a pending stall
+(:meth:`SimFaultEngine.adjust_overhead`) and when a worker retires.
 
 Recovery semantics:
 
@@ -59,28 +63,17 @@ from repro.faults.model import (
 from repro.obs.decisions import DecisionEmitter
 
 
-class _Block:
-    """One in-flight compute chunk, tracked for piecewise-rate costing."""
-
-    __slots__ = (
-        "tid", "lo", "hi", "dispatch_t", "compute_start", "t_seg",
-        "work_done", "total_work", "speed0", "mult",
-    )
-
-    def __init__(self, tid, lo, hi, dispatch_t, compute_start, total_work,
-                 speed0, mult):
-        self.tid = tid
-        self.lo = lo
-        self.hi = hi
-        self.dispatch_t = dispatch_t
-        self.compute_start = compute_start
-        # Start of the current constant-rate segment; work_done holds the
-        # work units integrated over all earlier segments.
-        self.t_seg = compute_start
-        self.work_done = 0.0
-        self.total_work = total_work
-        self.speed0 = speed0
-        self.mult = mult
+#: The layout of one in-flight compute block, a plain tuple in
+#: ``Slots.blocks[tid]``. The slot engine writes it at dispatch with
+#: ``t_seg = compute_start`` and ``work_done = 0.0``; ``speed0`` is the
+#: worker's unthrottled rate in work units per second (platform rate
+#: divided by locality slowdown) and ``mult`` its core's throttle
+#: multiplier. ``t_seg`` starts the current constant-rate segment and
+#: ``work_done`` holds the work integrated over all earlier segments.
+BLOCK_FIELDS = (
+    "dispatch_t", "lo", "hi", "compute_start", "speed0", "mult", "t_seg",
+    "work_done",
+)
 
 
 class SimFaultEngine:
@@ -88,10 +81,16 @@ class SimFaultEngine:
 
     The slot engine binds its
     :class:`~repro.backends.vectorized.Slots` and two callbacks after
-    construction (:meth:`bind`): ``record_exec`` performs the deferred
-    per-chunk accounting (conformance dispatch record, executed-ranges
-    list, iteration counters, the dispatch log's execution row), and
-    ``set_finish`` updates a thread's finish time when it parks.
+    construction (:meth:`bind`), and reads four attributes, which are
+    only ever mutated in place:
+
+    * ``parked`` — the workers whose core is offline; a parked worker
+      ignores its wake or redispatch;
+    * ``tid_mult`` — each thread's current throttle multiplier, which a
+      block dispatched now starts at;
+    * ``active_spikes`` and ``pending_stall`` — while either is
+      non-empty, every dispatch's overhead goes through
+      :meth:`adjust_overhead`.
     """
 
     def __init__(
@@ -127,14 +126,13 @@ class SimFaultEngine:
         # -- dynamic state ------------------------------------------------
         self._active_throttles: dict[int, list[float]] = {}
         self._mult: dict[int, float] = {}
-        self._active_spikes: list[float] = []
+        self.tid_mult = [1.0] * self._nt
+        self.active_spikes: list[float] = []
         self._offline: set[int] = set()
-        self._parked: set[int] = set()
+        self.parked: set[int] = set()
         self._lost: set[int] = set()
         self._retired: set[int] = set()
-        self._woke: set[int] = set()
-        self._inflight: dict[int, _Block] = {}
-        self._pending_stall: dict[int, float] = {}
+        self.pending_stall: dict[int, float] = {}
         self._stall_by_tid: dict[int, float] = {}
         self._counts: dict[str, float] = {}
         # -- slot-engine wiring (bound via bind()) ------------------------
@@ -150,6 +148,13 @@ class SimFaultEngine:
         record_exec: Callable[..., None],
         set_finish: Callable[[int, float], None],
     ) -> None:
+        """Wire in the run's slots (their ``blocks`` are the in-flight
+        state the firings edit) and two callbacks: ``record_exec(tid,
+        dispatch_t, lo, hi, t0, t1)`` is the one accounting path for an
+        executed range (conformance dispatch record, executed-ranges
+        list, iteration counters, the dispatch log's execution row), and
+        ``set_finish(tid, t)`` updates a thread's finish time when it
+        parks."""
         self.slots = slots
         self._record_exec = record_exec
         self._set_finish = set_finish
@@ -191,31 +196,20 @@ class SimFaultEngine:
 
     # -- slot-engine-facing API -------------------------------------------
 
-    def slot_fired(self, tid: int) -> bool:
-        """``tid``'s slot fired at ``slots.now``; True = dispatch now.
-
-        A thread with a block in flight holds that block's completion
-        in its slot, which is handled here; otherwise the slot is a
-        wake or redispatch, which a parked worker ignores.
-        """
-        block = self._inflight.get(tid)
-        if block is not None:
-            self._complete(block)
-            return False
-        self._woke.add(tid)
-        return tid not in self._parked
-
     def worker_retired(self, tid: int) -> None:
         self._retired.add(tid)
 
     def adjust_overhead(self, tid: int, now: float, overhead_dt: float) -> float:
-        """Apply active overhead spikes and consume any pending stall."""
-        if self._active_spikes:
+        """Apply active overhead spikes and consume any pending stall.
+
+        The identity while ``active_spikes`` and ``pending_stall`` are
+        both empty, so the slot engine skips the call then."""
+        if self.active_spikes:
             m = 1.0
-            for f in self._active_spikes:
+            for f in self.active_spikes:
                 m *= f
             overhead_dt *= m
-        stall = self._pending_stall.pop(tid, None)
+        stall = self.pending_stall.pop(tid, None)
         if stall:
             overhead_dt += stall
             self._count("fault_stall_seconds_total", stall)
@@ -233,28 +227,6 @@ class SimFaultEngine:
         (cost attribution subtracts them back out of the overhead
         category)."""
         return self._stall_by_tid.get(tid, 0.0)
-
-    def begin_block(
-        self,
-        tid: int,
-        dispatch_t: float,
-        compute_start: float,
-        lo: int,
-        hi: int,
-        speed0: float,
-    ) -> None:
-        """Register a dispatched chunk and schedule its completion.
-
-        ``speed0`` is the worker's unthrottled execution rate in work
-        units per second (platform rate divided by locality slowdown).
-        """
-        mult = self._mult.get(self._cpu_of[tid], 1.0)
-        total = float(self.prefix[hi] - self.prefix[lo])
-        block = _Block(tid, lo, hi, dispatch_t, compute_start, total,
-                       speed0, mult)
-        t_done = compute_start + (total / (speed0 * mult) if total > 0 else 0.0)
-        self.slots.push(tid, t_done)
-        self._inflight[tid] = block
 
     def publish(self) -> None:
         """Fold the run's fault counters into the metrics registry."""
@@ -295,69 +267,58 @@ class SimFaultEngine:
 
     def _restart(self, tid: int, t: float) -> None:
         """Queue ``tid``'s redispatch at ``t``, behind the events already
-        queued for that instant. A worker back online whose redispatch
-        from before it parked has not fired yet keeps that one."""
+        queued for that instant. A worker whose slot still holds an
+        event — its first wake, or a redispatch from before it parked —
+        keeps that one."""
         if not self.slots.active[tid]:
             self.slots.push(tid, t)
 
-    def _completed_iters(self, block: _Block) -> int:
-        """Whole iterations of ``block`` finished given ``work_done``."""
-        if block.work_done <= 0.0:
+    def _completed_iters(self, lo: int, hi: int, work_done: float) -> int:
+        """Whole iterations of block ``[lo, hi)`` finished given
+        ``work_done``."""
+        if work_done <= 0.0:
             return 0
         target = (
-            float(self.prefix[block.lo])
-            + block.work_done
-            + 1e-12 * max(1.0, block.work_done)
+            float(self.prefix[lo]) + work_done + 1e-12 * max(1.0, work_done)
         )
-        k = int(np.searchsorted(self.prefix, target, side="right")) - 1 - block.lo
-        return max(0, min(k, block.hi - block.lo))
+        k = int(np.searchsorted(self.prefix, target, side="right")) - 1 - lo
+        return max(0, min(k, hi - lo))
 
-    def _accrue(self, block: _Block, t: float) -> None:
-        """Integrate the current constant-rate segment up to ``t``."""
-        if t > block.t_seg:
-            block.work_done += (t - block.t_seg) * block.speed0 * block.mult
-            block.t_seg = t
+    @staticmethod
+    def _accrue(block: tuple, t: float) -> tuple[float, float]:
+        """``(t_seg, work_done)`` of ``block`` with its current
+        constant-rate segment integrated up to ``t``."""
+        _, _, _, _, speed0, mult, t_seg, work_done = block
+        if t > t_seg:
+            return t, work_done + (t - t_seg) * speed0 * mult
+        return t_seg, work_done
 
-    def _complete(self, block: _Block) -> None:
-        tid = block.tid
-        self._inflight.pop(tid, None)
-        now = self.slots.now
-        self._record_exec(
-            tid, block.dispatch_t, block.lo, block.hi, block.compute_start, now
-        )
-        # The redispatch is a separate event at this instant: it fires
-        # after the events already queued for it.
-        self._restart(tid, now)
-
-    def _preempt(self, block: _Block, t: float, k: int, reason: str) -> None:
-        """Cut ``block`` at iteration boundary ``k`` and reclaim the tail."""
-        tid = block.tid
+    def _preempt(self, tid: int, t: float, k: int, reason: str) -> None:
+        """Cut ``tid``'s in-flight block at iteration boundary ``k`` and
+        reclaim the tail."""
+        dispatch_t, lo, hi, compute_start = self.slots.blocks[tid][:4]
         self.slots.cancel(tid)
-        del self._inflight[tid]
+        self.slots.blocks[tid] = None
         # A preempt inside the overhead window (compute never started)
         # truncates the RUNTIME segment at the preempt time and records
         # zero compute; otherwise the chunk computed [compute_start, t].
-        cs = min(block.compute_start, t)
-        self._record_exec(
-            tid, block.dispatch_t, block.lo, block.lo + k, cs, t,
-        )
-        requeue_lo = block.lo + k
+        cs = min(compute_start, t)
+        self._record_exec(tid, dispatch_t, lo, lo + k, cs, t)
+        requeue_lo = lo + k
         self._count("fault_preemptions_total")
         if self.dec.on:
             self.dec.emit(
                 tid, t, "preempt",
-                range=[block.lo, block.hi], completed=k, reason=reason,
+                range=[lo, hi], completed=k, reason=reason,
             )
-        if requeue_lo < block.hi:
-            self._count(
-                "fault_requeued_iterations_total", block.hi - requeue_lo
-            )
+        if requeue_lo < hi:
+            self._count("fault_requeued_iterations_total", hi - requeue_lo)
             if self.dec.on:
                 self.dec.emit(
                     tid, t, "requeue",
-                    range=[requeue_lo, block.hi], reason=reason,
+                    range=[requeue_lo, hi], reason=reason,
                 )
-            self.scheduler.reclaim(tid, requeue_lo, block.hi)
+            self.scheduler.reclaim(tid, requeue_lo, hi)
 
     # -- firings -----------------------------------------------------------
 
@@ -390,25 +351,31 @@ class SimFaultEngine:
         if new == old:
             return
         self._mult[cpu] = new
+        blocks = self.slots.blocks
         for tid in self._tids_on.get(cpu, ()):
-            block = self._inflight.get(tid)
+            self.tid_mult[tid] = new
+            block = blocks[tid]
             if block is None:
                 continue
-            self._accrue(block, t)
-            block.mult = new
-            k = self._completed_iters(block)
-            rem = (block.hi - block.lo) - k
+            dispatch_t, lo, hi, cs, speed0 = block[:5]
+            t_seg, work_done = self._accrue(block, t)
+            k = self._completed_iters(lo, hi, work_done)
+            rem = (hi - lo) - k
             if new < old and k >= 1 and rem >= 1:
                 # A slowed core sitting on a part-done chunk: keep the
                 # finished prefix, hand the tail back, redispatch — the
                 # policy resizes for the new speed.
-                self._preempt(block, t, k, reason="throttle")
+                self._preempt(tid, t, k, reason="throttle")
                 self._restart(tid, t)
             else:
                 # Re-timed: the completion takes a new seq, so it fires
                 # after the events already queued for its instant.
-                remaining = max(0.0, block.total_work - block.work_done)
-                t_new = block.t_seg + remaining / (block.speed0 * new)
+                blocks[tid] = (
+                    dispatch_t, lo, hi, cs, speed0, new, t_seg, work_done
+                )
+                total = float(self.prefix[hi] - self.prefix[lo])
+                remaining = max(0.0, total - work_done)
+                t_new = t_seg + remaining / (speed0 * new)
                 self.slots.push(tid, t_new)
         dec_records = (
             getattr(self._obs.decisions, "records", None)
@@ -467,12 +434,12 @@ class SimFaultEngine:
         self._offline.add(ev.cpu)
         self._span_open("offline", (ev.cpu,), t, cpu=ev.cpu)
         for tid in tids:
-            block = self._inflight.get(tid)
+            block = self.slots.blocks[tid]
             if block is not None:
-                self._accrue(block, t)
-                self._preempt(block, t, self._completed_iters(block),
-                              reason="offline")
-            self._parked.add(tid)
+                _, work_done = self._accrue(block, t)
+                k = self._completed_iters(block[1], block[2], work_done)
+                self._preempt(tid, t, k, reason="offline")
+            self.parked.add(tid)
             self._lost.add(tid)
             self._set_finish(tid, t)
             if self.dec.on:
@@ -487,27 +454,25 @@ class SimFaultEngine:
         self._offline.discard(ev.cpu)
         self._span_close("offline", (ev.cpu,), t)
         for tid in self._tids_on.get(ev.cpu, ()):
-            if tid in self._retired or tid not in self._parked:
+            if tid in self._retired or tid not in self.parked:
                 continue
-            self._parked.discard(tid)
+            self.parked.discard(tid)
             if self.dec.on:
                 self.dec.emit(tid, t, "online", cpu=ev.cpu)
             if tid in self._lost:
                 self._lost.discard(tid)
                 self.scheduler.on_worker_back(tid, t)
-            if tid in self._woke:
-                self._restart(tid, t)
-            # else: the worker's initial wake is still pending in its
-            # slot and will start its dispatch loop (the core is back by
-            # then).
+            # A worker whose first wake is still pending keeps it: it
+            # starts the dispatch loop, and the core is back by then.
+            self._restart(tid, t)
 
     def _fire_stall(self, ev: WorkerStallEvent) -> None:
         t = self.slots.now
         self._count("fault_events_total@stall")
         if ev.tid >= self._nt:
             return
-        self._pending_stall[ev.tid] = (
-            self._pending_stall.get(ev.tid, 0.0) + ev.seconds
+        self.pending_stall[ev.tid] = (
+            self.pending_stall.get(ev.tid, 0.0) + ev.seconds
         )
         if self.dec.on:
             self.dec.emit(ev.tid, t, "stall_fired", seconds=ev.seconds)
@@ -515,15 +480,15 @@ class SimFaultEngine:
     def _fire_spike_begin(self, ev: OverheadSpikeEvent) -> None:
         t = self.slots.now
         self._count("fault_events_total@spike")
-        self._active_spikes.append(ev.factor)
+        self.active_spikes.append(ev.factor)
         self._span_open("spike", (ev.factor,), t, factor=ev.factor)
         if self.dec.on:
             self.dec.emit(-1, t, "spike_begin", factor=ev.factor)
 
     def _fire_spike_end(self, ev: OverheadSpikeEvent) -> None:
         t = self.slots.now
-        if ev.factor in self._active_spikes:
-            self._active_spikes.remove(ev.factor)
+        if ev.factor in self.active_spikes:
+            self.active_spikes.remove(ev.factor)
         self._span_close("spike", (ev.factor,), t)
         if self.dec.on:
             self.dec.emit(-1, t, "spike_end", factor=ev.factor)

@@ -106,7 +106,7 @@ class _Policy:
 
 def _fault_engine(events, wakes):
     """A fault engine over unit-cost iterations, one thread per CPU,
-    writing the slots of threads woken at ``wakes``."""
+    editing the slots of threads woken at ``wakes``."""
     plan = plan_from_tuples(events)
     engine = SimFaultEngine(
         plan=plan, scheduler=_Policy(), prefix=np.arange(65, dtype=float),
@@ -116,6 +116,15 @@ def _fault_engine(events, wakes):
     slots = Slots(wakes, len(firings))
     engine.bind(slots, lambda *row: None, lambda tid, t: None)
     return engine, slots, firings
+
+
+def _dispatch(engine, slots, tid, lo, hi, t):
+    """Write what the slot engine writes when ``tid`` dispatches
+    ``[lo, hi)`` at ``t`` with zero overhead and unit speed: the
+    in-flight block, and its completion in the thread's slot."""
+    mult = engine.tid_mult[tid]
+    slots.blocks[tid] = (t, lo, hi, t, 1.0, mult, t, 0.0)
+    slots.push(tid, t + (hi - lo) / mult)
 
 
 def _firing_order(slots):
@@ -139,35 +148,39 @@ class TestSimultaneousEventTies:
         slots.now = t_begin
         begin()
         slots.cancel(0)
-        engine.begin_block(
-            0, dispatch_t=0.0, compute_start=0.0, lo=0, hi=4, speed0=1.0
-        )
+        _dispatch(engine, slots, 0, 0, 4, 0.0)
         assert slots.times[0] == 8.0
         slots.push(1, 5.0)
         slots.now = t_end
         end()
         assert slots.times[0] == slots.times[1] == 5.0
+        assert slots.blocks[0] == (0.0, 0, 4, 0.0, 1.0, 1.0, 2.0, 1.0)
         assert _firing_order(slots) == [1, 0]
 
     def test_same_time_event_scheduled_during_tie_fires_last(self):
-        # Rule 2: a block completion and its redispatch are two events.
-        # The redispatch is pushed at the completion's instant under a
-        # new seq, so it fires after every event already queued for
-        # that instant — here thread 1's, queued after the completion.
-        engine, slots, _ = _fault_engine((("stall", 0, 0.5, 0.1),), [0.0, 0.0])
-        slots.cancel(0)
-        engine.begin_block(
-            0, dispatch_t=0.0, compute_start=0.0, lo=0, hi=4, speed0=1.0
-        )
-        slots.push(1, 4.0)
-        assert _firing_order(slots) == [0, 1]
-        slots.now = 4.0
-        slots.cancel(0)
-        assert engine.slot_fired(0) is False  # the completion
-        assert slots.active[0] and slots.times[0] == 4.0
-        assert _firing_order(slots) == [1, 0]
-        slots.cancel(0)
-        assert engine.slot_fired(0) is True  # the redispatch
+        # Rule 2: when another thread's event is queued for a block
+        # completion's instant, the completion and its redispatch are
+        # two events. The redispatch is pushed at that instant under a
+        # new seq, so it fires after every event already queued for it
+        # — here thread 1's, queued after the completion. With nothing
+        # else queued there, the engine redispatches in the same step.
+        for t1, tied in ((4.0, True), (5.0, False)):
+            engine, slots, _ = _fault_engine(
+                (("stall", 0, 0.5, 0.1),), [0.0, 0.0]
+            )
+            slots.cancel(0)
+            _dispatch(engine, slots, 0, 0, 4, 0.0)
+            slots.push(1, t1)
+            assert _firing_order(slots) == [0, 1]
+            slots.now = 4.0
+            slots.cancel(0)  # the completion fires
+            slots.blocks[0] = None
+            assert slots.requeue_on_tie(0) is tied
+            if tied:
+                assert slots.active[0] and slots.times[0] == 4.0
+                assert _firing_order(slots) == [1, 0]
+            else:
+                assert not slots.active[0]
 
     def test_online_keeps_a_pending_redispatch(self):
         # A slot holds one event. A throttle preempts thread 0 at 1.0
@@ -179,19 +192,21 @@ class TestSimultaneousEventTies:
              ("online", 0, 1.0)),
             [0.0, 0.0],
         )
-        slots.cancel(0)
-        assert engine.slot_fired(0) is True  # the wake
-        engine.begin_block(
-            0, dispatch_t=0.0, compute_start=0.0, lo=0, hi=4, speed0=1.0
-        )
+        slots.cancel(0)  # the wake
+        assert 0 not in engine.parked
+        _dispatch(engine, slots, 0, 0, 4, 0.0)
         (t1, throttle), (t2, offline), (t3, online), _ = firings
         assert t1 == t2 == t3 == 1.0
         slots.now = 1.0
         throttle()
         queued = (slots.times[0], slots.seqs[0])
         assert slots.active[0] and queued[0] == 1.0
+        # Preempted: the slot holds the redispatch, not a completion.
+        assert slots.blocks[0] is None
         offline()
+        assert 0 in engine.parked
         online()
+        assert 0 not in engine.parked
         assert slots.active[0] and (slots.times[0], slots.seqs[0]) == queued
 
     @pytest.mark.parametrize("backend", ["reference", "vectorized"])
@@ -349,7 +364,9 @@ class TestEventBudget:
     def test_livelocked_scheduler_exceeds_the_budget(self, backend, faulted):
         # The pool never drains and, with zero overheads, virtual time
         # never advances: only the event budget ends the run. A faulted
-        # run spends two events per chunk and gets a larger budget.
+        # run counts two events per chunk, its completion and its
+        # redispatch, even when one step runs both, and gets a larger
+        # budget.
         plan = (
             plan_from_tuples((("throttle", 0, 0.0, 1.0, 0.5),))
             if faulted else None
