@@ -155,10 +155,17 @@ class Slots:
     fires after every event already queued for it. ``now`` is the
     instant of the event being processed.
 
-    Under a fault plan, ``blocks[tid]`` is the in-flight block whose
-    completion ``tid``'s slot holds (a tuple laid out as
-    :data:`repro.faults.engine.BLOCK_FIELDS`), or ``None`` while the
-    slot holds a wake or a redispatch, or nothing.
+    Under a fault plan, ``blocks[tid]`` is ``None`` while ``tid``'s slot
+    holds a wake or a redispatch, or nothing. While it holds a block's
+    completion, it is that in-flight block, the tuple ``(dispatch_t, lo,
+    hi, compute_start, speed0, mult, t_seg, work_done)``: ``speed0`` is
+    the worker's unthrottled rate in work units per second (platform
+    rate divided by locality slowdown) and ``mult`` its core's throttle
+    multiplier; ``t_seg`` starts the current constant-rate segment and
+    ``work_done`` holds the work integrated over all earlier segments.
+    A dispatch writes it with ``t_seg = compute_start`` and
+    ``work_done = 0.0``; the fault engine's firings replace it when they
+    re-time the block and clear it when they cut it.
     """
 
     __slots__ = ("times", "seqs", "active", "seq", "now", "blocks")
@@ -395,8 +402,8 @@ def slot_engine(executor, req: LoopRunRequest, drain: bool):
                 fault.worker_retired(tid)
                 continue
             scheduler.note_execution_start(tid, end)
-            # The in-flight block (BLOCK_FIELDS) and its completion, at
-            # the core's current throttle multiplier.
+            # The in-flight block (see Slots) and its completion, at the
+            # core's current throttle multiplier.
             speed0 = rates[tid] / slow.scalar(tid, lo, hi)
             mult = tid_mult[tid]
             total = cost[hi] - cost[lo]

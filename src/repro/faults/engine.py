@@ -6,9 +6,10 @@ The engine sits inside the slot engine of
 :class:`~repro.faults.model.FaultPlan`, the plan's boundaries become
 firings the slot engine's min-scan orders ahead of every thread slot at
 the same instant (:meth:`SimFaultEngine.firings`). The slot engine
-itself writes each dispatched block into ``Slots.blocks`` (see
-:data:`BLOCK_FIELDS`), holds its completion in the thread's slot and
-accounts it when it fires; this engine handles only what fires rarely.
+itself writes each dispatched block into ``Slots.blocks`` (its layout
+is documented on :class:`~repro.backends.vectorized.Slots`), holds its
+completion in the thread's slot and accounts it when it fires; this
+engine handles only what fires rarely.
 Its firings read and edit that in-flight state: a throttle boundary
 that changes the owning core's effective rate re-integrates the
 block's cost piecewise,
@@ -61,19 +62,6 @@ from repro.faults.model import (
     WorkerStallEvent,
 )
 from repro.obs.decisions import DecisionEmitter
-
-
-#: The layout of one in-flight compute block, a plain tuple in
-#: ``Slots.blocks[tid]``. The slot engine writes it at dispatch with
-#: ``t_seg = compute_start`` and ``work_done = 0.0``; ``speed0`` is the
-#: worker's unthrottled rate in work units per second (platform rate
-#: divided by locality slowdown) and ``mult`` its core's throttle
-#: multiplier. ``t_seg`` starts the current constant-rate segment and
-#: ``work_done`` holds the work integrated over all earlier segments.
-BLOCK_FIELDS = (
-    "dispatch_t", "lo", "hi", "compute_start", "speed0", "mult", "t_seg",
-    "work_done",
-)
 
 
 class SimFaultEngine:
