@@ -43,9 +43,8 @@ class TrapezoidScheduler(LoopScheduler):
         self.grabs = 0
 
     def next_range(self, tid: int, now: float) -> tuple[int, int] | None:
-        with self.ctx.lock:
-            size = max(self.last, round(self.first - self.decrement * self.grabs))
-            self.grabs += 1
+        size = max(self.last, round(self.first - self.decrement * self.grabs))
+        self.grabs += 1
         return self.ctx.workshare.take(size)
 
 

@@ -155,7 +155,6 @@ def prepare_run(executor: "LoopExecutor", req: "LoopRunRequest") -> RunSetup:
         team=executor.team,
         n_iterations=loop.n_iterations,
         default_chunk=req.default_chunk,
-        lock=None,
         offline_sf=req.offline_sf,
         charge_timestamp=charge_timestamp,
         obs=executor.obs,

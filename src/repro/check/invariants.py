@@ -119,10 +119,11 @@ def check_workshare_replay(obs: CheckContext) -> list[Violation]:
     ni = obs.n_iterations
     if ni is None or not obs.takes:
         return out
-    # Under real threads the append order can race; the fetch-and-add's
-    # returned value IS the serialization order, so sort by it. Takes
-    # served from the fault-requeue deque never touch the pool pointer;
-    # they are validated by fault-requeue-conservation instead.
+    # The fetch-and-add's returned value IS the serialization order, so
+    # replay in that order (append order matches it on both backends:
+    # scheduler calls never overlap). Takes served from the
+    # fault-requeue deque never touch the pool pointer; they are
+    # validated by fault-requeue-conservation instead.
     takes = sorted(
         (e for e in obs.takes if not e.requeued), key=lambda e: e.before
     )

@@ -32,9 +32,9 @@ class TakeEvent:
     """One fetch-and-add on a work-share pool pointer.
 
     Attributes:
-        seq: append order (equals true order in the simulator, where
-            events are serialized; under real threads sort by ``before``
-            to recover the serialization order of the atomic itself).
+        seq: append order, which is the pool's order on both backends:
+            the simulator makes scheduler calls one event at a time, and
+            the real-thread team holds its lock around every call.
         requested: chunk size asked for.
         before: pool ``next`` value the fetch-and-add returned.
         granted: the clamped range handed out, or ``None`` when the pool

@@ -91,9 +91,8 @@ class ThreadTeam:
         exceptions abort the loop and are re-raised.
 
         ``check`` is an opt-in conformance recorder
-        (:class:`repro.check.recording.CheckContext`). Its take log may
-        be appended out of serialization order under real threads; the
-        oracle sorts by the fetch-and-add's returned value.
+        (:class:`repro.check.recording.CheckContext`). Its take log is
+        appended under the team's lock, so it is in the pool's order.
 
         ``watchdog_timeout`` (seconds) arms a stalled-worker watchdog: a
         worker sitting on one chunk longer than the timeout has that
@@ -132,9 +131,11 @@ class ThreadTeam:
             for lst in pending_stalls.values():
                 lst.sort()
         loop_name = f"real-{spec.name}"
-        # RLock: scheduler state machines hold the context lock while the
-        # work-share atomics (protected by the same lock) are invoked.
-        lock = threading.RLock()
+        # The one lock around every call into the scheduler (next_range,
+        # the watchdog's reclaim) and the fault emitter. Scheduler, pool
+        # and counter code therefore runs one call at a time, as it does
+        # in the simulator, and takes no lock of its own.
+        lock = threading.Lock()
         if check is not None:
             check.on_loop_begin(
                 loop_name=loop_name,
@@ -155,7 +156,6 @@ class ThreadTeam:
             team=self.team,
             n_iterations=n_iterations,
             default_chunk=default_chunk,
-            lock=lock,
             offline_sf=offline_sf,
             obs=obs,
             loop_name=loop_name,
@@ -205,7 +205,8 @@ class ThreadTeam:
                     if errors:
                         return
                     t_disp = time.perf_counter()
-                    got = scheduler.next_range(tid, time.perf_counter())
+                    with lock:
+                        got = scheduler.next_range(tid, time.perf_counter())
                     if check is not None:
                         # Serialize the append so event seq numbers stay
                         # unique (list.append alone is safe, the seq

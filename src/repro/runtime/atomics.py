@@ -3,38 +3,23 @@
 libgomp's dynamic schedule removes iterations from the shared pool with a
 single fetch-and-add instruction; the AID extensions add two atomic time
 accumulators and an atomic completed-sampling counter (paper Sec. 4.2,
-footnote 2). We reproduce those semantics behind a tiny interface:
-
-* in the discrete-event simulator events run one at a time, so a plain
-  variable is already atomic — the default ``lock=None`` path;
-* in the real-thread executor (:mod:`repro.exec_real`) a
-  ``threading.Lock`` is passed in and every read-modify-write takes it.
+footnote 2). These classes name those counters. Every caller reaches
+them through a scheduler call, and scheduler calls never overlap: the
+discrete-event simulator runs one event at a time, and the real-thread
+team (:mod:`repro.exec_real`) holds its lock around every call into the
+scheduler. So a plain read-modify-write is atomic on both backends.
 """
 
 from __future__ import annotations
-
-import threading
-from contextlib import nullcontext
-from typing import ContextManager, Union
-
-#: Any lock usable as a context manager. Callers that invoke atomics
-#: while already holding the same lock (the AID schedulers do) must pass
-#: an RLock.
-LockLike = Union[threading.Lock, threading.RLock, None]
-
-
-def _guard(lock: LockLike) -> ContextManager[object]:
-    return nullcontext() if lock is None else lock
 
 
 class AtomicCounter:
     """Integer with fetch-and-add semantics."""
 
-    __slots__ = ("_value", "_lock")
+    __slots__ = ("_value",)
 
-    def __init__(self, value: int = 0, lock: LockLike = None) -> None:
+    def __init__(self, value: int = 0) -> None:
         self._value = int(value)
-        self._lock = lock
 
     @property
     def value(self) -> int:
@@ -42,33 +27,18 @@ class AtomicCounter:
 
     def fetch_add(self, delta: int) -> int:
         """Atomically add ``delta``; return the value *before* the add."""
-        lock = self._lock
-        if lock is None:
-            # Simulator path: events run one at a time, no guard needed.
-            # This is the hottest primitive in fine-grained dynamic runs,
-            # so it skips the context-manager machinery entirely.
-            old = self._value
-            self._value = old + int(delta)
-            return old
-        with lock:
-            old = self._value
-            self._value = old + int(delta)
-            return old
+        old = self._value
+        self._value = old + int(delta)
+        return old
 
     def add_fetch(self, delta: int) -> int:
         """Atomically add ``delta``; return the value *after* the add."""
-        lock = self._lock
-        if lock is None:
-            value = self._value + int(delta)
-            self._value = value
-            return value
-        with lock:
-            self._value += int(delta)
-            return self._value
+        value = self._value + int(delta)
+        self._value = value
+        return value
 
     def store(self, value: int) -> None:
-        with _guard(self._lock):
-            self._value = int(value)
+        self._value = int(value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AtomicCounter({self._value})"
@@ -77,11 +47,10 @@ class AtomicCounter:
 class AtomicFloat:
     """Float accumulator with atomic add (the AID time-sum counters)."""
 
-    __slots__ = ("_value", "_lock")
+    __slots__ = ("_value",)
 
-    def __init__(self, value: float = 0.0, lock: LockLike = None) -> None:
+    def __init__(self, value: float = 0.0) -> None:
         self._value = float(value)
-        self._lock = lock
 
     @property
     def value(self) -> float:
@@ -89,18 +58,12 @@ class AtomicFloat:
 
     def add(self, delta: float) -> float:
         """Atomically add ``delta``; return the value after the add."""
-        lock = self._lock
-        if lock is None:
-            value = self._value + float(delta)
-            self._value = value
-            return value
-        with lock:
-            self._value += float(delta)
-            return self._value
+        value = self._value + float(delta)
+        self._value = value
+        return value
 
     def store(self, value: float) -> None:
-        with _guard(self._lock):
-            self._value = float(value)
+        self._value = float(value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AtomicFloat({self._value})"

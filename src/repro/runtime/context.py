@@ -10,10 +10,8 @@ thread.
 
 from __future__ import annotations
 
-import threading
-from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import Callable, ContextManager, Mapping
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
 from repro.errors import ConfigError
 from repro.obs import NULL_OBS, Observability
@@ -38,8 +36,6 @@ class LoopContext:
         n_iterations: loop trip count.
         default_chunk: chunk used when a scheduler needs one and none was
             configured (libgomp uses 1 for dynamic).
-        lock: lock protecting shared scheduler state under real threads;
-            ``None`` in the simulator.
         offline_sf: optional per-core-type offline speedup factors for
             this loop, indexed by type (entry 0, the slowest type, should
             be 1.0). Used by the AID-static(offline-SF) variant of Fig. 9.
@@ -61,7 +57,6 @@ class LoopContext:
         team: Team,
         n_iterations: int,
         default_chunk: int = 1,
-        lock: threading.Lock | None = None,
         offline_sf: Mapping[int, float] | None = None,
         charge_timestamp: Callable[[int], None] | None = None,
         obs: Observability | None = None,
@@ -75,19 +70,12 @@ class LoopContext:
         self.team = team
         self.n_iterations = int(n_iterations)
         self.default_chunk = int(default_chunk)
-        self._lock = lock
         self.offline_sf = dict(offline_sf) if offline_sf is not None else None
         self._charge_timestamp = charge_timestamp
         self.obs = obs if obs is not None else NULL_OBS
         self.loop_name = loop_name
         self.check = check
-        # One reusable guard object: nullcontext is stateless, so a
-        # single instance serves every `with ctx.lock:` (allocating one
-        # per dispatch is measurable on fine-grained loops).
-        self._lock_cm: ContextManager[object] = (
-            nullcontext() if lock is None else lock
-        )
-        self.workshare = WorkShare(0, n_iterations, lock, check=check)
+        self.workshare = WorkShare(0, n_iterations, check=check)
         self.threads = tuple(
             ThreadView(
                 tid=t,
@@ -112,18 +100,6 @@ class LoopContext:
 
     def type_counts(self) -> tuple[int, ...]:
         return self.team.type_counts()
-
-    # -- concurrency --------------------------------------------------------
-
-    @property
-    def lock(self) -> ContextManager[object]:
-        """Guard for scheduler shared state (no-op in the simulator)."""
-        return self._lock_cm
-
-    def make_lock(self) -> threading.Lock | None:
-        """The raw lock (or None) for building atomics with the same
-        protection domain as this context."""
-        return self._lock
 
     # -- overhead hooks -------------------------------------------------------
 

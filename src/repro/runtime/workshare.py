@@ -10,7 +10,6 @@ plus a dispatch counter used for overhead accounting in experiments.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 
 from repro.errors import WorkShareError
@@ -25,8 +24,6 @@ class WorkShare:
     Args:
         start: first iteration index.
         end: one past the last iteration index.
-        lock: pass a ``threading.Lock`` when threads are real; ``None``
-            in the discrete-event simulator.
         check: optional conformance recorder (a
             :class:`repro.check.recording.CheckContext`); when set, every
             fetch-and-add on ``next`` is reported with its pre-add value
@@ -38,19 +35,18 @@ class WorkShare:
         self,
         start: int,
         end: int,
-        lock: threading.Lock | None = None,
         check=None,
     ) -> None:
         if end < start:
             raise WorkShareError(f"invalid iteration range [{start}, {end})")
         self.start = int(start)
         self.end = int(end)
-        self._next = AtomicCounter(start, lock)
-        self._dispatches = AtomicCounter(0, lock)
+        self._next = AtomicCounter(start)
+        self._dispatches = AtomicCounter(0)
         # Empty-handed takes are counted separately (cold branch: once
         # per thread per loop) so the successful-take hot path pays no
         # extra atomic; attempt_count derives from the two.
-        self._empty_takes = AtomicCounter(0, lock)
+        self._empty_takes = AtomicCounter(0)
         # Ranges returned to the pool by fault recovery (preempted or
         # watchdog-redistributed chunks). Served before the fetch-and-add
         # pointer so returned work drains first; empty on every
@@ -72,8 +68,8 @@ class WorkShare:
 
     @property
     def remaining(self) -> int:
-        """Iterations still in the pool (advisory read; may be stale under
-        real threads, exactly like reading ``next``/``end`` in libgomp).
+        """Iterations still in the pool (advisory read, like reading
+        ``next``/``end`` in libgomp; exact inside a scheduler call).
         Includes iterations returned to the pool by fault recovery."""
         left = max(0, self.end - self._next.value)
         return left + self.requeued_pending if self._returned else left
@@ -121,47 +117,27 @@ class WorkShare:
         if n <= 0:
             raise WorkShareError(f"chunk size must be positive, got {n}")
         if self._returned:
-            try:
-                lo, hi = self._returned.popleft()
-            except IndexError:
-                # Another thread drained the queue between the check and
-                # the pop; fall through to the fetch-and-add path.
-                pass
-            else:
-                if hi - lo > n:
-                    self._returned.appendleft((lo + n, hi))
-                    hi = lo + n
-                self._dispatches.add_fetch(1)
-                if self._check is not None:
-                    self._check.on_take(n, lo, (lo, hi), requeued=True)
-                return (lo, hi)
-        nxt = self._next
-        if nxt._lock is None:
-            # Simulator path: inline the fetch-and-add pair (this is the
-            # hottest call site of the whole dynamic-schedule hot loop).
-            n = int(n)
-            lo = nxt._value
-            nxt._value = lo + n
-            if lo >= self.end:
-                counter = self._empty_takes
-                counter._value += 1
-                if self._check is not None:
-                    self._check.on_take(n, lo, None)
-                return None
-            hi = min(lo + n, self.end)
-            counter = self._dispatches
-            counter._value += 1
+            lo, hi = self._returned.popleft()
+            if hi - lo > n:
+                self._returned.appendleft((lo + n, hi))
+                hi = lo + n
+            self._dispatches.add_fetch(1)
             if self._check is not None:
-                self._check.on_take(n, lo, (lo, hi))
+                self._check.on_take(n, lo, (lo, hi), requeued=True)
             return (lo, hi)
-        lo = nxt.fetch_add(n)
+        # The fetch-and-add pair, inlined: this is the hottest call site
+        # of the whole dynamic-schedule hot loop.
+        n = int(n)
+        nxt = self._next
+        lo = nxt._value
+        nxt._value = lo + n
         if lo >= self.end:
-            self._empty_takes.add_fetch(1)
+            self._empty_takes._value += 1
             if self._check is not None:
                 self._check.on_take(n, lo, None)
             return None
         hi = min(lo + n, self.end)
-        self._dispatches.add_fetch(1)
+        self._dispatches._value += 1
         if self._check is not None:
             self._check.on_take(n, lo, (lo, hi))
         return (lo, hi)

@@ -137,13 +137,9 @@ class AidAutoScheduler(LoopScheduler):
     # -- the GOMP_loop_next analogue --------------------------------------------
 
     def next_range(self, tid: int, now: float) -> tuple[int, int] | None:
-        with self.ctx.lock:
-            return self._next_locked(tid, now)
-
-    def _next_locked(self, tid: int, now: float) -> tuple[int, int] | None:
         if self.mode == "dynamic":
             assert self._inner is not None
-            return self._inner._next_locked(tid, now)
+            return self._inner.next_range(tid, now)
 
         ws = self.ctx.workshare
         state = self.state[tid]
@@ -186,7 +182,7 @@ class AidAutoScheduler(LoopScheduler):
                 self._decide(tid, now)
                 if self.mode == "dynamic":
                     assert self._inner is not None
-                    return self._inner._next_locked(tid, now)
+                    return self._inner.next_range(tid, now)
             if self.mode == "static":
                 return self._enter_one_shot(tid, now)
             return self._wait_steal(tid, now)
@@ -403,7 +399,7 @@ class AidAutoScheduler(LoopScheduler):
         need = target - self.delta[tid]
         ac.set_state(self, tid, ac.AID)
         if need <= 0:
-            return self._next_locked(tid, now)
+            return self.next_range(tid, now)
         got = self.ctx.workshare.take(need)
         if got is None:
             ac.set_state(self, tid, ac.DONE)

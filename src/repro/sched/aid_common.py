@@ -21,8 +21,6 @@ generalization; for two types it reduces to ``k = NI / (N_B*SF + N_S)``.
 
 from __future__ import annotations
 
-import threading
-
 from repro.errors import SchedulerError
 from repro.obs.decisions import DecisionEmitter, sf_as_json
 from repro.runtime.atomics import AtomicCounter, AtomicFloat
@@ -39,18 +37,16 @@ DONE = "DONE"
 
 
 class SamplingState:
-    """Lock-free sampling bookkeeping shared by a team.
+    """Sampling bookkeeping shared by a team.
 
     One time-sum accumulator per core type plus a completion counter;
-    exactly the counters footnote 2 of the paper describes.
+    exactly the lock-free counters footnote 2 of the paper describes.
     """
 
-    def __init__(
-        self, n_types: int, lock: threading.Lock | None = None
-    ) -> None:
-        self.time_sums = [AtomicFloat(0.0, lock) for _ in range(n_types)]
-        self.sample_counts = [AtomicCounter(0, lock) for _ in range(n_types)]
-        self.completed = AtomicCounter(0, lock)
+    def __init__(self, n_types: int) -> None:
+        self.time_sums = [AtomicFloat(0.0) for _ in range(n_types)]
+        self.sample_counts = [AtomicCounter(0) for _ in range(n_types)]
+        self.completed = AtomicCounter(0)
 
     def record(self, type_index: int, duration: float) -> int:
         """Log one thread's sampling-phase duration.

@@ -77,7 +77,7 @@ class AidDynamicScheduler(LoopScheduler):
         self.assign_time = [0.0] * nt
         self._timing = [False] * nt
         self.thread_phase = [0] * nt
-        self.sampling = ac.SamplingState(ctx.n_types, ctx.make_lock())
+        self.sampling = ac.SamplingState(ctx.n_types)
         self.R: list[float] | None = None  # per-type ratio; None until sampled
         self.sf: dict[int, float] | None = None
         self.phase = 0
@@ -108,10 +108,6 @@ class AidDynamicScheduler(LoopScheduler):
     # -- the GOMP_loop_next analogue --------------------------------------------
 
     def next_range(self, tid: int, now: float) -> tuple[int, int] | None:
-        with self.ctx.lock:
-            return self._next_locked(tid, now)
-
-    def _next_locked(self, tid: int, now: float) -> tuple[int, int] | None:
         state = self.state[tid]
 
         if state == ac.START:

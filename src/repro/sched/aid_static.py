@@ -12,9 +12,11 @@ The paper's Fig. 3 state machine, ported structurally:
   iterations, where ``delta_i`` is what thread *i* already executed.
 
 After its AID allotment a thread drains any rounding residue left in the
-pool in chunk-sized steals and then leaves the loop. The implementation
-is lock-free in the same sense as the paper's: the pool and the sampling
-counters are atomics; SF/k are computed by exactly one thread.
+pool in chunk-sized steals and then leaves the loop. The pool and the
+sampling counters are the paper's atomics (fetch-and-add, atomic time
+sums), and SF/k are computed by exactly one thread. The simulator charges
+the atomics' cost through the overhead model; the code itself runs one
+scheduler call at a time on both backends.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ class AidStaticScheduler(LoopScheduler):
         self._timing = [False] * nt
         #: Sampling chunks re-taken after a fault loss, per thread.
         self._retakes = [0] * nt
-        self.sampling = ac.SamplingState(ctx.n_types, ctx.make_lock())
+        self.sampling = ac.SamplingState(ctx.n_types)
         self.sf: dict[int, float] | None = None
         self.targets: list[int] | None = None
         self.dec = ac.decision_emitter(ctx, self.scheduler_label)
@@ -126,10 +128,6 @@ class AidStaticScheduler(LoopScheduler):
     # -- the GOMP_loop_next analogue ------------------------------------------
 
     def next_range(self, tid: int, now: float) -> tuple[int, int] | None:
-        with self.ctx.lock:
-            return self._next_locked(tid, now)
-
-    def _next_locked(self, tid: int, now: float) -> tuple[int, int] | None:
         ws = self.ctx.workshare
         state = self.state[tid]
 
@@ -215,7 +213,7 @@ class AidStaticScheduler(LoopScheduler):
         ac.set_state(self, tid, ac.AID)
         if need <= 0:
             # Already over target (e.g. many wait steals): go drain.
-            return self._next_locked(tid, now)
+            return self.next_range(tid, now)
         got = self.ctx.workshare.take(need)
         if got is None:
             ac.set_state(self, tid, ac.DONE)

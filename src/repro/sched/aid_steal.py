@@ -76,7 +76,7 @@ class AidStealScheduler(LoopScheduler):
         self._timing = [False] * nt
         #: Sampling chunks re-taken after a fault loss, per thread.
         self._retakes = [0] * nt
-        self.sampling = ac.SamplingState(ctx.n_types, ctx.make_lock())
+        self.sampling = ac.SamplingState(ctx.n_types)
         self.sf: dict[int, float] | None = None
         #: Per-thread local range [lo, hi); (0, 0) when empty.
         self.local: list[tuple[int, int]] | None = None
@@ -142,10 +142,6 @@ class AidStealScheduler(LoopScheduler):
     # -- the GOMP_loop_next analogue ------------------------------------------
 
     def next_range(self, tid: int, now: float) -> tuple[int, int] | None:
-        with self.ctx.lock:
-            return self._next_locked(tid, now)
-
-    def _next_locked(self, tid: int, now: float) -> tuple[int, int] | None:
         state = self.state[tid]
 
         if self.local is not None and state in (

@@ -36,8 +36,9 @@ class LoopScheduler(abc.ABC):
     must therefore hand out larger ranges, which is the entire design
     space the paper explores.
 
-    Implementations must be safe to drive from real threads when all
-    shared mutations happen under ``ctx.lock`` / the context's atomics.
+    Calls never overlap: the simulator makes them one event at a time,
+    and the real-thread team holds its lock around every call. So an
+    implementation takes no lock of its own, even under real threads.
     """
 
     def __init__(self, ctx: LoopContext) -> None:

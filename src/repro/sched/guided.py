@@ -30,11 +30,10 @@ class GuidedScheduler(LoopScheduler):
 
     def next_range(self, tid: int, now: float) -> tuple[int, int] | None:
         ws = self.ctx.workshare
-        with self.ctx.lock:
-            remaining = ws.remaining
-            if remaining <= 0:
-                return None
-            size = max(math.ceil(remaining / self.ctx.n_threads), self.chunk)
+        remaining = ws.remaining
+        if remaining <= 0:
+            return None
+        size = max(math.ceil(remaining / self.ctx.n_threads), self.chunk)
         return ws.take(size)
 
 

@@ -1,21 +1,28 @@
 """Real-thread executor tests: functional correctness under concurrency."""
 
+import sys
 import threading
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
 from repro.amp.presets import odroid_xu4
+from repro.check.recording import CheckContext
 from repro.errors import ConfigError, SchedulerError
 from repro.exec_real import ThreadTeam, parallel_map
 from repro.sched import (
+    AidAutoSpec,
     AidDynamicSpec,
     AidHybridSpec,
     AidStaticSpec,
+    AidStealSpec,
     DynamicSpec,
     GuidedSpec,
     StaticSpec,
 )
+from repro.sched.base import LoopScheduler, ScheduleSpec
 
 ALL_SPECS = [
     StaticSpec(),
@@ -25,6 +32,8 @@ ALL_SPECS = [
     AidStaticSpec(),
     AidHybridSpec(percentage=80),
     AidDynamicSpec(1, 5),
+    AidStealSpec(),
+    AidAutoSpec(),
 ]
 
 
@@ -140,3 +149,69 @@ def test_ranges_cover_space(team):
     for _tid, lo, hi in stats.ranges:
         seen[lo:hi] += 1
     assert seen.min() == 1 and seen.max() == 1
+
+
+# -- the team's lock: scheduler calls never overlap -----------------------
+
+
+@pytest.fixture
+def fast_switching():
+    """Switch threads every microsecond, so a race the team's lock must
+    prevent gets many chances to happen."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(old)
+
+
+class _OverlapProbe(LoopScheduler):
+    """``dynamic,1`` that counts calls entered while another is inside."""
+
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        self.inside = 0
+        self.overlaps = 0
+
+    def next_range(self, tid, now):
+        self.inside += 1
+        if self.inside > 1:
+            self.overlaps += 1
+        time.sleep(0)  # give up the GIL while inside
+        got = self.ctx.workshare.take(1)
+        self.inside -= 1
+        return got
+
+
+@dataclass(frozen=True)
+class _OverlapProbeSpec(ScheduleSpec):
+    built: list = field(default_factory=list, compare=False)
+
+    @property
+    def name(self):
+        return "overlap-probe"
+
+    def create(self, ctx):
+        probe = _OverlapProbe(ctx)
+        self.built.append(probe)
+        return probe
+
+
+def test_scheduler_calls_never_overlap(team, fast_switching):
+    spec = _OverlapProbeSpec()
+    stats = team.parallel_for(2000, lambda tid, lo, hi: None, spec)
+    assert sum(stats.iterations_per_thread) == 2000
+    assert spec.built[0].overlaps == 0
+
+
+@pytest.mark.parametrize(
+    "spec", [DynamicSpec(1), GuidedSpec(1)], ids=lambda s: s.name
+)
+def test_take_log_is_in_pool_order(team, spec, fast_switching):
+    """Each take is numbered in the order the pool served it: seqs run
+    0..n-1 and the fetch-and-add's pre-add values rise with them."""
+    for _ in range(5):
+        check = CheckContext()
+        team.parallel_for(3000, lambda tid, lo, hi: None, spec, check=check)
+        assert [ev.seq for ev in check.takes] == list(range(len(check.takes)))
+        before = [ev.before for ev in check.takes if not ev.requeued]
+        assert all(a < b for a, b in zip(before, before[1:])), before

@@ -42,13 +42,6 @@ def test_validation(platform_a):
         LoopContext(team, 10, default_chunk=0)
 
 
-def test_lock_is_noop_in_simulation(ctx_bs):
-    with ctx_bs.lock:
-        with ctx_bs.lock:  # nullcontext: re-entry is fine
-            pass
-    assert ctx_bs.make_lock() is None
-
-
 def test_charge_timestamp_forwards(platform_a):
     charged = []
     team = Team(platform_a, bs_mapping(platform_a))

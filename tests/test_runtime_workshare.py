@@ -1,7 +1,5 @@
 """Unit tests for the work-share iteration pool."""
 
-import threading
-
 import pytest
 
 from repro.errors import WorkShareError
@@ -74,31 +72,3 @@ def test_take_all():
     ws.take(3)
     assert ws.take_all() == (3, 10)
     assert ws.exhausted
-
-
-def test_concurrent_takes_partition_the_pool():
-    """Under real threads the pool must hand out each iteration exactly
-    once — the fetch-and-add guarantee."""
-    lock = threading.Lock()
-    n = 20_000
-    ws = WorkShare(0, n, lock)
-    got: list[list[tuple[int, int]]] = [[] for _ in range(8)]
-
-    def worker(slot: int) -> None:
-        while True:
-            r = ws.take(7)
-            if r is None:
-                return
-            got[slot].append(r)
-
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    seen = [0] * n
-    for ranges in got:
-        for lo, hi in ranges:
-            for i in range(lo, hi):
-                seen[i] += 1
-    assert all(c == 1 for c in seen)

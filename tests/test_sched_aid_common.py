@@ -1,7 +1,5 @@
 """Unit tests for the shared AID sampling machinery."""
 
-import threading
-
 import pytest
 
 from repro.amp.presets import odroid_xu4
@@ -52,23 +50,6 @@ class TestSamplingState:
         s = SamplingState(n_types=1)
         with pytest.raises(SchedulerError):
             s.record(0, -0.1)
-
-    def test_thread_safe_with_lock(self):
-        lock = threading.Lock()
-        s = SamplingState(n_types=1, lock=lock)
-        n, per = 8, 500
-
-        def bump():
-            for _ in range(per):
-                s.record(0, 0.001)
-
-        threads = [threading.Thread(target=bump) for _ in range(n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert s.completed.value == n * per
-        assert s.mean_times()[0] == pytest.approx(0.001)
 
 
 class TestAidTargets:
