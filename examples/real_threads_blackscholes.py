@@ -37,7 +37,7 @@ SPECS = [
     StaticSpec(),
     DynamicSpec(64),
     AidStaticSpec(sampling_chunk=32),
-    AidHybridSpec(percentage=80, sampling_chunk=32),
+    AidHybridSpec(percentage=80, sampling_chunk=32, dynamic_chunk=32),
     AidDynamicSpec(32, 160),
 ]
 

@@ -94,7 +94,7 @@ class RunSetup:
     big_of: list[bool] = field(default_factory=list)
     #: The dispatch log, or ``None`` when no sink listens (obs off, no
     #: span or trace recorder). One row per scheduler call:
-    #: ``(tid, now, overhead_dt, remaining, lo, hi, compute_dt)``, with
+    #: ``(tid, now, overhead_dt, lo, hi, compute_dt)``, with
     #: ``lo == -1`` for an empty take; a thread's rows are in its
     #: dispatch order (the drain stores the whole log as one array).
     log: list | np.ndarray | None = None
@@ -221,9 +221,6 @@ class LoopInstruments:
     :func:`publish_log`."""
 
     util_of: list
-    rate_of: list
-    runnable_ts: object
-    chunk_ts: object
     dispatch_digest: object
     compute_digest: object
     size_digest: object
@@ -250,15 +247,8 @@ def make_instruments(
         )
         for tname in dict.fromkeys(type_names)
     }
-    rate_by_type = {
-        tname: reg.timeseries("worker_rate", loop=loop.name, core_type=tname)
-        for tname in dict.fromkeys(type_names)
-    }
     inst = LoopInstruments(
         util_of=[util_by_type[tname] for tname in type_names],
-        rate_of=[rate_by_type[tname] for tname in type_names],
-        runnable_ts=reg.timeseries("runnable_iterations", loop=loop.name),
-        chunk_ts=reg.timeseries("chunk_size", loop=loop.name),
         dispatch_digest=reg.digest("dispatch_overhead_seconds", loop=loop.name),
         compute_digest=reg.digest("chunk_compute_seconds", loop=loop.name),
         size_digest=reg.digest("chunk_size_iters", loop=loop.name),
@@ -283,13 +273,13 @@ def publish_log(
         return None
     nt = setup.nt
     entry, wake = setup.entry, setup.wake_begin
-    rows = np.asarray(setup.log, dtype=float).reshape(-1, 7)
+    rows = np.asarray(setup.log, dtype=float).reshape(-1, 6)
     nows, ovh = rows[:, 1], rows[:, 2]
     if setup.execs is None:
         # Fault-free: every range ran exactly as it was dispatched.
         starts = nows + ovh
         ex = np.column_stack(
-            (rows[:, 0], nows, starts, starts + rows[:, 6], rows[:, 4:7])
+            (rows[:, 0], nows, starts, starts + rows[:, 5], rows[:, 3:6])
         )
     else:
         ex = np.asarray(setup.execs, dtype=float).reshape(-1, 7)
@@ -298,33 +288,22 @@ def publish_log(
     acc = None
     if setup.track_obs:
         inst = make_instruments(executor, loop, setup.core_types)
-        disp = rows[:, 4] >= 0.0
-        sizes = (rows[:, 5] - rows[:, 4])[disp]
         inst.dispatch_digest.observe_many(ovh)
-        inst.runnable_ts.observe_many(nows, rows[:, 3])
-        inst.chunk_ts.observe_many(nows[disp], sizes)
-        inst.size_digest.observe_many(sizes)
+        inst.size_digest.observe_many(
+            (rows[:, 4] - rows[:, 3])[rows[:, 3] >= 0.0]
+        )
         ran = los >= 0.0
-        timed = ran & (his > los) & (cds > 0.0)
-        # A fault-free chunk counts even at zero cost; a faulted range
-        # only when it computed.
-        inst.compute_digest.observe_many(
-            cds[ran if setup.execs is None else timed]
-        )
-        works = (
-            setup.prefix[his[timed].astype(np.int64)]
-            - setup.prefix[los[timed].astype(np.int64)]
-        )
-        rate_tids, rate_ts = ex_tids[timed], starts[timed]
-        rate_vals = works / cds[timed]
+        if setup.execs is not None:
+            # A fault-free chunk counts even at zero cost; a faulted
+            # range only when it computed.
+            ran &= (his > los) & (cds > 0.0)
+        inst.compute_digest.observe_many(cds[ran])
         for t in range(nt):
             m = ex_tids == t
             inst.util_of[t].observe_spans(
                 np.concatenate(((entry[t],), t0s[m])),
                 np.concatenate(((wake[t],), t1s[m])),
             )
-            r = rate_tids == t
-            inst.rate_of[t].observe_many(rate_ts[r], rate_vals[r])
         ovh_acc = np.bincount(
             np.concatenate((np.arange(nt), rows[:, 0].astype(np.int64))),
             weights=np.concatenate((np.subtract(wake, entry), ovh)),

@@ -391,7 +391,7 @@ def slot_engine(executor, req: LoopRunRequest, drain: bool):
                 overhead_dt = fault.adjust_overhead(tid, now, overhead_dt)
             lo, hi = got if got is not None else (-1, 0)
             if log is not None:
-                log.append((tid, now, overhead_dt, ws.remaining, lo, hi, 0.0))
+                log.append((tid, now, overhead_dt, lo, hi, 0.0))
             end = now + overhead_dt
             if got is None:
                 finish[tid] = end
@@ -417,7 +417,7 @@ def slot_engine(executor, req: LoopRunRequest, drain: bool):
             finish[tid] = now + overhead_dt
             active[tid] = False
             if log is not None:
-                log.append((tid, now, overhead_dt, ws.remaining, -1, 0, 0.0))
+                log.append((tid, now, overhead_dt, -1, 0, 0.0))
             continue
         # Fault-free, the block's completion *is* the thread's next
         # dispatch: one event per chunk.
@@ -430,9 +430,7 @@ def slot_engine(executor, req: LoopRunRequest, drain: bool):
         iters[tid] += hi - lo
         t_done = (now + overhead_dt) + compute_dt
         if log is not None:
-            log.append(
-                (tid, now, overhead_dt, ws.remaining, lo, hi, compute_dt)
-            )
+            log.append((tid, now, overhead_dt, lo, hi, compute_dt))
         # Slots.push inlined: the slot is already active, and its seq
         # comes from the one counter every push draws from.
         times[tid] = t_done
@@ -629,15 +627,13 @@ def _drain_engine(
         for j, o in overrides.items():
             ovh_arr[j] = o
         chunks = np.column_stack((
-            tids_arr, disp_nows, ovh_arr,
-            np.maximum(N - c * (j_arr + 1), 0), los, his,
+            tids_arr, disp_nows, ovh_arr, los, his,
             np.vstack(cds_rows)[tids_arr, j_arr] if n_disp else np.zeros(0),
         ))
         e = np.asarray(empties, dtype=float).reshape(-1, 3)
         zeros = np.zeros(len(e))
         setup.log = np.concatenate((
-            chunks,
-            np.column_stack((e, zeros, zeros - 1.0, zeros, zeros)),
+            chunks, np.column_stack((e, zeros - 1.0, zeros, zeros)),
         ))
 
     return iters, assigned, dispatches, attempts, empty_takes

@@ -15,11 +15,10 @@ overlapping grants behind an iteration-count mismatch.
 
 Every simulator case also runs with a live observability bundle, and
 :func:`obs_violations` validates the resulting snapshot: canonical-JSON
-round-trip (no NaN/inf leaks), busy-window occupancy bounds, agreement
-between the ``chunk_size`` sampler and the ``chunk_size_iters`` digest,
-and merge self-consistency (one fold rebuilds the snapshot exactly, a
-second fold exactly doubles it). A violation is folded into
-``check.error`` like any other runtime abort, so the fuzzer shrinks it.
+round-trip (no NaN/inf leaks), busy-window occupancy bounds, and merge
+self-consistency (one fold rebuilds the snapshot exactly, a second fold
+exactly doubles it). A violation is folded into ``check.error`` like any
+other runtime abort, so the fuzzer shrinks it.
 
 The bundle carries a span recorder too, so every case also checks the
 causal span tree (:func:`repro.obs.spans.span_violations` — single
@@ -83,8 +82,6 @@ def obs_violations(metrics: dict) -> list[str]:
       round-trips unchanged;
     * busy-mode windows never hold more busy time than ``window * norm``
       (a sampler overrun means overlapping execution spans);
-    * the ``chunk_size`` sampler and the ``chunk_size_iters`` digest saw
-      the same number of grants per instrument labels;
     * folding the snapshot into a fresh registry rebuilds it exactly,
       both as kept documents and after converting them to live
       instruments, and folding it twice exactly doubles counters and
@@ -115,27 +112,6 @@ def obs_violations(metrics: dict) -> list[str]:
                     f"{doc.get('labels')}: window {idx} holds "
                     f"{point[0]!r}s > {cap!r}s capacity"
                 )
-
-    def _count_of(kind: str, name: str) -> dict[tuple, float]:
-        counts: dict[tuple, float] = {}
-        for doc in metrics.get(kind, []):
-            if doc["name"] != name:
-                continue
-            key = tuple(sorted((doc.get("labels") or {}).items()))
-            if kind == "timeseries":
-                n = sum(p[1] for p in (doc.get("points") or {}).values())
-            else:
-                n = float(doc.get("count", 0))
-            counts[key] = counts.get(key, 0.0) + n
-        return counts
-
-    sampler = _count_of("timeseries", "chunk_size")
-    digest = _count_of("digests", "chunk_size_iters")
-    if sampler != digest:
-        out.append(
-            f"obs: chunk_size sampler counts {sampler} disagree with "
-            f"chunk_size_iters digest counts {digest}"
-        )
 
     once = MetricsRegistry()
     merge_metrics_into(once, metrics)

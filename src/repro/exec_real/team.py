@@ -177,9 +177,10 @@ class ThreadTeam:
         stall_seconds_total = 0.0
         watchdog_stop = threading.Event()
         use_watchdog = watchdog_timeout is not None and self.watchdog_enabled
-        # Wall-clock tail instruments; real_* names are declared
-        # wall-clock in repro.obs.merge so fleet diffs ignore them. Fed
-        # under ranges_lock: the instruments are not thread-safe.
+        # Wall-clock tail instruments; the two real_*_seconds digests
+        # are declared wall-clock in repro.obs.merge so fleet diffs
+        # ignore them. Fed under ranges_lock: the instruments are not
+        # thread-safe.
         track = obs.enabled
         if track:
             reg = obs.registry
@@ -188,7 +189,6 @@ class ThreadTeam:
                 "real_dispatch_overhead_seconds", loop=loop_name
             )
             real_sizes = reg.digest("real_chunk_size_iters", loop=loop_name)
-            real_rate = reg.timeseries("real_worker_rate", loop=loop_name)
         # Worker-lifetime spans (wall-clock seconds since loop start);
         # collected per tid and recorded after the join, so the recorder
         # is only touched from this thread.
@@ -243,13 +243,10 @@ class ThreadTeam:
                         current[tid] = None
                         ranges.append((tid, lo, hi))
                         if track:
-                            compute_dt = t_done - now - stall
-                            real_compute.observe(max(0.0, compute_dt))
+                            real_compute.observe(
+                                max(0.0, t_done - now - stall)
+                            )
                             real_sizes.observe(hi - lo)
-                            if compute_dt > 0.0:
-                                real_rate.observe(
-                                    now - t0, (hi - lo) / compute_dt
-                                )
             except BaseException as exc:  # noqa: BLE001 - propagate to caller
                 errors.append(exc)
             finally:

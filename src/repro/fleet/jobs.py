@@ -53,7 +53,10 @@ from repro.workloads.program import Program
 #: v6: every simulated backend publishes its snapshot through one
 #: projection of the dispatch log, so ``reference`` series and digests
 #: (and the last float bits of drain overhead sums) changed.
-RESULT_SCHEMA = "repro.fleet.result/v6"
+#: v7: snapshots drop four per-chunk instruments nothing read (the
+#: worker-rate, pool-depth and chunk-size series and the chunk-size
+#: histogram), so a cached v6 snapshot no longer matches a fresh run's.
+RESULT_SCHEMA = "repro.fleet.result/v7"
 
 #: Code-version salt mixed into every digest. Any release that changes
 #: simulated numbers bumps ``__version__`` and thereby every digest.

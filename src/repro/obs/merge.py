@@ -50,7 +50,6 @@ WALL_CLOCK_METRICS = frozenset(
         # Real-execution instruments measure host wall time by nature.
         "real_chunk_compute_seconds",
         "real_dispatch_overhead_seconds",
-        "real_worker_rate",
     }
 )
 

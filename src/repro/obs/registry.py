@@ -151,32 +151,6 @@ class Histogram:
         self.sum += value
         self.count += 1
 
-    def observe_many(self, values) -> None:
-        """Fold a whole column of observations at once.
-
-        Bucket counts and the running sum land exactly where per-element
-        :meth:`observe` calls would put them (``np.searchsorted`` with
-        ``side="left"`` is ``bisect_left``; the sum accumulates through a
-        cumsum, which rounds in the same left-to-right order as repeated
-        ``+=``).
-        """
-        import numpy as np
-
-        v = np.asarray(values, dtype=float)
-        if v.size == 0:
-            return
-        idx = np.searchsorted(self.bounds, v, side="left")
-        folded = np.bincount(idx, minlength=len(self.counts))
-        counts = self.counts
-        for i, c in enumerate(folded.tolist()):
-            if c:
-                counts[i] += c
-        chain = np.empty(v.size + 1)
-        chain[0] = self.sum
-        chain[1:] = v
-        self.sum = float(np.cumsum(chain)[-1])
-        self.count += int(v.size)
-
     def as_dict(self) -> dict:
         return {
             "name": self.name,
@@ -522,7 +496,7 @@ class _NullInstrument:
     def observe_span(self, t0: float, t1: float) -> None:
         pass
 
-    def observe_many(self, *columns) -> None:
+    def observe_many(self, values) -> None:
         pass
 
     def observe_spans(self, t0s, t1s) -> None:

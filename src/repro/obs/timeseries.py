@@ -156,69 +156,6 @@ class TimeSeries:
                 self._add(i, part)
             cur = hi
 
-    def observe_many(self, ts: Sequence[float], values: Sequence[float]) -> None:
-        """Record a whole column of point samples at once (sample mode).
-
-        Semantically equivalent to calling :meth:`observe` per element,
-        but the windowing runs as numpy column operations — this is the
-        bulk entry point the vectorized execution backend publishes
-        through. Determinism is preserved (the result is a pure function
-        of the observation column), though the coalescing level is
-        chosen from the index *range* rather than replayed one
-        observation at a time, so a bulk-fed series may sit one level
-        coarser than an element-fed twin. Merging stays exact either
-        way: every level is a power-of-two fold of the base window.
-        """
-        if self.mode != "sample":
-            raise ObsError(
-                f"timeseries {self.name!r} is busy-mode; use observe_spans"
-            )
-        if len(ts) != len(values):
-            raise ObsError(
-                f"timeseries {self.name!r}: observe_many got "
-                f"{len(ts)} times for {len(values)} values"
-            )
-        if len(ts) == 0:
-            return
-        if len(ts) < 24:
-            # numpy's fixed per-call cost dwarfs a short column; run the
-            # same settle-then-fold sequence on scalars.
-            tl = [float(x) for x in ts]
-            vl = [float(x) for x in values]
-            w = self.window
-            idxs = [int(t // w) for t in tl]
-            shift = self._settle_level(min(idxs), max(idxs))
-            if shift:
-                idxs = [i >> shift for i in idxs]
-            points = self.points
-            for i, val in zip(idxs, vl):
-                slot = points.get(i)
-                if slot is None:
-                    points[i] = [val, 1.0, val, val]
-                else:
-                    slot[0] += val
-                    slot[1] += 1.0
-                    if val < slot[2]:
-                        slot[2] = val
-                    if val > slot[3]:
-                        slot[3] = val
-            while len(points) > self.capacity:
-                self._coalesce()
-            return
-        t = np.asarray(ts, dtype=float)
-        v = np.asarray(values, dtype=float)
-        idx = np.floor_divide(t, self.window).astype(np.int64)
-        idx >>= self._settle_level(int(idx.min()), int(idx.max()))
-        base = int(idx.min())
-        rel = idx - base
-        n_windows = int(rel.max()) + 1
-        sums = np.bincount(rel, weights=v, minlength=n_windows)
-        counts = np.bincount(rel, minlength=n_windows)
-        mins = np.full(n_windows, math.inf)
-        maxs = np.full(n_windows, -math.inf)
-        _grouped_minmax(mins, maxs, rel, v)
-        self._fold_columns(base, sums, counts.astype(float), mins, maxs)
-
     def observe_spans(
         self, t0s: Sequence[float], t1s: Sequence[float]
     ) -> None:
@@ -233,7 +170,7 @@ class TimeSeries:
         """
         if self.mode != "busy":
             raise ObsError(
-                f"timeseries {self.name!r} is sample-mode; use observe_many"
+                f"timeseries {self.name!r} is sample-mode; use observe"
             )
         if len(t0s) != len(t1s):
             raise ObsError(
@@ -552,7 +489,7 @@ class QuantileDigest:
         Equivalent to per-element :meth:`observe` up to float summation
         order (bucket counts and the observation count are exact; the
         running ``sum`` accumulates in numpy's reduction order). This is
-        the bulk entry point for the vectorized execution backend.
+        the bulk entry point simulated-loop publication feeds.
         """
         v = np.asarray(values, dtype=float)
         if v.size == 0:

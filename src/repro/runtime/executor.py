@@ -346,7 +346,6 @@ class LoopExecutor:
                     "workshare_take_attempts_total", loop=name
                 ),
                 "emp": reg.counter("workshare_take_empty_total", loop=name),
-                "chunks": reg.histogram("chunk_size_iterations", loop=name),
                 "per_tid": [
                     (
                         reg.counter("dispatches_total", loop=name, tid=tid),
@@ -370,21 +369,9 @@ class LoopExecutor:
         h["inv"].inc()
         h["att"].inc(attempts)
         h["emp"].inc(empty_takes)
-        chunks = h["chunks"]
-        if len(result.ranges) > 256:
-            # Fine-grained dynamic runs produce one range per chunk;
-            # fold the whole column at once (bucket- and sum-exact, see
-            # Histogram.observe_many).
-            arr = np.asarray(result.ranges, dtype=np.int64)
-            dispatches_by_tid = np.bincount(
-                arr[:, 0], minlength=nt
-            ).tolist()
-            chunks.observe_many(arr[:, 2] - arr[:, 1])
-        else:
-            dispatches_by_tid = [0] * nt
-            for tid, lo, hi in result.ranges:
-                dispatches_by_tid[tid] += 1
-                chunks.observe(hi - lo)
+        dispatches_by_tid = [0] * nt
+        for tid, _lo, _hi in result.ranges:
+            dispatches_by_tid[tid] += 1
         for tid, (c_disp, c_calls, c_iters, c_ovh, c_cmp) in enumerate(
             h["per_tid"]
         ):

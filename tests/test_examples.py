@@ -45,6 +45,26 @@ def test_real_threads_blackscholes_runs():
     assert "identical prices" in out
 
 
+def test_real_threads_hybrid_tail_matches_aid_dynamic_minor_chunk():
+    # AID-hybrid's dynamic tail must be priced in the same chunks as the
+    # AID-dynamic row's minor chunk; left at the loop default of 1 it
+    # dispatched one option at a time and dominated the example's wall
+    # time. Dispatch counts on real threads vary run to run, so the
+    # configuration is what this checks.
+    import importlib.util
+
+    from repro.sched import AidDynamicSpec, AidHybridSpec
+
+    spec = importlib.util.spec_from_file_location(
+        "real_threads_blackscholes", EXAMPLES / "real_threads_blackscholes.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    (hybrid,) = [s for s in module.SPECS if isinstance(s, AidHybridSpec)]
+    (dynamic,) = [s for s in module.SPECS if isinstance(s, AidDynamicSpec)]
+    assert hybrid.dynamic_chunk == dynamic.minor_chunk
+
+
 def test_colocated_apps_runs():
     out = run_example("colocated_apps.py")
     assert "STP" in out and "team sizes" in out

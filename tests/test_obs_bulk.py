@@ -1,10 +1,11 @@
 """Bulk instrument paths vs their scalar twins.
 
-The vectorized execution backend publishes metrics through the column
-entry points (``observe_many`` / ``observe_spans``); byte-identity of
-its observability snapshots depends on those folds landing exactly where
-per-element calls would. Each test here feeds the same data down both
-paths and compares the resulting instrument state.
+Simulated-loop publication feeds the column entry points
+(``QuantileDigest.observe_many`` and busy-mode
+``TimeSeries.observe_spans``); byte-identity of the observability
+snapshots depends on those folds landing exactly where per-element calls
+would. Each test here feeds the same data down both paths and compares
+the resulting instrument state.
 """
 
 from __future__ import annotations
@@ -15,48 +16,10 @@ import numpy as np
 import pytest
 
 from repro.obs.merge import summarize_decisions
-from repro.obs.registry import MetricsRegistry, label_key
+from repro.obs.registry import label_key
 from repro.obs.timeseries import QuantileDigest, TimeSeries
 
 SEED = 20260808
-
-
-def _hist_pair():
-    reg = MetricsRegistry()
-    bounds = (0.001, 0.01, 0.1, 1.0)
-    return (
-        reg.histogram("a", buckets=bounds),
-        reg.histogram("b", buckets=bounds),
-    )
-
-
-class TestHistogramBulk:
-    def test_matches_sequential_observe(self):
-        rng = np.random.default_rng(SEED)
-        values = rng.lognormal(mean=-4.0, sigma=2.0, size=500)
-        bulk, scalar = _hist_pair()
-        bulk.observe_many(values)
-        for v in values:
-            scalar.observe(float(v))
-        assert bulk.counts == scalar.counts
-        assert bulk.count == scalar.count
-        # The cumsum chain reproduces left-to-right += rounding exactly.
-        assert bulk.sum == scalar.sum
-
-    def test_values_on_bucket_edges(self):
-        # searchsorted side="left" must agree with bisect_left: a value
-        # exactly equal to a bound lands in the bucket *at* that bound.
-        bulk, scalar = _hist_pair()
-        edges = [0.001, 0.01, 0.1, 1.0, 0.0, 2.0]
-        bulk.observe_many(edges)
-        for v in edges:
-            scalar.observe(v)
-        assert bulk.counts == scalar.counts
-
-    def test_empty_column_is_a_noop(self):
-        bulk, _ = _hist_pair()
-        bulk.observe_many([])
-        assert bulk.count == 0 and bulk.sum == 0.0
 
 
 class TestDigestBulk:
@@ -89,20 +52,6 @@ def _series(mode="sample", window=1.0, capacity=256, norm=1.0):
 
 class TestTimeSeriesBulk:
     @pytest.mark.parametrize("n", [5, 23, 24, 200])
-    def test_observe_many_matches_scalar(self, n):
-        # n straddles the scalar/numpy switchover (< 24 runs the scalar
-        # branch); with ample capacity neither path coalesces, so the
-        # window contents must agree exactly.
-        rng = np.random.default_rng(SEED + n)
-        ts = np.sort(rng.uniform(0.0, 40.0, size=n))
-        vals = rng.uniform(0.0, 1.0, size=n)
-        bulk, scalar = _series(), _series()
-        bulk.observe_many(ts, vals)
-        for t, v in zip(ts, vals):
-            scalar.observe(float(t), float(v))
-        assert bulk.as_dict() == scalar.as_dict()
-
-    @pytest.mark.parametrize("n", [5, 23, 24, 200])
     def test_observe_spans_matches_scalar(self, n):
         rng = np.random.default_rng(SEED + n)
         t0 = np.sort(rng.uniform(0.0, 40.0, size=n))
@@ -127,15 +76,15 @@ class TestTimeSeriesBulk:
         from repro.errors import ObsError
 
         with pytest.raises(ObsError, match="busy-mode"):
-            _series(mode="busy").observe_many([1.0], [1.0])
+            _series(mode="busy").observe(1.0, 1.0)
         with pytest.raises(ObsError, match="sample-mode"):
             _series().observe_spans([0.0], [1.0])
 
     def test_ragged_columns_raise(self):
         from repro.errors import ObsError
 
-        with pytest.raises(ObsError, match="observe_many"):
-            _series().observe_many([1.0, 2.0], [1.0])
+        with pytest.raises(ObsError, match="observe_spans"):
+            _series(mode="busy").observe_spans([1.0, 2.0], [1.0])
 
 
 class TestCoalesceBulk:

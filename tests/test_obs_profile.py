@@ -120,8 +120,8 @@ class TestTimelineCli:
         assert "p99" in text
         # Metric filter narrows the lanes.
         assert report_main(
-            ["timeline", str(path), "--metric", "chunk_size"]
+            ["timeline", str(path), "--metric", "chunk_size_iters"]
         ) == 0
         filtered = capsys.readouterr().out
         assert "core_utilization" not in filtered
-        assert "chunk_size" in filtered
+        assert "chunk_size_iters" in filtered

@@ -212,15 +212,17 @@ def seeded_run(obs, schedule="aid_hybrid,80", faults=None, seed=11):
 
 class TestRuntimeInstrumentation:
     def test_run_emits_all_promised_series_and_digests(self):
+        # The exact catalogue, not a subset: a new instrument needs a
+        # reader, this test and a row in docs/observability.md.
         obs = Observability()
         seeded_run(obs)
         snap = obs.registry.snapshot()
         ts_names = {m["name"] for m in snap["timeseries"]}
-        assert {"core_utilization", "runnable_iterations", "worker_rate",
-                "chunk_size", "sf_estimate"} <= ts_names
+        assert ts_names == {"core_utilization", "sf_estimate"}
         dg_names = {m["name"] for m in snap["digests"]}
-        assert {"dispatch_overhead_seconds", "chunk_compute_seconds",
-                "chunk_size_iters"} <= dg_names
+        assert dg_names == {"chunk_compute_seconds", "chunk_size_iters",
+                            "dispatch_overhead_seconds"}
+        assert snap["histograms"] == []
 
     def test_cost_attribution_counters_are_disjoint_and_cover_busy_time(self):
         obs = Observability()
@@ -278,8 +280,8 @@ THROTTLE = plan_from_tuples(
 
 
 class TestFaultVisibility:
-    """A PR-5 mid-loop throttle must be visible as a rate step in the
-    timeline and flip the tail-latency diff class on p99."""
+    """A mid-loop throttle must show in the timeline's utilization lanes
+    and flip the tail-latency diff class on p99."""
 
     def run_pair(self):
         healthy, faulted = Observability(), Observability()
@@ -287,23 +289,11 @@ class TestFaultVisibility:
         seeded_run(faulted, schedule="dynamic,4", faults=THROTTLE)
         return healthy, faulted
 
-    def test_throttle_is_a_worker_rate_step(self):
-        _healthy, faulted = self.run_pair()
-        snap = faulted.registry.snapshot()
-        stepped = 0
-        for m in snap["timeseries"]:
-            if m["name"] != "worker_rate":
-                continue
-            vals = [v for _i, v in series_values(m)]
-            if len(vals) >= 2 and min(vals) < 0.5 * max(vals):
-                stepped += 1
-        assert stepped > 0, "throttled workers must show a rate drop"
-
     def test_timeline_renders_the_faulted_run(self):
         _healthy, faulted = self.run_pair()
         snapshot = {"metrics": faulted.registry.snapshot()}
-        text = timeline(snapshot, metric="worker_rate")
-        assert "worker_rate" in text
+        text = timeline(snapshot, metric="core_utilization")
+        assert "core_utilization" in text
         assert "|" in text  # sparkline lanes rendered
 
     def test_throttle_flips_the_tail_latency_diff_class(self):
