@@ -51,17 +51,15 @@ def test_real_threads_hybrid_tail_matches_aid_dynamic_minor_chunk():
     # dispatched one option at a time and dominated the example's wall
     # time. Dispatch counts on real threads vary run to run, so the
     # configuration is what this checks.
-    import importlib.util
+    import runpy
 
     from repro.sched import AidDynamicSpec, AidHybridSpec
 
-    spec = importlib.util.spec_from_file_location(
-        "real_threads_blackscholes", EXAMPLES / "real_threads_blackscholes.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    (hybrid,) = [s for s in module.SPECS if isinstance(s, AidHybridSpec)]
-    (dynamic,) = [s for s in module.SPECS if isinstance(s, AidDynamicSpec)]
+    specs = runpy.run_path(str(EXAMPLES / "real_threads_blackscholes.py"))[
+        "SPECS"
+    ]
+    (hybrid,) = [s for s in specs if isinstance(s, AidHybridSpec)]
+    (dynamic,) = [s for s in specs if isinstance(s, AidDynamicSpec)]
     assert hybrid.dynamic_chunk == dynamic.minor_chunk
 
 

@@ -1,8 +1,8 @@
 """Tests for the time-resolved telemetry layer (repro.obs.timeseries):
 windowed samplers, quantile digests, their merge semantics, the runtime
-instrumentation that feeds them, and the timeline/fault visibility the
-PR promises (a mid-loop throttle shows up as a rate step and a p99
-tail-latency regression)."""
+instrumentation that feeds them, and fault visibility (a mid-loop
+throttle renders in the timeline and shows up as a p99 tail-latency
+regression)."""
 
 import json
 
