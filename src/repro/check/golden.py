@@ -31,6 +31,16 @@ fault intensities, seeded random fault plans). It pins the fault
 engine's end-to-end numbers — degradation and recovery per cell — the
 way the engine corpus pins single loops.
 
+The *paper-grid pin*, ``paper_grids.json``, holds one SHA-256 per
+platform of the canonical-JSON :func:`~repro.obs.snapshot.grid_payload`
+of the full Fig. 6/7 grid (every program under every default
+configuration, root seed 0). It pins the paper's 294 cells byte for
+byte; a mismatch names the platform.
+
+:class:`GoldenArtifacts` holds the fresh side of every comparison, each
+part computed on first use, so one computation can serve several
+checks (the test suite builds one per session).
+
 Regenerate all of them deliberately with::
 
     python -m repro.check golden --update
@@ -40,6 +50,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import cached_property
 from pathlib import Path
 
 from repro.check.backend_diff import (
@@ -49,7 +60,7 @@ from repro.check.backend_diff import (
 )
 from repro.check.generators import preset_platform, run_loop
 from repro.check.recording import CheckContext
-from repro.obs.snapshot import canonical_json
+from repro.obs.snapshot import canonical_json, grid_payload
 from repro.perfmodel.overhead import OverheadModel
 from repro.sched.registry import parse_schedule
 from repro.workloads.costmodels import RampCost
@@ -88,6 +99,12 @@ SWEEP_PIN_SCHEMA = "repro.check.resilience_sweep/v1"
 SWEEP_SEEDS = 2
 SWEEP_N_ITERATIONS = 1024
 SWEEP_ROOT_SEEDS = (0, 1)
+
+#: The paper-grid pin: file name, schema and the presets whose full
+#: grid (``run_grid(platform)``, root seed 0) it pins.
+GRID_PIN_FILE = "paper_grids.json"
+GRID_PIN_SCHEMA = "repro.check.grid_pin/v1"
+GRID_PRESETS = ("odroid_xu4", "xeon_emulated")
 
 
 def run_golden(key: str) -> CheckContext:
@@ -226,12 +243,16 @@ def corpus_divergence(
     return lines
 
 
-def check_engine_corpus(path: Path) -> str | None:
-    """Compare the committed corpus with a fresh run; ``None`` = match."""
+def check_engine_corpus(
+    path: Path, fresh: GoldenArtifacts | None = None
+) -> str | None:
+    """Compare the committed corpus with ``fresh.corpus`` (default: a
+    new run); ``None`` = match."""
     if not path.exists():
         return f"engine corpus {path} missing; run --update"
     expected = json.loads(path.read_text(encoding="utf-8"))["campaigns"]
-    lines = corpus_divergence(expected, engine_corpus())
+    fresh = fresh if fresh is not None else fresh_artifacts()
+    lines = corpus_divergence(expected, fresh.corpus)
     if not lines:
         return None
     return "\n".join(
@@ -242,78 +263,167 @@ def check_engine_corpus(path: Path) -> str | None:
     )
 
 
+def payload_digest(payload: dict) -> str:
+    """Full SHA-256 of a payload's canonical JSON."""
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+
+
 def sweep_digests() -> dict[str, str]:
-    """Root seed (as a string) -> full SHA-256 of the canonical-JSON
+    """Root seed (as a string) -> :func:`payload_digest` of the
     resilience sweep payload."""
     from repro.experiments.resilience import sweep
 
     return {
-        str(seed): hashlib.sha256(
-            canonical_json(
-                sweep(
-                    seeds=SWEEP_SEEDS, n_iterations=SWEEP_N_ITERATIONS,
-                    root_seed=seed,
-                ).to_payload()
-            ).encode("utf-8")
-        ).hexdigest()
+        str(seed): payload_digest(
+            sweep(
+                seeds=SWEEP_SEEDS, n_iterations=SWEEP_N_ITERATIONS,
+                root_seed=seed,
+            ).to_payload()
+        )
         for seed in SWEEP_ROOT_SEEDS
     }
 
 
-def sweep_pin_text(digests: dict[str, str]) -> str:
-    """The sweep pin file: the sweep's size and one digest per seed."""
-    doc = {
-        "schema": SWEEP_PIN_SCHEMA,
-        "seeds": SWEEP_SEEDS,
-        "n_iterations": SWEEP_N_ITERATIONS,
-        "digests": digests,
-    }
+def grid_digests(grids=None) -> dict[str, str]:
+    """Platform name -> :func:`payload_digest` of the grid's
+    :func:`~repro.obs.snapshot.grid_payload`, for ``grids`` (default:
+    the full grid of each :data:`GRID_PRESETS` platform, built here)."""
+    from repro.experiments.harness import run_grid
+
+    if grids is None:
+        grids = [run_grid(preset_platform(name)) for name in GRID_PRESETS]
+    return {g.platform_name: payload_digest(grid_payload(g)) for g in grids}
+
+
+class GoldenArtifacts:
+    """The fresh side of every golden comparison, each part computed on
+    first use and kept: ``logs`` (variant key -> decision-log JSONL),
+    ``corpus`` (:func:`engine_corpus`), ``sweep`` (:func:`sweep_digests`)
+    and ``grids`` (:func:`grid_digests`). ``grids`` may be supplied by a
+    caller that already built both full grids."""
+
+    def __init__(self, grids: dict[str, str] | None = None) -> None:
+        if grids is not None:
+            self.grids = grids
+
+    @cached_property
+    def logs(self) -> dict[str, str]:
+        return {key: golden_jsonl(key) for key in GOLDEN_VARIANTS}
+
+    @cached_property
+    def corpus(self) -> dict[str, list[dict]]:
+        return engine_corpus()
+
+    @cached_property
+    def sweep(self) -> dict[str, str]:
+        return sweep_digests()
+
+    @cached_property
+    def grids(self) -> dict[str, str]:
+        return grid_digests()
+
+
+def fresh_artifacts() -> GoldenArtifacts:
+    """A new, not yet computed :class:`GoldenArtifacts`."""
+    return GoldenArtifacts()
+
+
+def pin_text(schema: str, digests: dict[str, str], **size: int) -> str:
+    """A digest pin file: its schema, the run's size and the digests."""
+    doc = {"schema": schema, **size, "digests": digests}
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
-def check_sweep_pin(path: Path) -> str | None:
-    """Compare the committed sweep pin with a fresh sweep; ``None`` =
-    match. A mismatch names each diverging root seed."""
+def sweep_pin_text(digests: dict[str, str]) -> str:
+    """The sweep pin file: the sweep's size and one digest per seed."""
+    return pin_text(
+        SWEEP_PIN_SCHEMA, digests,
+        seeds=SWEEP_SEEDS, n_iterations=SWEEP_N_ITERATIONS,
+    )
+
+
+def grid_pin_text(digests: dict[str, str]) -> str:
+    """The grid pin file: one digest per platform name."""
+    return pin_text(GRID_PIN_SCHEMA, digests)
+
+
+def _check_pin(
+    path: Path, title: str, key_name: str, actual_of, order=None
+) -> str | None:
+    """Compare a digest pin with fresh digests (``actual_of()``, called
+    only when the pin exists); ``None`` = match. A mismatch names each
+    diverging key."""
     if not path.exists():
-        return f"resilience sweep pin {path} missing; run --update"
+        return f"{title} {path} missing; run --update"
     expected = json.loads(path.read_text(encoding="utf-8"))["digests"]
-    actual = sweep_digests()
+    actual = actual_of()
     lines = [
-        f"root seed {seed}: payload digest {expected.get(seed)} != "
-        f"{actual.get(seed)}"
-        for seed in sorted(set(expected) | set(actual), key=int)
-        if expected.get(seed) != actual.get(seed)
+        f"{key_name} {key}: payload digest {expected.get(key)} != "
+        f"{actual.get(key)}"
+        for key in sorted(set(expected) | set(actual), key=order)
+        if expected.get(key) != actual.get(key)
     ]
     if not lines:
         return None
     return "\n".join(
-        [f"resilience sweep pin {path.name} diverged:"]
+        [f"{title} {path.name} diverged:"]
         + lines
         + ["if the change is intentional, regenerate with: "
            "python -m repro.check golden --update"]
     )
 
 
-def check_golden(directory: str | Path) -> dict[str, str]:
-    """Compare every golden file, the engine corpus and the resilience
-    sweep pin against a fresh run.
+def check_sweep_pin(
+    path: Path, fresh: GoldenArtifacts | None = None
+) -> str | None:
+    """Compare the committed sweep pin with ``fresh.sweep`` (default: a
+    new sweep); ``None`` = match. A mismatch names each diverging root
+    seed."""
+    return _check_pin(
+        path, "resilience sweep pin", "root seed",
+        lambda: (fresh or fresh_artifacts()).sweep, order=int,
+    )
+
+
+def check_grid_pin(
+    path: Path, fresh: GoldenArtifacts | None = None
+) -> str | None:
+    """Compare the committed grid pin with ``fresh.grids`` (default:
+    both grids built anew); ``None`` = match. A mismatch names each
+    diverging platform."""
+    return _check_pin(
+        path, "paper-grid pin", "platform",
+        lambda: (fresh or fresh_artifacts()).grids,
+    )
+
+
+def check_golden(
+    directory: str | Path, fresh: GoldenArtifacts | None = None
+) -> dict[str, str]:
+    """Compare every golden file, the engine corpus, the resilience
+    sweep pin and the paper-grid pin against ``fresh`` (default: a new
+    :func:`fresh_artifacts`; a part whose file is missing is never
+    computed).
 
     Returns a map of diverging keys (variant keys,
-    :data:`ENGINE_CORPUS_FILE` or :data:`SWEEP_PIN_FILE`) to rendered
-    divergence reports (empty = all match). Missing files count as
-    divergences.
+    :data:`ENGINE_CORPUS_FILE`, :data:`SWEEP_PIN_FILE` or
+    :data:`GRID_PIN_FILE`) to rendered divergence reports (empty = all
+    match). Missing files count as divergences.
     """
     directory = Path(directory)
+    fresh = fresh if fresh is not None else fresh_artifacts()
     problems: dict[str, str] = {}
-    corpus = check_engine_corpus(directory / ENGINE_CORPUS_FILE)
-    if corpus is not None:
-        problems[ENGINE_CORPUS_FILE] = corpus
-    pin = check_sweep_pin(directory / SWEEP_PIN_FILE)
-    if pin is not None:
-        problems[SWEEP_PIN_FILE] = pin
+    for name, check in (
+        (ENGINE_CORPUS_FILE, check_engine_corpus),
+        (SWEEP_PIN_FILE, check_sweep_pin),
+        (GRID_PIN_FILE, check_grid_pin),
+    ):
+        report = check(directory / name, fresh)
+        if report is not None:
+            problems[name] = report
     for key in GOLDEN_VARIANTS:
         path = directory / f"{key}.jsonl"
-        actual = golden_jsonl(key)
+        actual = fresh.logs[key]
         if not path.exists():
             problems[key] = f"golden file {path} missing; run --update"
             continue
@@ -323,20 +433,22 @@ def check_golden(directory: str | Path) -> dict[str, str]:
     return problems
 
 
-def update_golden(directory: str | Path) -> list[str]:
-    """(Re)write every golden file, the engine corpus and the sweep
-    pin; returns the paths written."""
+def update_golden(
+    directory: str | Path, fresh: GoldenArtifacts | None = None
+) -> list[str]:
+    """(Re)write every golden file, the engine corpus, the sweep pin and
+    the grid pin from ``fresh`` (default: a new :func:`fresh_artifacts`);
+    returns the paths written."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    fresh = fresh if fresh is not None else fresh_artifacts()
+    files = {f"{key}.jsonl": text for key, text in fresh.logs.items()}
+    files[ENGINE_CORPUS_FILE] = engine_corpus_text(fresh.corpus)
+    files[SWEEP_PIN_FILE] = sweep_pin_text(fresh.sweep)
+    files[GRID_PIN_FILE] = grid_pin_text(fresh.grids)
     written = []
-    for key in GOLDEN_VARIANTS:
-        path = directory / f"{key}.jsonl"
-        path.write_text(golden_jsonl(key), encoding="utf-8")
+    for name, text in files.items():
+        path = directory / name
+        path.write_text(text, encoding="utf-8")
         written.append(str(path))
-    path = directory / ENGINE_CORPUS_FILE
-    path.write_text(engine_corpus_text(engine_corpus()), encoding="utf-8")
-    written.append(str(path))
-    path = directory / SWEEP_PIN_FILE
-    path.write_text(sweep_pin_text(sweep_digests()), encoding="utf-8")
-    written.append(str(path))
     return written

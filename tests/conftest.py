@@ -84,3 +84,33 @@ def rng(request):
         seed = stable_seed("tests", request.node.nodeid)
     print(f"rng fixture seed: {seed} (REPRO_TEST_SEED={seed} to replay)")
     return np.random.default_rng(seed)
+
+
+@pytest.fixture(scope="session")
+def paper_grids():
+    """Both full Fig. 6/7 grids at root seed 0, built once per session;
+    preset name -> :class:`~repro.experiments.harness.GridResult`."""
+    from repro.check.golden import GRID_PRESETS
+    from repro.experiments.harness import run_grid
+
+    return {name: run_grid(preset_platform(name)) for name in GRID_PRESETS}
+
+
+@pytest.fixture(scope="session")
+def fresh_golden(paper_grids):
+    """The fresh side of every golden comparison, shared by the whole
+    session: the engine corpus and the sweep are computed on first use,
+    the grid digests come from :func:`paper_grids`."""
+    from repro.check.golden import GoldenArtifacts, grid_digests
+
+    return GoldenArtifacts(grids=grid_digests(paper_grids.values()))
+
+
+@pytest.fixture
+def session_golden(fresh_golden, monkeypatch):
+    """Make ``python -m repro.check golden`` compare and write the
+    session's :func:`fresh_golden` instead of computing its own."""
+    from repro.check import golden
+
+    monkeypatch.setattr(golden, "fresh_artifacts", lambda: fresh_golden)
+    return fresh_golden

@@ -98,13 +98,13 @@ class TestMutantCommand:
 
 
 class TestGoldenCommand:
-    def test_committed_goldens_match(self, capsys):
+    def test_committed_goldens_match(self, capsys, session_golden):
         assert main(["golden", "--dir", GOLDEN_DIR]) == 0
 
     def test_missing_dir_fails(self, tmp_path):
         assert main(["golden", "--dir", str(tmp_path / "nope")]) == 1
 
-    def test_update_then_check_roundtrip(self, tmp_path):
+    def test_update_then_check_roundtrip(self, tmp_path, session_golden):
         d = str(tmp_path / "golden")
         assert main(["golden", "--dir", d, "--update"]) == 0
         assert main(["golden", "--dir", d]) == 0

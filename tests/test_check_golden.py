@@ -4,9 +4,12 @@ Each AID variant's canonical run on the odroid preset must reproduce
 the committed decision log byte-for-byte. A digest change means the
 scheduler's decision sequence changed — fail with the oracle-rendered
 divergence. The engine corpus pins every case of the two CI
-backend-diff campaigns field by field, and the resilience sweep pin
-holds one payload digest per root seed of a small fault sweep. If a
-change is intentional, regenerate with
+backend-diff campaigns field by field, the resilience sweep pin holds
+one payload digest per root seed of a small fault sweep, and the
+paper-grid pin one per platform of the full Fig. 6/7 grid. Every
+comparison reads the session's ``fresh_golden`` (see conftest), so the
+corpus is computed once for all of them plus once more to show that two
+computations agree. If a change is intentional, regenerate with
 ``python -m repro.check golden --update``.
 """
 
@@ -22,15 +25,20 @@ from repro.check.golden import (
     ENGINE_CORPUS_FILE,
     ENGINE_FIELDS,
     GOLDEN_VARIANTS,
+    GRID_PIN_FILE,
     SWEEP_PIN_FILE,
     SWEEP_ROOT_SEEDS,
+    GoldenArtifacts,
     check_engine_corpus,
     check_golden,
+    check_grid_pin,
     check_sweep_pin,
     corpus_divergence,
     digest,
+    engine_corpus,
     engine_corpus_text,
     golden_jsonl,
+    grid_pin_text,
     render_divergence,
     run_golden,
     sweep_pin_text,
@@ -64,9 +72,15 @@ def test_golden_runs_pass_the_oracle():
         assert report.ok, f"{key}: {report.render()}"
 
 
-def test_engine_corpus_matches_golden():
-    report = check_engine_corpus(GOLDEN_DIR / ENGINE_CORPUS_FILE)
+def test_engine_corpus_matches_golden(fresh_golden):
+    report = check_engine_corpus(GOLDEN_DIR / ENGINE_CORPUS_FILE, fresh_golden)
     assert report is None, report
+
+
+def test_engine_corpus_computations_agree(fresh_golden):
+    # The one second computation of the session: the engine is
+    # deterministic run to run, not only equal to the frozen corpus.
+    assert engine_corpus() == fresh_golden.corpus
 
 
 def test_engine_corpus_covers_both_campaigns():
@@ -100,8 +114,8 @@ def test_engine_corpus_mismatch_names_campaign_seed_and_field():
     )
 
 
-def test_resilience_sweep_matches_pin():
-    report = check_sweep_pin(GOLDEN_DIR / SWEEP_PIN_FILE)
+def test_resilience_sweep_matches_pin(fresh_golden):
+    report = check_sweep_pin(GOLDEN_DIR / SWEEP_PIN_FILE, fresh_golden)
     assert report is None, report
 
 
@@ -125,17 +139,37 @@ def test_tampered_sweep_pin_names_the_root_seed(tmp_path):
     assert "--update" in report
 
 
-def test_check_golden_flags_tampered_file(tmp_path):
+def test_grid_pin_text_is_what_update_writes():
+    text = (GOLDEN_DIR / GRID_PIN_FILE).read_text(encoding="utf-8")
+    assert grid_pin_text(json.loads(text)["digests"]) == text
+
+
+def test_tampered_grid_pin_names_the_platform(tmp_path):
+    doc = json.loads((GOLDEN_DIR / GRID_PIN_FILE).read_text())
+    platform_a, platform_b = sorted(doc["digests"])
+    fresh = GoldenArtifacts(grids=dict(doc["digests"]))
+    fresh.grids[platform_b] = "0" * 64
+    report = check_grid_pin(GOLDEN_DIR / GRID_PIN_FILE, fresh)
+    assert report is not None
+    assert (
+        f"platform {platform_b}: payload digest "
+        f"{doc['digests'][platform_b]} != {'0' * 64}"
+    ) in report
+    assert platform_a not in report
+    assert "--update" in report
+
+
+def test_check_golden_flags_tampered_file(tmp_path, fresh_golden):
     for key in GOLDEN_VARIANTS:
         (tmp_path / f"{key}.jsonl").write_text(
-            golden_jsonl(key), encoding="utf-8"
+            fresh_golden.logs[key], encoding="utf-8"
         )
-    for name in (ENGINE_CORPUS_FILE, SWEEP_PIN_FILE):
+    for name in (ENGINE_CORPUS_FILE, SWEEP_PIN_FILE, GRID_PIN_FILE):
         (tmp_path / name).write_text(
             (GOLDEN_DIR / name).read_text(encoding="utf-8"),
             encoding="utf-8",
         )
-    assert check_golden(tmp_path) == {}
+    assert check_golden(tmp_path, fresh_golden) == {}
     # tamper: flip one record's tid
     victim = tmp_path / "aid_static.jsonl"
     lines = victim.read_text(encoding="utf-8").splitlines()
@@ -143,7 +177,7 @@ def test_check_golden_flags_tampered_file(tmp_path):
     rec["tid"] = 99
     lines[1] = json.dumps(rec, sort_keys=True)
     victim.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    problems = check_golden(tmp_path)
+    problems = check_golden(tmp_path, fresh_golden)
     assert set(problems) == {"aid_static"}
     assert "first divergence at record 1" in problems["aid_static"]
     assert "--update" in problems["aid_static"]
@@ -152,7 +186,8 @@ def test_check_golden_flags_tampered_file(tmp_path):
 def test_check_golden_flags_missing_file(tmp_path):
     problems = check_golden(tmp_path)
     assert set(problems) == (
-        set(GOLDEN_VARIANTS) | {ENGINE_CORPUS_FILE, SWEEP_PIN_FILE}
+        set(GOLDEN_VARIANTS)
+        | {ENGINE_CORPUS_FILE, SWEEP_PIN_FILE, GRID_PIN_FILE}
     )
     assert all("missing" in p for p in problems.values())
 

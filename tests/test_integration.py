@@ -5,10 +5,18 @@ compiler lowering -> runtime -> schedulers -> performance model) and
 assert the conclusions a practitioner would act on.
 """
 
+from pathlib import Path
+
 import pytest
 
-from repro.amp.presets import odroid_xu4, xeon_emulated
-from repro.experiments.harness import default_configs, run_grid
+from repro.amp.presets import odroid_xu4
+from repro.check.golden import (
+    GRID_PIN_FILE,
+    GoldenArtifacts,
+    check_grid_pin,
+    grid_digests,
+)
+from repro.experiments.harness import default_configs
 from repro.metrics.stats import summarize_gains
 from repro.runtime.env import OmpEnv
 from repro.runtime.program_runner import ProgramRunner
@@ -16,13 +24,21 @@ from repro.workloads.registry import all_programs, get_program
 
 
 @pytest.fixture(scope="module")
-def grid_a():
-    return run_grid(odroid_xu4())
+def grid_a(paper_grids):
+    return paper_grids["odroid_xu4"]
 
 
 @pytest.fixture(scope="module")
-def grid_b():
-    return run_grid(xeon_emulated())
+def grid_b(paper_grids):
+    return paper_grids["xeon_emulated"]
+
+
+def test_paper_grids_match_pin(grid_a, grid_b):
+    """Both full grids are byte for byte the pinned ones; a mismatch
+    names the platform."""
+    fresh = GoldenArtifacts(grids=grid_digests([grid_a, grid_b]))
+    report = check_grid_pin(Path(__file__).parent / "golden" / GRID_PIN_FILE, fresh)
+    assert report is None, report
 
 
 class TestHeadlineClaims:
