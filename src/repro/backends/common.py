@@ -147,9 +147,10 @@ def prepare_run(executor: "LoopExecutor", req: "LoopRunRequest") -> RunSetup:
     core_types = [executor.team.core_type_of(tid) for tid in range(nt)]
 
     pending_overhead = [0.0] * nt
+    stamp_cost = [executor.overhead.timestamp(ct) for ct in core_types]
 
     def charge_timestamp(tid: int) -> None:
-        pending_overhead[tid] += executor.overhead.timestamp(core_types[tid])
+        pending_overhead[tid] += stamp_cost[tid]
 
     ctx = LoopContext(
         team=executor.team,

@@ -5,11 +5,14 @@ its pool drain on, ``reference`` (:mod:`repro.backends.reference`) off.
 
 * **Slots** — a thread never has more than one event pending (its wake,
   its block completion or its redispatch), so the event heap collapses
-  to a per-thread ``(time, seq)`` slot (:class:`Slots`) and a linear
-  min-scan. ``seq`` mirrors a heap's push counter, so ties break in
+  to a per-thread ``(time, seq)`` slot (:class:`Slots`; an idle slot's
+  time is +inf) and a min-scan: ``min`` over the times, the lowest seq
+  among ties. ``seq`` mirrors a heap's push counter, so ties break in
   push order and every scheduler sees the same ``(tid, now)`` call
   sequence whichever path runs it. Fault-free, a block's completion
-  *is* its thread's next dispatch.
+  *is* its thread's next dispatch. The scheduler's
+  ``note_execution_start`` hook runs only for a dispatch it marked
+  (:meth:`~repro.sched.base.LoopScheduler.mark_timed`).
 * **Faults** — a non-empty fault plan arms
   :class:`~repro.faults.engine.SimFaultEngine`. The plan's firings take
   the first seqs and join the min-scan ahead of every thread slot at
@@ -146,14 +149,16 @@ class Slots:
     """The pending events of one simulated loop, one slot per thread.
 
     A thread never has more than one event pending (its wake, its block
-    completion or its redispatch), so the event heap collapses to three
-    per-thread lists and a linear min-scan. ``seq`` mirrors a heap's
-    push counter: the fault plan's firings take the first values, the
-    wakes the next ones in tid order, and every push takes a new one (a
-    cancel frees none). At one instant events fire in seq order, so a
-    re-timed completion or a redispatch pushed at the current instant
-    fires after every event already queued for it. ``now`` is the
-    instant of the event being processed.
+    completion or its redispatch), so the event heap collapses to
+    per-thread lists: ``times[tid]`` is when ``tid``'s event fires, and
+    ``math.inf`` while it has none, so the earliest event is
+    ``min(times)``. ``seq`` mirrors a heap's push counter: the fault
+    plan's firings take the first values, the wakes the next ones in tid
+    order, and every push takes a new one (a cancel frees none). At one
+    instant events fire in seq order, so a re-timed completion or a
+    redispatch pushed at the current instant fires after every event
+    already queued for it. ``now`` is the instant of the event being
+    processed.
 
     Under a fault plan, ``blocks[tid]`` is ``None`` while ``tid``'s slot
     holds a wake or a redispatch, or nothing. While it holds a block's
@@ -168,13 +173,12 @@ class Slots:
     re-time the block and clear it when they cut it.
     """
 
-    __slots__ = ("times", "seqs", "active", "seq", "now", "blocks")
+    __slots__ = ("times", "seqs", "seq", "now", "blocks")
 
     def __init__(self, wakes: list[float], first_seq: int) -> None:
         n = len(wakes)
         self.times = list(wakes)
         self.seqs = list(range(first_seq, first_seq + n))
-        self.active = [True] * n
         self.seq = first_seq + n
         self.now = 0.0
         self.blocks: list[tuple | None] = [None] * n
@@ -184,10 +188,17 @@ class Slots:
         self.times[tid] = t
         self.seqs[tid] = self.seq
         self.seq += 1
-        self.active[tid] = True
 
     def cancel(self, tid: int) -> None:
-        self.active[tid] = False
+        self.times[tid] = math.inf
+
+    def earliest(self, t: float) -> int:
+        """The thread whose event fires first among those pending at
+        ``t``: the one pushed first."""
+        times, seqs = self.times, self.seqs
+        return min(
+            (seqs[tid], tid) for tid in range(len(times)) if times[tid] == t
+        )[1]
 
     def requeue_on_tie(self, tid: int) -> bool:
         """``tid``'s block completed at ``now`` and its slot is free.
@@ -199,11 +210,9 @@ class Slots:
         the next event anyway, since firings win ties and so have all
         fired before any thread slot at their instant is taken.
         """
-        now, times, active = self.now, self.times, self.active
-        for t in range(len(times)):
-            if active[t] and times[t] == now:
-                self.push(tid, now)
-                return True
+        if self.now in self.times:
+            self.push(tid, self.now)
+            return True
         return False
 
 
@@ -284,7 +293,7 @@ def slot_engine(executor, req: LoopRunRequest, drain: bool):
     if adv is not None:
         out = _drain_engine(
             req, setup, slow, adv.chunk, dc, svc, pool_free,
-            slots.times, slots.seqs, slots.active, nt, slots.seq,
+            slots.times, slots.seqs, nt, slots.seq,
             finish, calls, budget,
         )
         iters, assigned, dispatches, attempts, empty_takes = out
@@ -295,7 +304,7 @@ def slot_engine(executor, req: LoopRunRequest, drain: bool):
             empty_takes=empty_takes,
         )
 
-    times, seqs, active = slots.times, slots.seqs, slots.active
+    times, seqs = slots.times, slots.seqs
     if fault is not None:
         blocks = slots.blocks
         parked = fault.parked
@@ -304,7 +313,8 @@ def slot_engine(executor, req: LoopRunRequest, drain: bool):
         cost = prefix.tolist()
     n_fire = len(firings)
     fi = 0
-    fire_t = firings[0][0] if firings else math.inf
+    inf = math.inf
+    fire_t = firings[0][0] if firings else inf
     events = 0
     log = setup.log
     # Cached work-share internals: the engine single-steps events, so
@@ -313,16 +323,13 @@ def slot_engine(executor, req: LoopRunRequest, drain: bool):
     ws = ctx.workshare
     ws_disp = ws._dispatches
     next_range = scheduler.next_range
+    timed = scheduler.timed
+    slow_on = slow.active
     while True:
-        best = -1
-        bt = 0.0
-        bs = 0
-        for t in range(nt):
-            if active[t]:
-                ti = times[t]
-                if best < 0 or ti < bt or (ti == bt and seqs[t] < bs):
-                    best, bt, bs = t, ti, seqs[t]
-        if best < 0 and fi == n_fire:
+        # The earliest pending event, by C-level scans: idle slots hold
+        # +inf, and a tie at the minimum goes to the lowest seq.
+        bt = min(times)
+        if bt == inf and fi == n_fire:
             break
         events += 1
         if events > budget:
@@ -330,25 +337,28 @@ def slot_engine(executor, req: LoopRunRequest, drain: bool):
                 f"simulation exceeded {budget} events; "
                 "likely a livelocked scheduler"
             )
+        if fire_t <= bt:
+            # A plan firing (fire_t is +inf without one): its seq
+            # precedes every thread slot's.
+            slots.now = fire_t
+            firings[fi][1]()
+            fi += 1
+            fire_t = firings[fi][0] if fi < n_fire else inf
+            continue
+        best = times.index(bt)
+        if times.count(bt) > 1:
+            best = slots.earliest(bt)
         if fault is not None:
-            if best < 0 or fire_t <= bt:
-                # A plan firing: its seq precedes every thread slot's.
-                slots.now = fire_t
-                firings[fi][1]()
-                fi += 1
-                fire_t = firings[fi][0] if fi < n_fire else math.inf
-                continue
             slots.now = bt
-            active[best] = False
+            times[best] = inf
             block = blocks[best]
             if block is not None:
                 # The block's completion: account the executed range,
                 # then redispatch in this same step unless another
-                # thread's event is queued for this instant (the C-level
-                # count is the cheap pre-check).
+                # thread's event is queued for this instant.
                 blocks[best] = None
                 record_exec(best, block[0], block[1], block[2], block[3], bt)
-                if times.count(bt) > 1 and slots.requeue_on_tie(best):
+                if bt in times and slots.requeue_on_tie(best):
                     continue
                 events += 1
                 if events > budget:
@@ -380,7 +390,8 @@ def slot_engine(executor, req: LoopRunRequest, drain: bool):
             if got is None:
                 takes += 1
             if takes > 0:
-                begin = max(now, pool_free)
+                # max(now, pool_free), without the builtin's call.
+                begin = pool_free if pool_free > now else now
                 pool_free = begin + takes * svc
                 overhead_dt += (begin - now) + takes * svc
         if fault is not None:
@@ -401,21 +412,24 @@ def slot_engine(executor, req: LoopRunRequest, drain: bool):
                     check.on_dispatch(tid, now, None)
                 fault.worker_retired(tid)
                 continue
-            scheduler.note_execution_start(tid, end)
+            if timed[tid]:
+                timed[tid] = False
+                scheduler.note_execution_start(tid, end)
             # The in-flight block (see Slots) and its completion, at the
             # core's current throttle multiplier.
-            speed0 = rates[tid] / slow.scalar(tid, lo, hi)
+            speed0 = (
+                rates[tid] / slow.scalar(tid, lo, hi) if slow_on else rates[tid]
+            )
             mult = tid_mult[tid]
             total = cost[hi] - cost[lo]
             blocks[tid] = (now, lo, hi, end, speed0, mult, end, 0.0)
             times[tid] = end + (total / (speed0 * mult) if total > 0 else 0.0)
             seqs[tid] = slots.seq
             slots.seq += 1
-            active[tid] = True
             continue
         if got is None:
             finish[tid] = now + overhead_dt
-            active[tid] = False
+            times[tid] = inf
             if log is not None:
                 log.append((tid, now, overhead_dt, -1, 0, 0.0))
             continue
@@ -423,16 +437,21 @@ def slot_engine(executor, req: LoopRunRequest, drain: bool):
         # dispatch: one event per chunk.
         lo, hi = got
         assigned.append((tid, lo, hi))
-        scheduler.note_execution_start(tid, now + overhead_dt)
+        if timed[tid]:
+            timed[tid] = False
+            scheduler.note_execution_start(tid, now + overhead_dt)
         work = float(prefix[hi] - prefix[lo])
-        sdn = slow.scalar(tid, lo, hi)
-        compute_dt = sdn * work / rates[tid]
+        if slow_on:
+            compute_dt = slow.scalar(tid, lo, hi) * work / rates[tid]
+        else:
+            # The slowdown is 1.0 and fl(1.0 * work) == work.
+            compute_dt = work / rates[tid]
         iters[tid] += hi - lo
         t_done = (now + overhead_dt) + compute_dt
         if log is not None:
             log.append((tid, now, overhead_dt, lo, hi, compute_dt))
-        # Slots.push inlined: the slot is already active, and its seq
-        # comes from the one counter every push draws from.
+        # Slots.push inlined: the seq comes from the one counter every
+        # push draws from.
         times[tid] = t_done
         seqs[tid] = slots.seq
         slots.seq += 1
@@ -452,7 +471,7 @@ def slot_engine(executor, req: LoopRunRequest, drain: bool):
 
 def _drain_engine(
     req, setup, slow, c, dc, svc, pool_free,
-    times, seqs, active, live, seq_counter, finish, calls, budget,
+    times, seqs, live, seq_counter, finish, calls, budget,
 ):
     """Integrated fixed-chunk pool drain (PoolAdvancement fast path).
 
@@ -514,21 +533,19 @@ def _drain_engine(
     while live:
         # Fused scan: the earliest pending slot (FIFO tie-break on seq)
         # plus the earliest *other* pending time (the fold limit T2) in
-        # one pass.
+        # one pass. An idle slot holds +inf, which never wins: it ties
+        # only an infinite ``bt``, and every seq is at least ``bs = 0``.
         best = -1
-        bt = 0.0
+        bt = inf
         bs = 0
         t2 = inf
         for t in range(nt):
-            if active[t]:
-                ti = times[t]
-                if best < 0:
-                    best, bt, bs = t, ti, seqs[t]
-                elif ti < bt or (ti == bt and seqs[t] < bs):
-                    t2 = bt
-                    best, bt, bs = t, ti, seqs[t]
-                elif ti < t2:
-                    t2 = ti
+            ti = times[t]
+            if ti < bt or (ti == bt and seqs[t] < bs):
+                t2 = bt
+                best, bt, bs = t, ti, seqs[t]
+            elif ti < t2:
+                t2 = ti
         tid = best
         now = bt
         events += 1
@@ -548,7 +565,7 @@ def _drain_engine(
                 pool_free = begin + svc
                 overhead_dt = overhead_dt + ((begin - now) + svc)
             finish[tid] = now + overhead_dt
-            active[tid] = False
+            times[tid] = inf
             live -= 1
             empties.append((tid, now, overhead_dt))
             continue

@@ -9,10 +9,11 @@ invariants reason about:
   before the add, the granted (clamped) range or ``None``;
 * the executor reports each scheduler dispatch (tid, virtual time,
   granted range) and the final :class:`LoopResult`;
-* the AID schedulers report per-thread state transitions through
-  :func:`repro.sched.aid_common.set_state` and their decision records
-  through a tee emitter that is *always on* — the oracle does not depend
-  on observability being enabled.
+* the AID schedulers report per-thread state transitions through the
+  setter :func:`repro.sched.aid_common.state_setter` binds once per
+  loop, and their decision records through a tee emitter that is
+  *always on* — the oracle does not depend on observability being
+  enabled.
 
 This is deliberately a write-only event log: no checking happens while
 recording, so instrumented runs take the exact same scheduling decisions

@@ -47,6 +47,7 @@ the metrics registry.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -258,7 +259,7 @@ class SimFaultEngine:
         queued for that instant. A worker whose slot still holds an
         event — its first wake, or a redispatch from before it parked —
         keeps that one."""
-        if not self.slots.active[tid]:
+        if self.slots.times[tid] == math.inf:
             self.slots.push(tid, t)
 
     def _completed_iters(self, lo: int, hi: int, work_done: float) -> int:

@@ -19,6 +19,10 @@ from repro.runtime.team import Team
 from repro.runtime.workshare import WorkShare
 
 
+def _no_charge(tid: int) -> None:
+    """The timestamp charge of a context built without a callback."""
+
+
 @dataclass(frozen=True)
 class ThreadView:
     """What a scheduler may know about one worker thread."""
@@ -41,6 +45,8 @@ class LoopContext:
             be 1.0). Used by the AID-static(offline-SF) variant of Fig. 9.
         charge_timestamp: callback ``(tid) -> None`` charging one
             clock-read overhead to the thread; wired by the executor.
+            Installed as :attr:`charge_timestamp` itself, so a charge is
+            one call (a no-op when omitted).
         obs: observability bundle; schedulers emit decision records
             through it. Defaults to the null sink.
         loop_name: the executed loop's name, stamped onto decision
@@ -68,10 +74,17 @@ class LoopContext:
         if default_chunk <= 0:
             raise ConfigError(f"default chunk must be positive, got {default_chunk}")
         self.team = team
+        #: Team shape, fixed for the loop (a :class:`Team` is frozen).
+        self.n_threads = team.n_threads
+        self.n_types = team.n_types
         self.n_iterations = int(n_iterations)
         self.default_chunk = int(default_chunk)
         self.offline_sf = dict(offline_sf) if offline_sf is not None else None
-        self._charge_timestamp = charge_timestamp
+        #: ``charge_timestamp(tid)``: charge one timestamp-read cost to
+        #: thread ``tid`` (AID sampling).
+        self.charge_timestamp = (
+            charge_timestamp if charge_timestamp is not None else _no_charge
+        )
         self.obs = obs if obs is not None else NULL_OBS
         self.loop_name = loop_name
         self.check = check
@@ -87,26 +100,11 @@ class LoopContext:
 
     # -- team shape ---------------------------------------------------------
 
-    @property
-    def n_threads(self) -> int:
-        return self.team.n_threads
-
-    @property
-    def n_types(self) -> int:
-        return self.team.n_types
-
     def type_of(self, tid: int) -> int:
         return self.threads[tid].type_index
 
     def type_counts(self) -> tuple[int, ...]:
         return self.team.type_counts()
-
-    # -- overhead hooks -------------------------------------------------------
-
-    def charge_timestamp(self, tid: int) -> None:
-        """Charge one timestamp-read cost to thread ``tid`` (AID sampling)."""
-        if self._charge_timestamp is not None:
-            self._charge_timestamp(tid)
 
     def offline_sf_for_type(self, type_index: int) -> float:
         """Offline SF for a core type; raises if none was supplied."""

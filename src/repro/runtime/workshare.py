@@ -52,6 +52,8 @@ class WorkShare:
         # pointer so returned work drains first; empty on every
         # fault-free run, so the hot path is a single falsy check.
         self._returned: deque[tuple[int, int]] = deque()
+        #: Iterations in ``_returned``, kept as a running total.
+        self._returned_total = 0
         self._check = check
 
     # -- pool state --------------------------------------------------------
@@ -71,13 +73,15 @@ class WorkShare:
         """Iterations still in the pool (advisory read, like reading
         ``next``/``end`` in libgomp; exact inside a scheduler call).
         Includes iterations returned to the pool by fault recovery."""
-        left = max(0, self.end - self._next.value)
-        return left + self.requeued_pending if self._returned else left
+        left = self.end - self._next._value
+        if left < 0:
+            left = 0
+        return left + self._returned_total
 
     @property
     def requeued_pending(self) -> int:
         """Iterations sitting in the returned-range queue (advisory)."""
-        return sum(hi - lo for lo, hi in self._returned)
+        return self._returned_total
 
     @property
     def exhausted(self) -> bool:
@@ -121,6 +125,7 @@ class WorkShare:
             if hi - lo > n:
                 self._returned.appendleft((lo + n, hi))
                 hi = lo + n
+            self._returned_total -= hi - lo
             self._dispatches.add_fetch(1)
             if self._check is not None:
                 self._check.on_take(n, lo, (lo, hi), requeued=True)
@@ -136,7 +141,9 @@ class WorkShare:
             if self._check is not None:
                 self._check.on_take(n, lo, None)
             return None
-        hi = min(lo + n, self.end)
+        hi = lo + n
+        if hi > self.end:
+            hi = self.end
         self._dispatches._value += 1
         if self._check is not None:
             self._check.on_take(n, lo, (lo, hi))
@@ -171,6 +178,7 @@ class WorkShare:
                 f"cannot requeue [{lo}, {hi}) into pool [{self.start}, {self.end})"
             )
         self._returned.append((lo, hi))
+        self._returned_total += hi - lo
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

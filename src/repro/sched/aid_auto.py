@@ -38,13 +38,13 @@ from repro.errors import ConfigError
 from repro.runtime.context import LoopContext
 from repro.sched import aid_common as ac
 from repro.sched.aid_dynamic import AidDynamicScheduler
-from repro.sched.base import LoopScheduler, ScheduleSpec
+from repro.sched.base import ScheduleSpec
 
 #: Per-thread states before the mode decision.
 MODE_PENDING = "MODE_PENDING"
 
 
-class AidAutoScheduler(LoopScheduler):
+class AidAutoScheduler(ac.AidScheduler):
     """Sampling-driven selection between one-shot and phased AID.
 
     Args:
@@ -80,7 +80,6 @@ class AidAutoScheduler(LoopScheduler):
         adapt_on_faults: bool = True,
         resample_threshold: float = 0.25,
     ) -> None:
-        super().__init__(ctx)
         if minor_chunk <= 0:
             raise ConfigError("minor chunk must be positive")
         if major_chunk < minor_chunk:
@@ -89,15 +88,13 @@ class AidAutoScheduler(LoopScheduler):
             raise ConfigError("cv threshold must be >= 0")
         if not 0.0 < static_percentage <= 100.0:
             raise ConfigError("static percentage must be in (0, 100]")
+        super().__init__(ctx)
         self.m = minor_chunk
         self.M = major_chunk
         self.cv_threshold = cv_threshold
         self.static_fraction = static_percentage / 100.0
         nt = ctx.n_threads
-        self.state = [ac.START] * nt
         self.delta = [0] * nt
-        self.assign_time = [0.0] * nt
-        self._timing = [False] * nt
         self.samples: list[list[float]] = [[] for _ in range(ctx.n_types)]
         self.completed = 0
         self.sf: dict[int, float] | None = None
@@ -107,7 +104,6 @@ class AidAutoScheduler(LoopScheduler):
         self.mode: str | None = None
         self.targets: list[int] | None = None
         self._inner: AidDynamicScheduler | None = None
-        self.dec = ac.decision_emitter(ctx, self.scheduler_label)
         # -- fault adaptation (inert without an injection engine) ---------
         self.adapt_on_faults = adapt_on_faults
         self.resample_threshold = resample_threshold
@@ -116,8 +112,6 @@ class AidAutoScheduler(LoopScheduler):
         #: only when non-zero, so fault-free logs are unchanged.
         self.epoch = 0
         self._epoch_expected = nt
-        #: Sampling chunks re-taken after a fault loss, per thread.
-        self._retakes = [0] * nt
         self._lost: set[int] = set()
         self._mult_now: dict[int, float] = {}
         self._mult_at_decide: dict[int, float] | None = None
@@ -127,13 +121,6 @@ class AidAutoScheduler(LoopScheduler):
     def estimated_sf(self) -> dict[int, float] | None:
         return self.sf
 
-    def note_execution_start(self, tid: int, t: float) -> None:
-        if self._timing[tid]:
-            self.assign_time[tid] = t
-            self._timing[tid] = False
-        if self._inner is not None:
-            self._inner.note_execution_start(tid, t)
-
     # -- the GOMP_loop_next analogue --------------------------------------------
 
     def next_range(self, tid: int, now: float) -> tuple[int, int] | None:
@@ -141,18 +128,15 @@ class AidAutoScheduler(LoopScheduler):
             assert self._inner is not None
             return self._inner.next_range(tid, now)
 
-        ws = self.ctx.workshare
         state = self.state[tid]
 
         if state == ac.START:
-            got = ws.take(self.m)
+            got = self.ws.take(self.m)
             if got is None:
-                ac.set_state(self, tid, ac.DONE)
+                self.set_state(tid, ac.DONE)
                 return None
-            ac.set_state(self, tid, ac.SAMPLING)
-            self.assign_time[tid] = now  # refined by note_execution_start
-            self._timing[tid] = True
-            self.ctx.charge_timestamp(tid)
+            self.set_state(tid, ac.SAMPLING)
+            self.time_chunk(tid, now)
             self.delta[tid] += got[1] - got[0]
             if self.dec.on:
                 self.dec.emit(
@@ -166,7 +150,7 @@ class AidAutoScheduler(LoopScheduler):
         if state == ac.SAMPLING:
             self.ctx.charge_timestamp(tid)
             duration = now - self.assign_time[tid]
-            self.samples[self.ctx.type_of(tid)].append(duration)
+            self.samples[self.type_of_tid[tid]].append(duration)
             self.completed += 1
             if self.dec.on:
                 self.dec.emit(
@@ -192,11 +176,11 @@ class AidAutoScheduler(LoopScheduler):
                 return self._enter_one_shot(tid, now)
             return self._wait_steal(tid, now)
 
-        if state in (ac.AID, ac.DRAIN):
-            ac.set_state(self, tid, ac.DRAIN)
-            got = ws.take(self.m)
+        if state == ac.DRAIN or state == ac.AID:
+            self.set_state(tid, ac.DRAIN)
+            got = self.ws.take(self.m)
             if got is None:
-                ac.set_state(self, tid, ac.DONE)
+                self.set_state(tid, ac.DONE)
                 return None
             if self.dec.on:
                 self.dec.emit(
@@ -251,6 +235,11 @@ class AidAutoScheduler(LoopScheduler):
             inner = AidDynamicScheduler(
                 self.ctx, minor_chunk=self.m, major_chunk=self.M
             )
+            # One timing record for both: the simulator reads this
+            # scheduler's flags and its hook writes the stamps the phase
+            # engine reads.
+            inner.timed = self.timed
+            inner.assign_time = self.assign_time
             # Seed the phase engine with the sampling we already did:
             # every thread skips straight to the first AID phase.
             inner.sf = dict(self.sf)
@@ -259,10 +248,8 @@ class AidAutoScheduler(LoopScheduler):
             ]
             inner.phase = 1
             for t in range(self.ctx.n_threads):
-                ac.set_state(
-                    inner,
-                    t,
-                    ac.DONE if self.state[t] == ac.DONE else ac.SAMPLING_WAIT,
+                inner.set_state(
+                    t, ac.DONE if self.state[t] == ac.DONE else ac.SAMPLING_WAIT
                 )
             inner.active = sum(
                 1 for t in range(self.ctx.n_threads) if inner.state[t] != ac.DONE
@@ -284,10 +271,6 @@ class AidAutoScheduler(LoopScheduler):
         """Epoch annotation for decision records — empty on epoch 0 so
         fault-free logs (and the goldens pinned on them) are unchanged."""
         return {"epoch": self.epoch} if self.epoch else {}
-
-    def _retake_fields(self, tid: int) -> dict:
-        r = self._retakes[tid]
-        return {"retake": r} if r else {}
 
     def on_rates_changed(self, now: float, multipliers: dict[int, float]) -> None:
         self._mult_now = dict(multipliers)
@@ -361,7 +344,7 @@ class AidAutoScheduler(LoopScheduler):
         # than record the parked interval as a sampling duration.
         if self.state[tid] == ac.SAMPLING:
             self.state[tid] = ac.START
-            self._timing[tid] = False
+            self.timed[tid] = False
             self._retakes[tid] += 1
 
     def on_worker_back(self, tid: int, now: float) -> None:
@@ -380,11 +363,11 @@ class AidAutoScheduler(LoopScheduler):
     # -- one-shot path -------------------------------------------------------------
 
     def _wait_steal(self, tid: int, now: float) -> tuple[int, int] | None:
-        got = self.ctx.workshare.take(self.m)
+        got = self.ws.take(self.m)
         if got is None:
-            ac.set_state(self, tid, ac.DONE)
+            self.set_state(tid, ac.DONE)
             return None
-        ac.set_state(self, tid, ac.SAMPLING_WAIT)
+        self.set_state(tid, ac.SAMPLING_WAIT)
         self.delta[tid] += got[1] - got[0]
         if self.dec.on:
             self.dec.emit(
@@ -395,14 +378,14 @@ class AidAutoScheduler(LoopScheduler):
 
     def _enter_one_shot(self, tid: int, now: float) -> tuple[int, int] | None:
         assert self.targets is not None
-        target = self.targets[self.ctx.type_of(tid)]
+        target = self.targets[self.type_of_tid[tid]]
         need = target - self.delta[tid]
-        ac.set_state(self, tid, ac.AID)
+        self.set_state(tid, ac.AID)
         if need <= 0:
             return self.next_range(tid, now)
-        got = self.ctx.workshare.take(need)
+        got = self.ws.take(need)
         if got is None:
-            ac.set_state(self, tid, ac.DONE)
+            self.set_state(tid, ac.DONE)
             return None
         self.delta[tid] += got[1] - got[0]
         if self.dec.on:

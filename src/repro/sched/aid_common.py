@@ -21,10 +21,13 @@ generalization; for two types it reduces to ``k = NI / (N_B*SF + N_S)``.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.errors import SchedulerError
 from repro.obs.decisions import DecisionEmitter, sf_as_json
 from repro.runtime.atomics import AtomicCounter, AtomicFloat
 from repro.runtime.context import LoopContext
+from repro.sched.base import LoopScheduler
 
 #: Per-thread scheduler states (paper Figs. 3 and 5).
 START = "START"
@@ -103,18 +106,70 @@ def decision_emitter(ctx: LoopContext, scheduler_name: str) -> DecisionEmitter:
     return DecisionEmitter(ctx.obs, ctx.loop_name, scheduler_name)
 
 
-def set_state(sched, tid: int, state: str) -> None:
-    """Transition thread ``tid``'s scheduler state, mirroring it into the
-    conformance recorder when one is attached.
+def state_setter(
+    state: list[str], check, label: str
+) -> Callable[[int, str], None]:
+    """The per-thread state setter of one scheduler, bound once per loop.
 
-    All AID variants route their per-thread state writes through here so
-    the oracle checks the *actual* state-machine path (paper Figs. 3/5)
-    rather than one inferred from dispatch patterns.
+    Without a conformance recorder it is ``state.__setitem__``; with one
+    (``check``), every transition is mirrored into it, so the oracle
+    checks the *actual* state-machine path (paper Figs. 3/5) rather than
+    one inferred from dispatch patterns.
     """
-    sched.state[tid] = state
-    check = getattr(sched.ctx, "check", None)
-    if check is not None:
-        check.on_state(tid, state, getattr(sched, "scheduler_label", "?"))
+    if check is None:
+        return state.__setitem__
+
+    def set_state(tid: int, new: str) -> None:
+        state[tid] = new
+        check.on_state(tid, new, label)
+
+    return set_state
+
+
+class AidScheduler(LoopScheduler):
+    """What every AID variant keeps per thread, read once per loop.
+
+    Attributes:
+        ws: the loop's work-share pool.
+        type_of_tid: core-type index under each thread.
+        state: per-thread scheduler state; the list is never rebound,
+            because ``set_state`` writes into it.
+        set_state: ``set_state(tid, state)``, the transition the
+            conformance recorder sees (:func:`state_setter`).
+        assign_time: per thread, when the chunk being timed started
+            executing (see :meth:`time_chunk`).
+        dec: the decision emitter (:func:`decision_emitter`).
+    """
+
+    #: Name stamped on decision-log and state records (subclasses override).
+    scheduler_label = "aid"
+
+    def __init__(self, ctx: LoopContext) -> None:
+        super().__init__(ctx)
+        nt = ctx.n_threads
+        self.ws = ctx.workshare
+        self.type_of_tid = tuple(ctx.type_of(t) for t in range(nt))
+        self.state = [START] * nt
+        self.set_state = state_setter(self.state, ctx.check, self.scheduler_label)
+        self.assign_time = [0.0] * nt
+        #: Sampling chunks re-taken after a fault loss, per thread.
+        self._retakes = [0] * nt
+        self.dec = decision_emitter(ctx, self.scheduler_label)
+
+    def time_chunk(self, tid: int, now: float) -> None:
+        """Time the chunk this call hands to ``tid``: stamp ``now``,
+        charge the opening timestamp and mark the dispatch, so the
+        simulator moves the stamp to where execution starts."""
+        self.assign_time[tid] = now
+        self.timed[tid] = True
+        self.ctx.charge_timestamp(tid)
+
+    def note_execution_start(self, tid: int, t: float) -> None:
+        self.assign_time[tid] = t
+
+    def _retake_fields(self, tid: int) -> dict:
+        r = self._retakes[tid]
+        return {"retake": r} if r else {}
 
 
 def emit_sf_publication(

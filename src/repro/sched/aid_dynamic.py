@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from repro.errors import ConfigError
 from repro.runtime.context import LoopContext
 from repro.sched import aid_common as ac
-from repro.sched.base import LoopScheduler, ScheduleSpec
+from repro.sched.base import ScheduleSpec
 
 #: Additional per-thread state: the team switched to the dynamic endgame.
 ENDGAME = "ENDGAME"
@@ -36,7 +36,7 @@ R_MIN = 0.25
 R_MAX = 128.0
 
 
-class AidDynamicScheduler(LoopScheduler):
+class AidDynamicScheduler(ac.AidScheduler):
     """Per-loop state machine for AID-dynamic.
 
     Args:
@@ -61,24 +61,28 @@ class AidDynamicScheduler(LoopScheduler):
         endgame: bool = True,
         smoothing: bool = True,
     ) -> None:
-        super().__init__(ctx)
         if minor_chunk <= 0:
             raise ConfigError("minor chunk must be positive")
         if major_chunk < minor_chunk:
             raise ConfigError(
                 f"Major chunk ({major_chunk}) must be >= minor chunk ({minor_chunk})"
             )
+        super().__init__(ctx)
         self.m = minor_chunk
         self.M = major_chunk
         self.endgame_enabled = endgame
         self.smoothing_enabled = smoothing
         nt = ctx.n_threads
-        self.state = [ac.START] * nt
-        self.assign_time = [0.0] * nt
-        self._timing = [False] * nt
+        #: Pool size at or below which the team switches to the endgame
+        #: (-1, which no pool reaches, with the endgame off).
+        self.endgame_threshold = major_chunk * nt if endgame else -1
         self.thread_phase = [0] * nt
         self.sampling = ac.SamplingState(ctx.n_types)
         self.R: list[float] | None = None  # per-type ratio; None until sampled
+        #: Per-type phase allotment ``max(1, round(R_j * M))`` and the
+        #: phase it was computed for.
+        self._allot: list[int] = []
+        self._allot_phase = 0
         self.sf: dict[int, float] | None = None
         self.phase = 0
         self.phase_joined = 0
@@ -89,7 +93,6 @@ class AidDynamicScheduler(LoopScheduler):
         self.in_endgame = False
         self.phases_run = 0
         self._lost: set[int] = set()
-        self.dec = ac.decision_emitter(ctx, self.scheduler_label)
 
     # -- introspection ---------------------------------------------------------
 
@@ -100,24 +103,17 @@ class AidDynamicScheduler(LoopScheduler):
         """The per-type ratio R currently in force (None before sampling)."""
         return None if self.R is None else list(self.R)
 
-    def note_execution_start(self, tid: int, t: float) -> None:
-        if self._timing[tid]:
-            self.assign_time[tid] = t
-            self._timing[tid] = False
-
     # -- the GOMP_loop_next analogue --------------------------------------------
 
     def next_range(self, tid: int, now: float) -> tuple[int, int] | None:
         state = self.state[tid]
 
         if state == ac.START:
-            got = self.ctx.workshare.take(self.m)
+            got = self.ws.take(self.m)
             if got is None:
                 return self._retire(tid)
-            ac.set_state(self, tid, ac.SAMPLING)
-            self.assign_time[tid] = now  # refined by note_execution_start
-            self._timing[tid] = True
-            self.ctx.charge_timestamp(tid)
+            self.set_state(tid, ac.SAMPLING)
+            self.time_chunk(tid, now)
             if self.dec.on:
                 self.dec.emit(
                     tid, now, "sample_start",
@@ -128,7 +124,7 @@ class AidDynamicScheduler(LoopScheduler):
         if state == ac.SAMPLING:
             self.ctx.charge_timestamp(tid)
             duration = now - self.assign_time[tid]
-            done = self.sampling.record(self.ctx.type_of(tid), duration)
+            done = self.sampling.record(self.type_of_tid[tid], duration)
             if self.dec.on:
                 self.dec.emit(
                     tid, now, "sample_complete",
@@ -154,7 +150,7 @@ class AidDynamicScheduler(LoopScheduler):
             # Phase allotment completed: log its duration for resmoothing.
             self.ctx.charge_timestamp(tid)
             duration = now - self.assign_time[tid]
-            jtype = self.ctx.type_of(tid)
+            jtype = self.type_of_tid[tid]
             self.phase_sums[jtype] += duration
             self.phase_counts[jtype] += 1
             self.phase_pending -= 1
@@ -165,7 +161,7 @@ class AidDynamicScheduler(LoopScheduler):
             return self._dispatch(tid, now)
 
         if state == ENDGAME:
-            got = self.ctx.workshare.take(self.m)
+            got = self.ws.take(self.m)
             if got is None:
                 return self._retire(tid)
             if self.dec.on:
@@ -181,10 +177,17 @@ class AidDynamicScheduler(LoopScheduler):
 
     def _dispatch(self, tid: int, now: float) -> tuple[int, int] | None:
         """Pick the next assignment for a thread that just became idle."""
-        self._maybe_endgame(tid, now)
+        ws = self.ws
+        if not self.in_endgame and ws.remaining <= self.endgame_threshold:
+            self.in_endgame = True
+            if self.dec.on:
+                self.dec.emit(
+                    tid, now, "endgame",
+                    remaining=ws.remaining, threshold=self.endgame_threshold,
+                )
         if self.in_endgame:
-            ac.set_state(self, tid, ENDGAME)
-            got = self.ctx.workshare.take(self.m)
+            self.set_state(tid, ENDGAME)
+            got = ws.take(self.m)
             if got is None:
                 return self._retire(tid)
             if self.dec.on:
@@ -195,10 +198,10 @@ class AidDynamicScheduler(LoopScheduler):
             return got
         if self.R is None:
             # Sampling not finished team-wide: wait-steal minor chunks.
-            got = self.ctx.workshare.take(self.m)
+            got = ws.take(self.m)
             if got is None:
                 return self._retire(tid)
-            ac.set_state(self, tid, ac.SAMPLING_WAIT)
+            self.set_state(tid, ac.SAMPLING_WAIT)
             if self.dec.on:
                 self.dec.emit(
                     tid, now, "wait_steal",
@@ -208,10 +211,10 @@ class AidDynamicScheduler(LoopScheduler):
         if self.thread_phase[tid] < self.phase:
             return self._join_phase(tid, now)
         # Phase already joined and completed; wait for stragglers.
-        got = self.ctx.workshare.take(self.m)
+        got = ws.take(self.m)
         if got is None:
             return self._retire(tid)
-        ac.set_state(self, tid, ac.AID_WAIT)
+        self.set_state(tid, ac.AID_WAIT)
         if self.dec.on:
             self.dec.emit(
                 tid, now, "wait_steal",
@@ -221,18 +224,20 @@ class AidDynamicScheduler(LoopScheduler):
 
     def _join_phase(self, tid: int, now: float) -> tuple[int, int] | None:
         assert self.R is not None
-        jtype = self.ctx.type_of(tid)
-        allotment = max(1, int(round(self.R[jtype] * self.M)))
-        got = self.ctx.workshare.take(allotment)
+        if self._allot_phase != self.phase:
+            # R changes only when a phase begins: size it once per phase.
+            self._allot = [max(1, int(round(r * self.M))) for r in self.R]
+            self._allot_phase = self.phase
+        jtype = self.type_of_tid[tid]
+        allotment = self._allot[jtype]
+        got = self.ws.take(allotment)
         if got is None:
             return self._retire(tid)
         self.thread_phase[tid] = self.phase
         self.phase_joined += 1
         self.phase_pending += 1
-        ac.set_state(self, tid, ac.AID)
-        self.assign_time[tid] = now  # refined by note_execution_start
-        self._timing[tid] = True
-        self.ctx.charge_timestamp(tid)
+        self.set_state(tid, ac.AID)
+        self.time_chunk(tid, now)
         if self.dec.on:
             self.dec.emit(
                 tid, now, "phase_join",
@@ -270,23 +275,10 @@ class AidDynamicScheduler(LoopScheduler):
         self.phase_sums = [0.0] * self.ctx.n_types
         self.phase_counts = [0] * self.ctx.n_types
 
-    def _maybe_endgame(self, tid: int = -1, now: float = 0.0) -> None:
-        if self.in_endgame or not self.endgame_enabled:
-            return
-        threshold = self.M * self.ctx.n_threads
-        if self.ctx.workshare.remaining <= threshold:
-            self.in_endgame = True
-            if self.dec.on:
-                self.dec.emit(
-                    tid, now, "endgame",
-                    remaining=self.ctx.workshare.remaining,
-                    threshold=threshold,
-                )
-
     def _retire(self, tid: int) -> None:
         """Pool drained for this thread: leave the loop."""
         if self.state[tid] != ac.DONE:
-            ac.set_state(self, tid, ac.DONE)
+            self.set_state(tid, ac.DONE)
             self.active -= 1
             self._maybe_finalize_phase()
         return None
@@ -308,10 +300,10 @@ class AidDynamicScheduler(LoopScheduler):
             # Its phase allotment was preempted; the completion report
             # will never arrive.
             self.phase_pending -= 1
-            ac.set_state(self, tid, ac.AID_WAIT)
+            self.set_state(tid, ac.AID_WAIT)
         elif self.state[tid] == ac.SAMPLING:
             # Its sampling chunk was cut; never record the duration.
-            ac.set_state(self, tid, ac.SAMPLING_WAIT)
+            self.set_state(tid, ac.SAMPLING_WAIT)
         self.active -= 1
         self._maybe_finalize_phase(tid, now)
 

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from repro.errors import ConfigError
 from repro.runtime.context import LoopContext
 from repro.sched import aid_common as ac
-from repro.sched.base import LoopScheduler, ScheduleSpec
+from repro.sched.base import ScheduleSpec
 
 
-class AidStaticScheduler(LoopScheduler):
+class AidStaticScheduler(ac.AidScheduler):
     """Per-loop state machine for AID-static.
 
     Args:
@@ -55,26 +55,19 @@ class AidStaticScheduler(LoopScheduler):
         aid_fraction: float = 1.0,
         tail_chunk: int | None = None,
     ) -> None:
-        super().__init__(ctx)
         if sampling_chunk <= 0:
             raise ConfigError("sampling chunk must be positive")
         if not 0.0 < aid_fraction <= 1.0:
             raise ConfigError("aid_fraction must be in (0, 1]")
+        super().__init__(ctx)
         self.sampling_chunk = sampling_chunk
         self.use_offline_sf = use_offline_sf
         self.aid_fraction = aid_fraction
         self.tail_chunk = tail_chunk if tail_chunk is not None else sampling_chunk
-        nt = ctx.n_threads
-        self.state = [ac.START] * nt
-        self.delta = [0] * nt  # iterations executed before the AID allotment
-        self.assign_time = [0.0] * nt
-        self._timing = [False] * nt
-        #: Sampling chunks re-taken after a fault loss, per thread.
-        self._retakes = [0] * nt
+        self.delta = [0] * ctx.n_threads  # executed before the AID allotment
         self.sampling = ac.SamplingState(ctx.n_types)
         self.sf: dict[int, float] | None = None
         self.targets: list[int] | None = None
-        self.dec = ac.decision_emitter(ctx, self.scheduler_label)
         if use_offline_sf:
             # Published at loop setup, before any thread runs: tid -1, t 0.
             self._publish_targets(ac.offline_sf_table(ctx), tid=-1, now=0.0)
@@ -104,15 +97,6 @@ class AidStaticScheduler(LoopScheduler):
         # variant distributes from supplied tables without sampling.
         return None if self.use_offline_sf else self.sf
 
-    def note_execution_start(self, tid: int, t: float) -> None:
-        if self._timing[tid]:
-            self.assign_time[tid] = t
-            self._timing[tid] = False
-
-    def _retake_fields(self, tid: int) -> dict:
-        r = self._retakes[tid]
-        return {"retake": r} if r else {}
-
     # -- fault-recovery hooks --------------------------------------------------
 
     def on_worker_lost(self, tid: int, now: float) -> None:
@@ -122,27 +106,24 @@ class AidStaticScheduler(LoopScheduler):
         # recording the parked interval as a sampling duration.
         if self.state[tid] == ac.SAMPLING:
             self.state[tid] = ac.START
-            self._timing[tid] = False
+            self.timed[tid] = False
             self._retakes[tid] += 1
 
     # -- the GOMP_loop_next analogue ------------------------------------------
 
     def next_range(self, tid: int, now: float) -> tuple[int, int] | None:
-        ws = self.ctx.workshare
         state = self.state[tid]
 
         if state == ac.START:
             if self.targets is not None:
                 # Offline-SF variant: no sampling phase at all.
                 return self._enter_aid(tid, now)
-            got = ws.take(self.sampling_chunk)
+            got = self.ws.take(self.sampling_chunk)
             if got is None:
-                ac.set_state(self, tid, ac.DONE)
+                self.set_state(tid, ac.DONE)
                 return None
-            ac.set_state(self, tid, ac.SAMPLING)
-            self.assign_time[tid] = now  # refined by note_execution_start
-            self._timing[tid] = True
-            self.ctx.charge_timestamp(tid)
+            self.set_state(tid, ac.SAMPLING)
+            self.time_chunk(tid, now)
             self.delta[tid] += got[1] - got[0]
             if self.dec.on:
                 self.dec.emit(
@@ -156,7 +137,7 @@ class AidStaticScheduler(LoopScheduler):
             # The sampling chunk just completed: log its duration.
             self.ctx.charge_timestamp(tid)
             duration = now - self.assign_time[tid]
-            done = self.sampling.record(self.ctx.type_of(tid), duration)
+            done = self.sampling.record(self.type_of_tid[tid], duration)
             if self.dec.on:
                 self.dec.emit(
                     tid, now, "sample_complete",
@@ -176,12 +157,12 @@ class AidStaticScheduler(LoopScheduler):
                 return self._enter_aid(tid, now)
             return self._wait_steal(tid, now)
 
-        if state in (ac.AID, ac.DRAIN):
+        if state == ac.DRAIN or state == ac.AID:
             # AID allotment (or a drain steal) completed; mop up residue.
-            ac.set_state(self, tid, ac.DRAIN)
-            got = ws.take(self.tail_chunk)
+            self.set_state(tid, ac.DRAIN)
+            got = self.ws.take(self.tail_chunk)
             if got is None:
-                ac.set_state(self, tid, ac.DONE)
+                self.set_state(tid, ac.DONE)
                 return None
             if self.dec.on:
                 self.dec.emit(
@@ -193,11 +174,11 @@ class AidStaticScheduler(LoopScheduler):
         return None  # DONE
 
     def _wait_steal(self, tid: int, now: float) -> tuple[int, int] | None:
-        got = self.ctx.workshare.take(self.sampling_chunk)
+        got = self.ws.take(self.sampling_chunk)
         if got is None:
-            ac.set_state(self, tid, ac.DONE)
+            self.set_state(tid, ac.DONE)
             return None
-        ac.set_state(self, tid, ac.SAMPLING_WAIT)
+        self.set_state(tid, ac.SAMPLING_WAIT)
         self.delta[tid] += got[1] - got[0]
         if self.dec.on:
             self.dec.emit(
@@ -208,15 +189,15 @@ class AidStaticScheduler(LoopScheduler):
 
     def _enter_aid(self, tid: int, now: float) -> tuple[int, int] | None:
         assert self.targets is not None
-        target = self.targets[self.ctx.type_of(tid)]
+        target = self.targets[self.type_of_tid[tid]]
         need = target - self.delta[tid]
-        ac.set_state(self, tid, ac.AID)
+        self.set_state(tid, ac.AID)
         if need <= 0:
             # Already over target (e.g. many wait steals): go drain.
             return self.next_range(tid, now)
-        got = self.ctx.workshare.take(need)
+        got = self.ws.take(need)
         if got is None:
-            ac.set_state(self, tid, ac.DONE)
+            self.set_state(tid, ac.DONE)
             return None
         self.delta[tid] += got[1] - got[0]
         if self.dec.on:

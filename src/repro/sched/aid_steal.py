@@ -28,13 +28,13 @@ from dataclasses import dataclass
 from repro.errors import ConfigError
 from repro.runtime.context import LoopContext
 from repro.sched import aid_common as ac
-from repro.sched.base import LoopScheduler, ScheduleSpec
+from repro.sched.base import ScheduleSpec
 
 #: Thread state once local ranges exist.
 SERVING = "SERVING"
 
 
-class AidStealScheduler(LoopScheduler):
+class AidStealScheduler(ac.AidScheduler):
     """AID-static's split feeding per-thread ranges with steal-half.
 
     Args:
@@ -58,24 +58,18 @@ class AidStealScheduler(LoopScheduler):
         min_steal: int = 2,
         use_offline_sf: bool = False,
     ) -> None:
-        super().__init__(ctx)
         if sampling_chunk <= 0:
             raise ConfigError("sampling chunk must be positive")
         if serve_chunk <= 0:
             raise ConfigError("serve chunk must be positive")
         if min_steal <= 0:
             raise ConfigError("min_steal must be positive")
+        super().__init__(ctx)
         self.sampling_chunk = sampling_chunk
         self.serve_chunk = serve_chunk
         self.min_steal = min_steal
         self.use_offline_sf = use_offline_sf
-        nt = ctx.n_threads
-        self.state = [ac.START] * nt
-        self.delta = [0] * nt
-        self.assign_time = [0.0] * nt
-        self._timing = [False] * nt
-        #: Sampling chunks re-taken after a fault loss, per thread.
-        self._retakes = [0] * nt
+        self.delta = [0] * ctx.n_threads
         self.sampling = ac.SamplingState(ctx.n_types)
         self.sf: dict[int, float] | None = None
         #: Per-thread local range [lo, hi); (0, 0) when empty.
@@ -85,7 +79,6 @@ class AidStealScheduler(LoopScheduler):
         #: serving paths (whole-range steals below min_steal, pool
         #: drain before retiring) that fault-free runs never take.
         self._faulted = False
-        self.dec = ac.decision_emitter(ctx, self.scheduler_label)
         if use_offline_sf:
             # Partitioned at loop setup, before any thread runs.
             self._partition(ac.offline_sf_table(ctx), tid=-1, now=0.0)
@@ -95,15 +88,6 @@ class AidStealScheduler(LoopScheduler):
     def estimated_sf(self) -> dict[int, float] | None:
         return None if self.use_offline_sf else self.sf
 
-    def note_execution_start(self, tid: int, t: float) -> None:
-        if self._timing[tid]:
-            self.assign_time[tid] = t
-            self._timing[tid] = False
-
-    def _retake_fields(self, tid: int) -> dict:
-        r = self._retakes[tid]
-        return {"retake": r} if r else {}
-
     # -- setup -----------------------------------------------------------------
 
     def _partition(
@@ -112,12 +96,10 @@ class AidStealScheduler(LoopScheduler):
         """Split everything left in the pool into per-thread ranges,
         proportional to the per-type SF (one pool access total)."""
         self.sf = sf
-        got = self.ctx.workshare.take_all()
+        got = self.ws.take_all()
         lo, hi = got if got is not None else (0, 0)
         remaining = hi - lo
-        weights = [
-            sf.get(self.ctx.type_of(t), 1.0) for t in range(self.ctx.n_threads)
-        ]
+        weights = [sf.get(j, 1.0) for j in self.type_of_tid]
         total = sum(weights)
         self.local = []
         cursor = lo
@@ -152,14 +134,12 @@ class AidStealScheduler(LoopScheduler):
             return self._serve(tid, now)
 
         if state == ac.START:
-            got = self.ctx.workshare.take(self.sampling_chunk)
+            got = self.ws.take(self.sampling_chunk)
             if got is None:
-                ac.set_state(self, tid, ac.DONE)
+                self.set_state(tid, ac.DONE)
                 return None
-            ac.set_state(self, tid, ac.SAMPLING)
-            self.assign_time[tid] = now  # refined by note_execution_start
-            self._timing[tid] = True
-            self.ctx.charge_timestamp(tid)
+            self.set_state(tid, ac.SAMPLING)
+            self.time_chunk(tid, now)
             if self.dec.on:
                 self.dec.emit(
                     tid, now, "sample_start",
@@ -171,7 +151,7 @@ class AidStealScheduler(LoopScheduler):
         if state == ac.SAMPLING:
             self.ctx.charge_timestamp(tid)
             duration = now - self.assign_time[tid]
-            done = self.sampling.record(self.ctx.type_of(tid), duration)
+            done = self.sampling.record(self.type_of_tid[tid], duration)
             if self.dec.on:
                 self.dec.emit(
                     tid, now, "sample_complete",
@@ -191,11 +171,11 @@ class AidStealScheduler(LoopScheduler):
         return None  # DONE
 
     def _wait_steal(self, tid: int, now: float) -> tuple[int, int] | None:
-        got = self.ctx.workshare.take(self.sampling_chunk)
+        got = self.ws.take(self.sampling_chunk)
         if got is None:
-            ac.set_state(self, tid, ac.DONE)
+            self.set_state(tid, ac.DONE)
             return None
-        ac.set_state(self, tid, ac.SAMPLING_WAIT)
+        self.set_state(tid, ac.SAMPLING_WAIT)
         if self.dec.on:
             self.dec.emit(
                 tid, now, "wait_steal",
@@ -207,14 +187,14 @@ class AidStealScheduler(LoopScheduler):
 
     def _serve(self, tid: int, now: float) -> tuple[int, int] | None:
         assert self.local is not None
-        ac.set_state(self, tid, SERVING)
+        self.set_state(tid, SERVING)
         lo, hi = self.local[tid]
         if hi <= lo and not self._steal_into(tid, now):
             if self._faulted:
                 # Fault recovery may have returned ranges to the shared
                 # pool (e.g. a preempt that could not be merged into a
                 # local range); drain them before retiring.
-                got = self.ctx.workshare.take(self.serve_chunk)
+                got = self.ws.take(self.serve_chunk)
                 if got is not None:
                     if self.dec.on:
                         self.dec.emit(
@@ -222,7 +202,7 @@ class AidStealScheduler(LoopScheduler):
                             chunk_target=self.serve_chunk, range=list(got),
                         )
                     return got
-            ac.set_state(self, tid, ac.DONE)
+            self.set_state(tid, ac.DONE)
             return None
         lo, hi = self.local[tid]
         cut = min(hi, lo + self.serve_chunk)
@@ -282,7 +262,7 @@ class AidStealScheduler(LoopScheduler):
             if cur_hi <= cur_lo:
                 self.local[tid] = (lo, hi)
                 return
-        self.ctx.workshare.requeue(lo, hi)
+        self.ws.requeue(lo, hi)
 
     def on_worker_lost(self, tid: int, now: float) -> None:
         # The lost worker's local range stays in place: the whole-range
@@ -292,7 +272,7 @@ class AidStealScheduler(LoopScheduler):
         # than record the parked interval as a sampling duration.
         if self.state[tid] == ac.SAMPLING:
             self.state[tid] = ac.START
-            self._timing[tid] = False
+            self.timed[tid] = False
             self._retakes[tid] += 1
 
     def on_worker_back(self, tid: int, now: float) -> None:

@@ -39,10 +39,17 @@ class LoopScheduler(abc.ABC):
     Calls never overlap: the simulator makes them one event at a time,
     and the real-thread team holds its lock around every call. So an
     implementation takes no lock of its own, even under real threads.
+
+    Attributes:
+        timed: per-thread flag, set by :meth:`mark_timed` for a dispatch
+            whose execution start the policy wants to know; the
+            simulator clears it when it calls
+            :meth:`note_execution_start`.
     """
 
     def __init__(self, ctx: LoopContext) -> None:
         self.ctx = ctx
+        self.timed = [False] * ctx.n_threads
 
     @abc.abstractmethod
     def next_range(self, tid: int, now: float) -> tuple[int, int] | None:
@@ -59,16 +66,25 @@ class LoopScheduler(abc.ABC):
             thread is done with this loop.
         """
 
+    def mark_timed(self, tid: int) -> None:
+        """Ask for :meth:`note_execution_start` on the range this
+        ``next_range`` call hands to ``tid``."""
+        self.timed[tid] = True
+
     def note_execution_start(self, tid: int, t: float) -> None:
-        """Called by the executor when thread ``tid`` actually starts
-        executing its just-assigned range (i.e. after dispatch overhead
-        and pool-queueing).
+        """Called by the simulator, once per dispatch marked with
+        :meth:`mark_timed` and for no other, with the instant ``t`` at
+        which thread ``tid`` starts executing the range: the call's
+        ``now`` plus its dispatch overhead, its pool queueing and the
+        timestamp charges it made.
 
         The AID sampling phases bracket the *chunk execution* with
         timestamps (paper Sec. 4.2), so their duration measurements must
         start here, not at the dispatch call — otherwise contention on
         the work-share line (similar in absolute time on every core)
-        would systematically flatten the estimated SF.
+        would systematically flatten the estimated SF. The real-thread
+        team never calls it: a policy there keeps the ``now`` of the
+        dispatch.
         """
 
     # -- fault-recovery hooks (overridden by adaptive policies) -------------

@@ -11,6 +11,9 @@ own invariant.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
@@ -127,10 +130,15 @@ def _dispatch(engine, slots, tid, lo, hi, t):
     slots.push(tid, t + (hi - lo) / mult)
 
 
+def _pending(slots, tid):
+    """Whether ``tid``'s slot holds an event (an idle slot is at +inf)."""
+    return slots.times[tid] != math.inf
+
+
 def _firing_order(slots):
     """Pending threads in the order the engine's min-scan fires them:
     earliest time first, then lowest seq."""
-    pending = [t for t in range(len(slots.times)) if slots.active[t]]
+    pending = [t for t in range(len(slots.times)) if _pending(slots, t)]
     return sorted(pending, key=lambda t: (slots.times[t], slots.seqs[t]))
 
 
@@ -177,10 +185,10 @@ class TestSimultaneousEventTies:
             slots.blocks[0] = None
             assert slots.requeue_on_tie(0) is tied
             if tied:
-                assert slots.active[0] and slots.times[0] == 4.0
+                assert _pending(slots, 0) and slots.times[0] == 4.0
                 assert _firing_order(slots) == [1, 0]
             else:
-                assert not slots.active[0]
+                assert not _pending(slots, 0)
 
     def test_online_keeps_a_pending_redispatch(self):
         # A slot holds one event. A throttle preempts thread 0 at 1.0
@@ -200,14 +208,14 @@ class TestSimultaneousEventTies:
         slots.now = 1.0
         throttle()
         queued = (slots.times[0], slots.seqs[0])
-        assert slots.active[0] and queued[0] == 1.0
+        assert _pending(slots, 0) and queued[0] == 1.0
         # Preempted: the slot holds the redispatch, not a completion.
         assert slots.blocks[0] is None
         offline()
         assert 0 in engine.parked
         online()
         assert 0 not in engine.parked
-        assert slots.active[0] and (slots.times[0], slots.seqs[0]) == queued
+        assert _pending(slots, 0) and (slots.times[0], slots.seqs[0]) == queued
 
     @pytest.mark.parametrize("backend", ["reference", "vectorized"])
     def test_retimed_completion_fires_last_end_to_end(self, backend):
@@ -376,3 +384,83 @@ class TestEventBudget:
                 preset_platform("dual:1:1"), _EmptyRangesSpec(),
                 n_iterations=8, faults=plan, backend=backend,
             )
+
+
+# -- the timing contract -------------------------------------------------------
+
+
+class _TimedProbe(LoopScheduler):
+    """``dynamic,1`` that charges two timestamps on dispatch number
+    ``mark`` and marks it as timed; records every call and every hook."""
+
+    def __init__(self, ctx, mark):
+        super().__init__(ctx)
+        self.mark = mark
+        self.calls = []  # (tid, now) per next_range call, in call order
+        self.hooks = []  # (tid, t) per note_execution_start call
+
+    def next_range(self, tid, now):
+        got = self.ctx.workshare.take(1)
+        if len(self.calls) == self.mark:
+            self.ctx.charge_timestamp(tid)
+            self.ctx.charge_timestamp(tid)
+            self.mark_timed(tid)
+        self.calls.append((tid, now))
+        return got
+
+    def note_execution_start(self, tid, t):
+        self.hooks.append((tid, t))
+
+
+@dataclass(frozen=True)
+class _TimedProbeSpec(ScheduleSpec):
+    mark: int
+    built: list = field(default_factory=list, compare=False)
+
+    @property
+    def name(self):
+        return "timed-probe"
+
+    def create(self, ctx):
+        probe = _TimedProbe(ctx, self.mark)
+        self.built.append(probe)
+        return probe
+
+
+class TestTimingContract:
+    @pytest.mark.parametrize("faulted", [False, True])
+    def test_hook_fires_once_for_the_marked_dispatch(self, faulted):
+        # Threads wake 1 us apart and each pool access holds the line
+        # for 5 us, so the third dispatch queues behind the first two.
+        from repro.perfmodel.overhead import OverheadModel
+
+        platform = preset_platform("dual:2:2")
+        overhead = OverheadModel(
+            atomic_service=5e-6, wake_stagger=1e-6, wake_jitter=0.0
+        )
+        # A stall long after the loop ends only switches the engine to
+        # its faulted path.
+        plan = plan_from_tuples((("stall", 0, 10.0, 1.0),)) if faulted else None
+        mark = 2
+        spec = _TimedProbeSpec(mark)
+        run_loop(
+            platform, spec, n_iterations=40, overhead=overhead, faults=plan
+        )
+        (probe,) = spec.built
+        # Replay the work-share line: every call is one pool access.
+        svc = overhead.atomic_service
+        pool_free = 0.0
+        for i, (tid, now) in enumerate(probe.calls):
+            begin = max(now, pool_free)
+            pool_free = begin + svc
+            if i == mark:
+                ct = platform.core(platform.n_cores - 1 - tid).core_type
+                stamps = (0.0 + overhead.timestamp(ct)) + overhead.timestamp(ct)
+                dispatch = overhead.dispatch(ct, platform.n_cores)
+                queued = begin - now
+                expected = (tid, now + ((dispatch + stamps) + (queued + svc)))
+        assert queued > 0.0
+        # Exactly one hook, at the post-overhead instant; unmarked
+        # dispatches never reach it.
+        assert probe.hooks == [expected]
+        assert len(probe.calls) > mark + 1
