@@ -130,6 +130,20 @@ class AidAutoScheduler(ac.AidScheduler):
 
         state = self.state[tid]
 
+        # Most one-shot-path calls are drain steals: tested first.
+        if state == ac.DRAIN or state == ac.AID:
+            self.set_state(tid, ac.DRAIN)
+            got = self.ws.take(self.m)
+            if got is None:
+                self.set_state(tid, ac.DONE)
+                return None
+            if self.dec.on:
+                self.dec.emit(
+                    tid, now, "drain_steal",
+                    chunk_target=self.m, range=list(got),
+                )
+            return got
+
         if state == ac.START:
             got = self.ws.take(self.m)
             if got is None:
@@ -175,19 +189,6 @@ class AidAutoScheduler(ac.AidScheduler):
             if self.mode == "static":
                 return self._enter_one_shot(tid, now)
             return self._wait_steal(tid, now)
-
-        if state == ac.DRAIN or state == ac.AID:
-            self.set_state(tid, ac.DRAIN)
-            got = self.ws.take(self.m)
-            if got is None:
-                self.set_state(tid, ac.DONE)
-                return None
-            if self.dec.on:
-                self.dec.emit(
-                    tid, now, "drain_steal",
-                    chunk_target=self.m, range=list(got),
-                )
-            return got
 
         return None  # DONE
 

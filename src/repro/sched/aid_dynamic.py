@@ -108,6 +108,33 @@ class AidDynamicScheduler(ac.AidScheduler):
     def next_range(self, tid: int, now: float) -> tuple[int, int] | None:
         state = self.state[tid]
 
+        # Waiting threads and phase completions make most calls, so
+        # their branches are tested first.
+        if state == ac.AID_WAIT or state == ac.SAMPLING_WAIT:
+            return self._dispatch(tid, now)
+
+        if state == ac.AID:
+            # Phase allotment completed: log its duration for resmoothing.
+            self.ctx.charge_timestamp(tid)
+            duration = now - self.assign_time[tid]
+            jtype = self.type_of_tid[tid]
+            self.phase_sums[jtype] += duration
+            self.phase_counts[jtype] += 1
+            self.phase_pending -= 1
+            self._maybe_finalize_phase(tid, now)
+            return self._dispatch(tid, now)
+
+        if state == ENDGAME:
+            got = self.ws.take(self.m)
+            if got is None:
+                return self._retire(tid)
+            if self.dec.on:
+                self.dec.emit(
+                    tid, now, "endgame_steal",
+                    chunk_target=self.m, range=list(got),
+                )
+            return got
+
         if state == ac.START:
             got = self.ws.take(self.m)
             if got is None:
@@ -142,34 +169,6 @@ class AidDynamicScheduler(ac.AidScheduler):
                     sampling=self.sampling, ratio=list(self.R),
                 )
             return self._dispatch(tid, now)
-
-        if state == ac.SAMPLING_WAIT:
-            return self._dispatch(tid, now)
-
-        if state == ac.AID:
-            # Phase allotment completed: log its duration for resmoothing.
-            self.ctx.charge_timestamp(tid)
-            duration = now - self.assign_time[tid]
-            jtype = self.type_of_tid[tid]
-            self.phase_sums[jtype] += duration
-            self.phase_counts[jtype] += 1
-            self.phase_pending -= 1
-            self._maybe_finalize_phase(tid, now)
-            return self._dispatch(tid, now)
-
-        if state == ac.AID_WAIT:
-            return self._dispatch(tid, now)
-
-        if state == ENDGAME:
-            got = self.ws.take(self.m)
-            if got is None:
-                return self._retire(tid)
-            if self.dec.on:
-                self.dec.emit(
-                    tid, now, "endgame_steal",
-                    chunk_target=self.m, range=list(got),
-                )
-            return got
 
         return None  # DONE
 

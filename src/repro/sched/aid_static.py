@@ -114,6 +114,22 @@ class AidStaticScheduler(ac.AidScheduler):
     def next_range(self, tid: int, now: float) -> tuple[int, int] | None:
         state = self.state[tid]
 
+        # Most calls are drain steals (AID-hybrid's whole dynamic tail),
+        # so that branch is tested first.
+        if state == ac.DRAIN or state == ac.AID:
+            # AID allotment (or a drain steal) completed; mop up residue.
+            self.set_state(tid, ac.DRAIN)
+            got = self.ws.take(self.tail_chunk)
+            if got is None:
+                self.set_state(tid, ac.DONE)
+                return None
+            if self.dec.on:
+                self.dec.emit(
+                    tid, now, "drain_steal",
+                    chunk_target=self.tail_chunk, range=list(got),
+                )
+            return got
+
         if state == ac.START:
             if self.targets is not None:
                 # Offline-SF variant: no sampling phase at all.
@@ -156,20 +172,6 @@ class AidStaticScheduler(ac.AidScheduler):
             if self.targets is not None:
                 return self._enter_aid(tid, now)
             return self._wait_steal(tid, now)
-
-        if state == ac.DRAIN or state == ac.AID:
-            # AID allotment (or a drain steal) completed; mop up residue.
-            self.set_state(tid, ac.DRAIN)
-            got = self.ws.take(self.tail_chunk)
-            if got is None:
-                self.set_state(tid, ac.DONE)
-                return None
-            if self.dec.on:
-                self.dec.emit(
-                    tid, now, "drain_steal",
-                    chunk_target=self.tail_chunk, range=list(got),
-                )
-            return got
 
         return None  # DONE
 
