@@ -161,7 +161,7 @@ class AidScheduler(LoopScheduler):
         charge the opening timestamp and mark the dispatch, so the
         simulator moves the stamp to where execution starts."""
         self.assign_time[tid] = now
-        self.timed[tid] = True
+        self.mark_timed(tid)
         self.ctx.charge_timestamp(tid)
 
     def note_execution_start(self, tid: int, t: float) -> None:
