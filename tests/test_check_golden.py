@@ -48,14 +48,14 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN_VARIANTS))
-def test_decision_log_matches_golden(key):
+def test_decision_log_matches_golden(key, fresh_golden):
     path = GOLDEN_DIR / f"{key}.jsonl"
     assert path.exists(), (
         f"golden file {path} missing; run `python -m repro.check golden "
         f"--update` and commit the result"
     )
     expected = path.read_text(encoding="utf-8")
-    actual = golden_jsonl(key)
+    actual = fresh_golden.logs[key]
     assert expected == actual, render_divergence(key, expected, actual)
 
 
@@ -126,13 +126,13 @@ def test_sweep_pin_text_is_what_update_writes():
     assert sweep_pin_text(doc["digests"]) == text
 
 
-def test_tampered_sweep_pin_names_the_root_seed(tmp_path):
+def test_tampered_sweep_pin_names_the_root_seed(tmp_path, fresh_golden):
     doc = json.loads((GOLDEN_DIR / SWEEP_PIN_FILE).read_text())
     good = doc["digests"]["1"]
     doc["digests"]["1"] = "0" * 64
     path = tmp_path / SWEEP_PIN_FILE
     path.write_text(sweep_pin_text(doc["digests"]), encoding="utf-8")
-    report = check_sweep_pin(path)
+    report = check_sweep_pin(path, fresh_golden)
     assert report is not None
     assert f"root seed 1: payload digest {'0' * 64} != {good}" in report
     assert "root seed 0" not in report
