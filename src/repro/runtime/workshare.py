@@ -52,8 +52,6 @@ class WorkShare:
         # pointer so returned work drains first; empty on every
         # fault-free run, so the hot path is a single falsy check.
         self._returned: deque[tuple[int, int]] = deque()
-        #: Iterations in ``_returned``, kept as a running total.
-        self._returned_total = 0
         self._check = check
 
     # -- pool state --------------------------------------------------------
@@ -76,12 +74,12 @@ class WorkShare:
         left = self.end - self._next._value
         if left < 0:
             left = 0
-        return left + self._returned_total
+        return left + self.requeued_pending if self._returned else left
 
     @property
     def requeued_pending(self) -> int:
         """Iterations sitting in the returned-range queue (advisory)."""
-        return self._returned_total
+        return sum(hi - lo for lo, hi in self._returned)
 
     @property
     def exhausted(self) -> bool:
@@ -125,7 +123,6 @@ class WorkShare:
             if hi - lo > n:
                 self._returned.appendleft((lo + n, hi))
                 hi = lo + n
-            self._returned_total -= hi - lo
             self._dispatches.add_fetch(1)
             if self._check is not None:
                 self._check.on_take(n, lo, (lo, hi), requeued=True)
@@ -178,7 +175,6 @@ class WorkShare:
                 f"cannot requeue [{lo}, {hi}) into pool [{self.start}, {self.end})"
             )
         self._returned.append((lo, hi))
-        self._returned_total += hi - lo
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -70,7 +70,6 @@ class AidDynamicScheduler(ac.AidScheduler):
         super().__init__(ctx)
         self.m = minor_chunk
         self.M = major_chunk
-        self.endgame_enabled = endgame
         self.smoothing_enabled = smoothing
         nt = ctx.n_threads
         #: Pool size at or below which the team switches to the endgame
@@ -79,10 +78,6 @@ class AidDynamicScheduler(ac.AidScheduler):
         self.thread_phase = [0] * nt
         self.sampling = ac.SamplingState(ctx.n_types)
         self.R: list[float] | None = None  # per-type ratio; None until sampled
-        #: Per-type phase allotment ``max(1, round(R_j * M))`` and the
-        #: phase it was computed for.
-        self._allot: list[int] = []
-        self._allot_phase = 0
         self.sf: dict[int, float] | None = None
         self.phase = 0
         self.phase_joined = 0
@@ -223,12 +218,8 @@ class AidDynamicScheduler(ac.AidScheduler):
 
     def _join_phase(self, tid: int, now: float) -> tuple[int, int] | None:
         assert self.R is not None
-        if self._allot_phase != self.phase:
-            # R changes only when a phase begins: size it once per phase.
-            self._allot = [max(1, int(round(r * self.M))) for r in self.R]
-            self._allot_phase = self.phase
         jtype = self.type_of_tid[tid]
-        allotment = self._allot[jtype]
+        allotment = max(1, int(round(self.R[jtype] * self.M)))
         got = self.ws.take(allotment)
         if got is None:
             return self._retire(tid)
