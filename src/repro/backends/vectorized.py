@@ -23,7 +23,7 @@ its pool drain on, ``reference`` (:mod:`repro.backends.reference`) off.
   engine accounts the executed range and, unless another thread's
   event is queued for that instant, dispatches the thread in the same
   step: one event per chunk, as fault-free. A tie queues the
-  redispatch as a second event behind it (:meth:`Slots.requeue_on_tie`).
+  redispatch as a second event behind it.
   The fault engine is called per dispatch only while an overhead spike
   is active or a stall is pending.
 * **Integrated pool drains** — when the scheduler declares a
@@ -200,21 +200,6 @@ class Slots:
             (seqs[tid], tid) for tid in range(len(times)) if times[tid] == t
         )[1]
 
-    def requeue_on_tie(self, tid: int) -> bool:
-        """``tid``'s block completed at ``now`` and its slot is free.
-
-        If another thread's event is queued for this instant, the
-        redispatch is a second event behind it: push it under a new seq
-        and return True. Otherwise return False, and the caller
-        dispatches ``tid`` in the same step — the redispatch would be
-        the next event anyway, since firings win ties and so have all
-        fired before any thread slot at their instant is taken.
-        """
-        if self.now in self.times:
-            self.push(tid, self.now)
-            return True
-        return False
-
 
 def slot_engine(executor, req: LoopRunRequest, drain: bool):
     """Play out one loop on per-thread slots plus the fault plan's
@@ -354,11 +339,16 @@ def slot_engine(executor, req: LoopRunRequest, drain: bool):
             block = blocks[best]
             if block is not None:
                 # The block's completion: account the executed range,
-                # then redispatch in this same step unless another
-                # thread's event is queued for this instant.
+                # then redispatch. If another thread's event is queued
+                # for this instant, the redispatch is a second event
+                # behind it, under a new seq. Otherwise it runs in this
+                # same step: it would be the next event anyway, since
+                # firings win ties and so have all fired before any
+                # thread slot at their instant is taken.
                 blocks[best] = None
                 record_exec(best, block[0], block[1], block[2], block[3], bt)
-                if bt in times and slots.requeue_on_tie(best):
+                if bt in times:
+                    slots.push(best, bt)
                     continue
                 events += 1
                 if events > budget:

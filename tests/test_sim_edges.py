@@ -168,10 +168,13 @@ class TestSimultaneousEventTies:
     def test_same_time_event_scheduled_during_tie_fires_last(self):
         # Rule 2: when another thread's event is queued for a block
         # completion's instant, the completion and its redispatch are
-        # two events. The redispatch is pushed at that instant under a
-        # new seq, so it fires after every event already queued for it
-        # — here thread 1's, queued after the completion. With nothing
-        # else queued there, the engine redispatches in the same step.
+        # two events. The engine tests for such an event in the times
+        # once the completing slot is idle, and pushes the redispatch at
+        # that instant under a new seq, so it fires after every event
+        # already queued for it — here thread 1's, queued after the
+        # completion. With nothing else queued there, the test finds no
+        # event (the idle slot's +inf never matches) and the engine
+        # redispatches in the same step.
         for t1, tied in ((4.0, True), (5.0, False)):
             engine, slots, _ = _fault_engine(
                 (("stall", 0, 0.5, 0.1),), [0.0, 0.0]
@@ -183,12 +186,11 @@ class TestSimultaneousEventTies:
             slots.now = 4.0
             slots.cancel(0)  # the completion fires
             slots.blocks[0] = None
-            assert slots.requeue_on_tie(0) is tied
+            assert not _pending(slots, 0)
+            assert (4.0 in slots.times) is tied
             if tied:
-                assert _pending(slots, 0) and slots.times[0] == 4.0
+                slots.push(0, 4.0)
                 assert _firing_order(slots) == [1, 0]
-            else:
-                assert not _pending(slots, 0)
 
     def test_online_keeps_a_pending_redispatch(self):
         # A slot holds one event. A throttle preempts thread 0 at 1.0
