@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -19,6 +20,17 @@ import numpy as np
 from repro.errors import FaultError
 
 PLAN_SCHEMA = "repro.faults.plan/v1"
+
+
+def _require_finite(event) -> None:
+    """Reject an infinite or NaN field: a time or amount at +inf would
+    put an event where the slot engine keeps its idle slots."""
+    for field in dataclasses.fields(event):
+        value = getattr(event, field.name)
+        if not math.isfinite(value):
+            raise FaultError(
+                f"{event.kind} {field.name} must be finite, got {value}"
+            )
 
 
 @dataclass(frozen=True)
@@ -39,6 +51,7 @@ class ThrottleEvent:
     kind = "throttle"
 
     def validate(self) -> None:
+        _require_finite(self)
         if self.cpu < 0:
             raise FaultError(f"throttle cpu must be >= 0, got {self.cpu}")
         if not (0.0 <= self.t0 < self.t1):
@@ -66,6 +79,7 @@ class CoreOfflineEvent:
     kind = "offline"
 
     def validate(self) -> None:
+        _require_finite(self)
         if self.cpu < 0:
             raise FaultError(f"offline cpu must be >= 0, got {self.cpu}")
         if self.t < 0.0:
@@ -82,6 +96,7 @@ class CoreOnlineEvent:
     kind = "online"
 
     def validate(self) -> None:
+        _require_finite(self)
         if self.cpu < 0:
             raise FaultError(f"online cpu must be >= 0, got {self.cpu}")
         if self.t < 0.0:
@@ -105,6 +120,7 @@ class WorkerStallEvent:
     kind = "stall"
 
     def validate(self) -> None:
+        _require_finite(self)
         if self.tid < 0:
             raise FaultError(f"stall tid must be >= 0, got {self.tid}")
         if self.t < 0.0:
@@ -128,6 +144,7 @@ class OverheadSpikeEvent:
     kind = "spike"
 
     def validate(self) -> None:
+        _require_finite(self)
         if not (0.0 <= self.t0 < self.t1):
             raise FaultError(
                 f"spike window must satisfy 0 <= t0 < t1, got "

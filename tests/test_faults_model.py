@@ -2,6 +2,7 @@
 round-trips, seeded random plans, horizon scaling."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -62,6 +63,25 @@ def test_tuple_round_trip_every_kind():
 def test_invalid_events_are_rejected(bad):
     with pytest.raises(FaultError):
         FaultPlan((bad,))
+
+
+@pytest.mark.parametrize(
+    "item",
+    [
+        ("throttle", 0, 0.0, math.inf, 0.5),
+        ("throttle", 0, 0.0, 1.0, math.inf),
+        ("offline", 0, math.nan),
+        ("online", 0, math.inf),
+        ("stall", 0, math.inf, 0.1),
+        ("stall", 0, 0.0, math.inf),
+        ("spike", 0.0, 1.0, math.inf),
+    ],
+)
+def test_non_finite_fields_are_rejected(item):
+    # An idle slot of the slot engine holds +inf, so no fault may put
+    # a firing, a stall's overhead or a completion there.
+    with pytest.raises(FaultError, match="finite"):
+        event_from_tuple(item)
 
 
 @pytest.mark.parametrize(
