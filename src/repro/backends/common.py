@@ -29,6 +29,7 @@ the same ``workshare_take_attempts_total`` a stepped run would.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -143,6 +144,12 @@ def prepare_run(executor: "LoopExecutor", req: "LoopRunRequest") -> RunSetup:
         else [start_time] * nt
     )
     prefix = np.concatenate(([0.0], np.cumsum(costs)))
+    if not math.isfinite(prefix[-1]):
+        # Any infinite or NaN cost makes the sum non-finite. A chunk
+        # completing at +inf would read as an idle slot in the engine.
+        raise SimulationError(
+            f"loop {loop.name!r}: iteration costs must be finite"
+        )
     rates = executor.rates_for(loop)
     core_types = [executor.team.core_type_of(tid) for tid in range(nt)]
 

@@ -388,6 +388,20 @@ class TestEventBudget:
             )
 
 
+@pytest.mark.parametrize("backend", ["reference", "vectorized"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_iteration_cost_is_rejected(backend, bad):
+    # An idle slot holds +inf, so a chunk completing there would read
+    # as a retired thread instead of an unfinished one.
+    costs = np.ones(16)
+    costs[5] = bad
+    with pytest.raises(SimulationError, match="finite"):
+        run_loop(
+            preset_platform("dual:1:1"), parse_schedule("dynamic,4"),
+            n_iterations=16, costs=costs, backend=backend,
+        )
+
+
 # -- the timing contract -------------------------------------------------------
 
 
