@@ -344,13 +344,14 @@ def check_result_consistency(obs: CheckContext) -> list[Violation]:
 
 #: Legal state transitions per scheduler label. Keys are source states,
 #: values the states one ``next_range`` call may move to. ``START``
-#: itself is never recorded — it is the implicit initial state.
+#: itself is never recorded — it is the implicit initial state — and no
+#: state follows itself: the recorder sees only changes.
 _ONE_SHOT_TRANSITIONS = {
     ac.START: {ac.SAMPLING, ac.AID, ac.DONE},
     ac.SAMPLING: {ac.SAMPLING_WAIT, ac.AID, ac.DONE},
-    ac.SAMPLING_WAIT: {ac.SAMPLING_WAIT, ac.AID, ac.DONE},
+    ac.SAMPLING_WAIT: {ac.AID, ac.DONE},
     ac.AID: {ac.DRAIN, ac.DONE},
-    ac.DRAIN: {ac.DRAIN, ac.DONE},
+    ac.DRAIN: {ac.DONE},
     ac.DONE: set(),
 }
 
@@ -363,17 +364,17 @@ TRANSITIONS: dict[str, dict[str, set[str]]] = {
     "aid_dynamic": {
         ac.START: {ac.SAMPLING, ac.DONE},
         ac.SAMPLING: _DYNAMIC_DISPATCH,
-        ac.SAMPLING_WAIT: _DYNAMIC_DISPATCH,
-        ac.AID: _DYNAMIC_DISPATCH,
-        ac.AID_WAIT: _DYNAMIC_DISPATCH,
-        ENDGAME: {ENDGAME, ac.DONE},
+        ac.SAMPLING_WAIT: _DYNAMIC_DISPATCH - {ac.SAMPLING_WAIT},
+        ac.AID: _DYNAMIC_DISPATCH - {ac.AID},
+        ac.AID_WAIT: _DYNAMIC_DISPATCH - {ac.AID_WAIT},
+        ENDGAME: {ac.DONE},
         ac.DONE: set(),
     },
     "aid_steal": {
         ac.START: {ac.SAMPLING, SERVING, ac.DONE},
         ac.SAMPLING: {SERVING, ac.SAMPLING_WAIT, ac.DONE},
-        ac.SAMPLING_WAIT: {ac.SAMPLING_WAIT, SERVING, ac.DONE},
-        SERVING: {SERVING, ac.DONE},
+        ac.SAMPLING_WAIT: {SERVING, ac.DONE},
+        SERVING: {ac.DONE},
         ac.DONE: set(),
     },
 }

@@ -215,12 +215,6 @@ class Supervisor:
         self._breaks[digest] = self._breaks.get(digest, 0) + 1
         return self._breaks[digest]
 
-    def breaks(self, digest: str) -> int:
-        return self._breaks.get(digest, 0)
-
-    def is_poison(self, digest: str) -> bool:
-        return self.breaks(digest) >= self.config.poison_threshold
-
     # -- hang detection ----------------------------------------------------
 
     def job_deadline(

@@ -53,10 +53,6 @@ class ProgramResult:
     def total_dispatches(self) -> int:
         return sum(r.dispatches for r in self.loop_results)
 
-    @property
-    def parallel_time(self) -> float:
-        return sum(r.duration for r in self.loop_results)
-
     def estimated_sf_series(self, loop_name: str) -> list[dict[int, float]]:
         """The SF a sampling scheduler estimated at each invocation of
         one loop (Fig. 9c plots this for blackscholes)."""

@@ -62,11 +62,6 @@ class WorkShare:
         return self.end - self.start
 
     @property
-    def next_iteration(self) -> int:
-        """First not-yet-assigned iteration (advisory read)."""
-        return min(self._next.value, self.end)
-
-    @property
     def remaining(self) -> int:
         """Iterations still in the pool (advisory read, like reading
         ``next``/``end`` in libgomp; exact inside a scheduler call).

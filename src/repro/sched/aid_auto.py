@@ -12,9 +12,9 @@ decision *inside the sampling phase the AID methods already run*:
   identical cores timing identical-cost iterations differ only by cost
   irregularity, so the within-type CV is a core-speed-independent
   regularity signal;
-* regular loops (CV below a threshold) get the AID-hybrid treatment: a
-  one-shot asymmetric distribution of most iterations plus a small
-  dynamic tail;
+* regular loops (CV below a threshold) get the AID-hybrid treatment,
+  run by AID-hybrid's own code: a one-shot asymmetric distribution of
+  most iterations plus a small dynamic tail;
 * irregular loops are handed to a full AID-dynamic phase engine, seeded
   with the already-sampled SF (no second sampling phase).
 
@@ -38,14 +38,29 @@ from repro.errors import ConfigError
 from repro.runtime.context import LoopContext
 from repro.sched import aid_common as ac
 from repro.sched.aid_dynamic import AidDynamicScheduler
+from repro.sched.aid_hybrid import AidHybridScheduler
 from repro.sched.base import ScheduleSpec
 
-#: Per-thread states before the mode decision.
-MODE_PENDING = "MODE_PENDING"
+
+class _SampleLog(ac.SamplingState):
+    """The team's sampling time sums, plus every duration per core type:
+    the within-type CV needs the samples themselves."""
+
+    def __init__(self, n_types: int) -> None:
+        super().__init__(n_types)
+        self.samples: list[list[float]] = [[] for _ in range(n_types)]
+
+    def record(self, type_index: int, duration: float) -> int:
+        self.samples[type_index].append(duration)
+        return super().record(type_index, duration)
 
 
-class AidAutoScheduler(ac.AidScheduler):
+class AidAutoScheduler(AidHybridScheduler):
     """Sampling-driven selection between one-shot and phased AID.
+
+    A regular loop runs AID-hybrid's code as it is (with ``m`` for both
+    the sampling chunk and the dynamic tail); an irregular one goes to
+    an :class:`AidDynamicScheduler` that takes over the team.
 
     Args:
         ctx: loop context.
@@ -88,190 +103,81 @@ class AidAutoScheduler(ac.AidScheduler):
             raise ConfigError("cv threshold must be >= 0")
         if not 0.0 < static_percentage <= 100.0:
             raise ConfigError("static percentage must be in (0, 100]")
-        super().__init__(ctx)
-        self.m = minor_chunk
+        super().__init__(
+            ctx,
+            percentage=static_percentage,
+            sampling_chunk=minor_chunk,
+            dynamic_chunk=minor_chunk,
+        )
         self.M = major_chunk
         self.cv_threshold = cv_threshold
-        self.static_fraction = static_percentage / 100.0
-        nt = ctx.n_threads
-        self.delta = [0] * nt
-        self.samples: list[list[float]] = [[] for _ in range(ctx.n_types)]
-        self.completed = 0
-        self.sf: dict[int, float] | None = None
+        self.sampling = _SampleLog(ctx.n_types)
         self.measured_cv: float | None = None
         #: Chosen mode: None until sampling completes, then "static"
         #: (one-shot + tail) or "dynamic" (delegated phase engine).
         self.mode: str | None = None
-        self.targets: list[int] | None = None
         self._inner: AidDynamicScheduler | None = None
         # -- fault adaptation (inert without an injection engine) ---------
         self.adapt_on_faults = adapt_on_faults
         self.resample_threshold = resample_threshold
-        #: Resample epoch: 0 for the initial sampling phase, +1 per
-        #: fault-triggered re-entry. Decision records carry the epoch
-        #: only when non-zero, so fault-free logs are unchanged.
-        self.epoch = 0
-        self._epoch_expected = nt
         self._lost: set[int] = set()
         self._mult_now: dict[int, float] = {}
         self._mult_at_decide: dict[int, float] | None = None
 
-    # -- introspection -------------------------------------------------------
-
-    def estimated_sf(self) -> dict[int, float] | None:
-        return self.sf
-
     # -- the GOMP_loop_next analogue --------------------------------------------
+    #
+    # AID-hybrid's next_range serves a regular loop as it is. Its drain
+    # branch, tested first, never runs after an irregular verdict: the
+    # verdict comes while no thread holds an allotment (at loop start,
+    # or after a resample rewound every thread), and no state here moves
+    # afterwards. Every other call reaches one of these two hooks, which
+    # hand it to the phase engine once there is one.
 
-    def next_range(self, tid: int, now: float) -> tuple[int, int] | None:
-        if self.mode == "dynamic":
-            assert self._inner is not None
+    def _sampling_next(self, tid: int, now: float) -> tuple[int, int] | None:
+        if self._inner is not None:
             return self._inner.next_range(tid, now)
+        return super()._sampling_next(tid, now)
 
-        state = self.state[tid]
-
-        # Most one-shot-path calls are drain steals: tested first.
-        if state == ac.DRAIN or state == ac.AID:
-            self.set_state(tid, ac.DRAIN)
-            got = self.ws.take(self.m)
-            if got is None:
-                self.set_state(tid, ac.DONE)
-                return None
-            if self.dec.on:
-                self.dec.emit(
-                    tid, now, "drain_steal",
-                    chunk_target=self.m, range=list(got),
-                )
-            return got
-
-        if state == ac.START:
-            got = self.ws.take(self.m)
-            if got is None:
-                self.set_state(tid, ac.DONE)
-                return None
-            self.set_state(tid, ac.SAMPLING)
-            self.time_chunk(tid, now)
-            self.delta[tid] += got[1] - got[0]
-            if self.dec.on:
-                self.dec.emit(
-                    tid, now, "sample_start",
-                    chunk_target=self.m, range=list(got),
-                    **self._epoch_fields(),
-                    **self._retake_fields(tid),
-                )
-            return got
-
-        if state == ac.SAMPLING:
-            self.ctx.charge_timestamp(tid)
-            duration = now - self.assign_time[tid]
-            self.samples[self.type_of_tid[tid]].append(duration)
-            self.completed += 1
-            if self.dec.on:
-                self.dec.emit(
-                    tid, now, "sample_complete",
-                    duration=duration, completed=self.completed,
-                    mean_times=[
-                        sum(s) / len(s) if s else 0.0 for s in self.samples
-                    ],
-                    **self._epoch_fields(),
-                    **self._retake_fields(tid),
-                )
-            if self.completed >= self._epoch_expected and self.mode is None:
-                self._decide(tid, now)
-                if self.mode == "dynamic":
-                    assert self._inner is not None
-                    return self._inner.next_range(tid, now)
-            if self.mode == "static":
-                return self._enter_one_shot(tid, now)
-            return self._wait_steal(tid, now)
-
-        if state == ac.SAMPLING_WAIT:
-            if self.mode == "static":
-                return self._enter_one_shot(tid, now)
-            return self._wait_steal(tid, now)
-
-        return None  # DONE
+    def _distribute(self, tid: int, now: float) -> tuple[int, int] | None:
+        if self._inner is not None:
+            # This thread's sample made the loop irregular.
+            return self._inner.next_range(tid, now)
+        return super()._distribute(tid, now)
 
     # -- the decision ------------------------------------------------------------
 
-    def _decide(self, tid: int, now: float) -> None:
-        """Classify the loop and commit to a mode (runs in exactly one
-        thread: the last sampler)."""
-        means = [
-            sum(s) / len(s) if s else 0.0 for s in self.samples
-        ]
-        base = means[0]
-        self.sf = {
-            j: (base / m if base > 0 and m > 0 else 1.0)
-            for j, m in enumerate(means)
-        }
-        self.sf[0] = 1.0
+    def publish(self, sf: dict[int, float]) -> tuple[str, dict]:
+        """Classify the loop and commit to a mode (one thread: the last
+        sampler, or the one whose loss left no sampler outstanding)."""
+        self.sf = sf
         self._mult_at_decide = dict(self._mult_now)
         self.measured_cv = max(
-            (self._cv(s) for s in self.samples if len(s) >= 2), default=0.0
+            (self._cv(s) for s in self.sampling.samples if len(s) >= 2),
+            default=0.0,
         )
+        fields: dict = {"cv": self.measured_cv, "cv_threshold": self.cv_threshold}
+        if self.epoch:
+            fields["epoch"] = self.epoch
         if self.measured_cv <= self.cv_threshold:
             self.mode = "static"
-            if self.epoch:
-                # Resample epochs distribute what is actually left in
-                # the pool (including fault-requeued ranges), not the
-                # original trip count most of which has already run.
-                ni_aid = int(self.static_fraction * self.ctx.workshare.remaining)
-            else:
-                ni_aid = int(self.static_fraction * self.ctx.n_iterations)
+            # Resample epochs distribute what is actually left in the
+            # pool (including fault-requeued ranges), not the original
+            # trip count most of which has already run.
+            ni = self.ws.remaining if self.epoch else self.ctx.n_iterations
             self.targets = ac.aid_targets(
-                ni_aid, self.sf, self.ctx.type_counts()
+                int(self.aid_fraction * ni), sf, self.ctx.type_counts()
             )
-            if self.dec.on:
-                self.dec.emit(
-                    tid, now, "decide",
-                    mode=self.mode, cv=self.measured_cv,
-                    cv_threshold=self.cv_threshold,
-                    sf=ac.sf_as_json(self.sf),
-                    mean_times=means, targets=list(self.targets),
-                    **self._epoch_fields(),
-                )
+            fields["targets"] = list(self.targets)
         else:
             self.mode = "dynamic"
-            inner = AidDynamicScheduler(
-                self.ctx, minor_chunk=self.m, major_chunk=self.M
+            self._inner = AidDynamicScheduler(
+                self.ctx, minor_chunk=self.sampling_chunk, major_chunk=self.M
             )
-            # One timing record for both: the simulator reads this
-            # scheduler's flags and its hook writes the stamps the phase
-            # engine reads.
-            inner.timed = self.timed
-            inner.assign_time = self.assign_time
-            # Seed the phase engine with the sampling we already did:
-            # every thread skips straight to the first AID phase.
-            inner.sf = dict(self.sf)
-            inner.R = [
-                inner._clamp(self.sf[j]) for j in range(self.ctx.n_types)
-            ]
-            inner.phase = 1
-            for t in range(self.ctx.n_threads):
-                inner.set_state(
-                    t, ac.DONE if self.state[t] == ac.DONE else ac.SAMPLING_WAIT
-                )
-            inner.active = sum(
-                1 for t in range(self.ctx.n_threads) if inner.state[t] != ac.DONE
-            )
-            self._inner = inner
-            if self.dec.on:
-                self.dec.emit(
-                    tid, now, "decide",
-                    mode=self.mode, cv=self.measured_cv,
-                    cv_threshold=self.cv_threshold,
-                    sf=ac.sf_as_json(self.sf),
-                    mean_times=means, ratio=list(inner.R),
-                    **self._epoch_fields(),
-                )
+            self._inner.take_over(self)
+            fields["ratio"] = list(self._inner.R)
+        return "decide", {"mode": self.mode, **fields}
 
     # -- fault adaptation ---------------------------------------------------------
-
-    def _epoch_fields(self) -> dict:
-        """Epoch annotation for decision records — empty on epoch 0 so
-        fault-free logs (and the goldens pinned on them) are unchanged."""
-        return {"epoch": self.epoch} if self.epoch else {}
 
     def on_rates_changed(self, now: float, multipliers: dict[int, float]) -> None:
         self._mult_now = dict(multipliers)
@@ -310,12 +216,11 @@ class AidAutoScheduler(ac.AidScheduler):
         if expected == 0:
             return
         self.epoch += 1
-        self._epoch_expected = expected
+        self.expected = expected
         for t in range(nt):
             if self.state[t] != ac.DONE:
                 self.state[t] = ac.START
-        self.samples = [[] for _ in range(self.ctx.n_types)]
-        self.completed = 0
+        self.sampling = _SampleLog(self.ctx.n_types)
         self.sf = None
         self.mode = None
         self.targets = None
@@ -335,18 +240,14 @@ class AidAutoScheduler(ac.AidScheduler):
             self._inner.on_worker_lost(tid, now)
             return
         # A sampler that will never report back must not wedge the
-        # decision: shrink the expected count and decide if it was the
-        # last one outstanding.
+        # decision: stop waiting for it, and decide if it was the last
+        # one outstanding.
         if self.mode is None and self.state[tid] in (ac.START, ac.SAMPLING):
-            self._epoch_expected = max(0, self._epoch_expected - 1)
-            if self.completed >= self._epoch_expected and self.completed > 0:
-                self._decide(tid, now)
-        # A sampler preempted mid-chunk must re-sample on revival rather
-        # than record the parked interval as a sampling duration.
-        if self.state[tid] == ac.SAMPLING:
-            self.state[tid] = ac.START
-            self.timed[tid] = False
-            self._retakes[tid] += 1
+            self.expected = max(0, self.expected - 1)
+            done = self.sampling.completed.value
+            if done >= self.expected and done > 0:
+                self._publish(self.sampling.sf_per_type(), tid, now)
+        super().on_worker_lost(tid, now)
 
     def on_worker_back(self, tid: int, now: float) -> None:
         self._lost.discard(tid)
@@ -360,42 +261,6 @@ class AidAutoScheduler(ac.AidScheduler):
             return 0.0
         var = sum((s - mean) ** 2 for s in samples) / (len(samples) - 1)
         return math.sqrt(var) / mean
-
-    # -- one-shot path -------------------------------------------------------------
-
-    def _wait_steal(self, tid: int, now: float) -> tuple[int, int] | None:
-        got = self.ws.take(self.m)
-        if got is None:
-            self.set_state(tid, ac.DONE)
-            return None
-        self.set_state(tid, ac.SAMPLING_WAIT)
-        self.delta[tid] += got[1] - got[0]
-        if self.dec.on:
-            self.dec.emit(
-                tid, now, "wait_steal",
-                chunk_target=self.m, range=list(got),
-            )
-        return got
-
-    def _enter_one_shot(self, tid: int, now: float) -> tuple[int, int] | None:
-        assert self.targets is not None
-        target = self.targets[self.type_of_tid[tid]]
-        need = target - self.delta[tid]
-        self.set_state(tid, ac.AID)
-        if need <= 0:
-            return self.next_range(tid, now)
-        got = self.ws.take(need)
-        if got is None:
-            self.set_state(tid, ac.DONE)
-            return None
-        self.delta[tid] += got[1] - got[0]
-        if self.dec.on:
-            self.dec.emit(
-                tid, now, "aid_allotment",
-                target=target, chunk_target=need, range=list(got),
-                sf=ac.sf_as_json(self.sf),
-            )
-        return got
 
 
 @dataclass(frozen=True)

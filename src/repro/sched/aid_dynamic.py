@@ -2,11 +2,12 @@
 
 The paper's replacement for dynamic scheduling on AMPs (Fig. 5). Two
 user chunks exist: minor ``m`` (sampling/wait steals, and the endgame)
-and Major ``M >= m``. After the initial sampling phase — identical to
-AID-static's — the loop proceeds in *AID phases*: per phase, each
-small-core thread removes ``M`` iterations from the pool and each thread
-on core type j removes ``R_j * M``, where ``R_j`` starts at the sampled
-``SF_j`` and is resmoothed after every phase:
+and Major ``M >= m``. After the sampling phase every AID variant shares
+(:class:`~repro.sched.aid_common.AidScheduler`), the loop proceeds in
+*AID phases*: per phase, each small-core thread removes ``M`` iterations
+from the pool and each thread on core type j removes ``R_j * M``, where
+``R_j`` starts at the sampled ``SF_j`` and is resmoothed after every
+phase:
 
     R_j <- R_j * SM_j,   SM_j = mean small-thread phase time /
                                 mean type-j thread phase time
@@ -68,7 +69,8 @@ class AidDynamicScheduler(ac.AidScheduler):
                 f"Major chunk ({major_chunk}) must be >= minor chunk ({minor_chunk})"
             )
         super().__init__(ctx)
-        self.m = minor_chunk
+        # The paper's m is this variant's sampling chunk too.
+        self.m = self.sampling_chunk = minor_chunk
         self.M = major_chunk
         self.smoothing_enabled = smoothing
         nt = ctx.n_threads
@@ -76,9 +78,7 @@ class AidDynamicScheduler(ac.AidScheduler):
         #: (-1, which no pool reaches, with the endgame off).
         self.endgame_threshold = major_chunk * nt if endgame else -1
         self.thread_phase = [0] * nt
-        self.sampling = ac.SamplingState(ctx.n_types)
         self.R: list[float] | None = None  # per-type ratio; None until sampled
-        self.sf: dict[int, float] | None = None
         self.phase = 0
         self.phase_joined = 0
         self.phase_pending = 0
@@ -91,12 +91,35 @@ class AidDynamicScheduler(ac.AidScheduler):
 
     # -- introspection ---------------------------------------------------------
 
-    def estimated_sf(self) -> dict[int, float] | None:
-        return self.sf
-
     def current_ratio(self) -> list[float] | None:
         """The per-type ratio R currently in force (None before sampling)."""
         return None if self.R is None else list(self.R)
+
+    # -- publication -------------------------------------------------------------
+
+    def publish(self, sf: dict[int, float]) -> tuple[str, dict]:
+        """The sampled SF is the first phase's ratio (one thread)."""
+        self.sf = sf
+        self.R = [self._clamp(sf[j]) for j in range(self.ctx.n_types)]
+        self.phase = 1
+        return "publish_ratio", {"ratio": list(self.R)}
+
+    def take_over(self, sampled: ac.AidScheduler) -> None:
+        """Run the AID phases for a team that sampled under ``sampled``
+        (AID-auto's irregular path) instead of sampling again.
+
+        Both keep one timing record: the simulator reads ``sampled``'s
+        flags and its hook writes the stamps the phases read. Its DONE
+        threads stay DONE, every other thread waits to join the first
+        phase, and its SF is published as that phase's ratio, as this
+        policy's own last sampler publishes it.
+        """
+        self.timed = sampled.timed
+        self.assign_time = sampled.assign_time
+        for t, state in enumerate(sampled.state):
+            self.set_state(t, ac.DONE if state == ac.DONE else ac.SAMPLING_WAIT)
+        self.active = len(self.state) - self.state.count(ac.DONE)
+        self.publish(sampled.sf)
 
     # -- the GOMP_loop_next analogue --------------------------------------------
 
@@ -131,38 +154,10 @@ class AidDynamicScheduler(ac.AidScheduler):
             return got
 
         if state == ac.START:
-            got = self.ws.take(self.m)
-            if got is None:
-                return self._retire(tid)
-            self.set_state(tid, ac.SAMPLING)
-            self.time_chunk(tid, now)
-            if self.dec.on:
-                self.dec.emit(
-                    tid, now, "sample_start",
-                    chunk_target=self.m, range=list(got),
-                )
-            return got
+            return self._sample_start(tid, now)
 
         if state == ac.SAMPLING:
-            self.ctx.charge_timestamp(tid)
-            duration = now - self.assign_time[tid]
-            done = self.sampling.record(self.type_of_tid[tid], duration)
-            if self.dec.on:
-                self.dec.emit(
-                    tid, now, "sample_complete",
-                    duration=duration, completed=done,
-                    mean_times=self.sampling.mean_times(),
-                )
-            if done == self.ctx.n_threads and self.R is None:
-                self.sf = self.sampling.sf_per_type()
-                self.R = [
-                    self._clamp(self.sf[j]) for j in range(self.ctx.n_types)
-                ]
-                self.phase = 1
-                ac.emit_sf_publication(
-                    self.dec, tid, now, "publish_ratio", self.sf,
-                    sampling=self.sampling, ratio=list(self.R),
-                )
+            self._sample_complete(tid, now)
             return self._dispatch(tid, now)
 
         return None  # DONE
@@ -192,16 +187,7 @@ class AidDynamicScheduler(ac.AidScheduler):
             return got
         if self.R is None:
             # Sampling not finished team-wide: wait-steal minor chunks.
-            got = ws.take(self.m)
-            if got is None:
-                return self._retire(tid)
-            self.set_state(tid, ac.SAMPLING_WAIT)
-            if self.dec.on:
-                self.dec.emit(
-                    tid, now, "wait_steal",
-                    chunk_target=self.m, range=list(got),
-                )
-            return got
+            return self._wait_steal(tid, now)
         if self.thread_phase[tid] < self.phase:
             return self._join_phase(tid, now)
         # Phase already joined and completed; wait for stragglers.
@@ -266,7 +252,8 @@ class AidDynamicScheduler(ac.AidScheduler):
         self.phase_counts = [0] * self.ctx.n_types
 
     def _retire(self, tid: int) -> None:
-        """Pool drained for this thread: leave the loop."""
+        """Pool drained for this thread: leave the loop and the phase
+        accounting."""
         if self.state[tid] != ac.DONE:
             self.set_state(tid, ac.DONE)
             self.active -= 1

@@ -11,12 +11,15 @@ The paper's Fig. 3 state machine, ported structurally:
 * ``* -> AID``: one final allotment of ``target(type) - delta_i``
   iterations, where ``delta_i`` is what thread *i* already executed.
 
-After its AID allotment a thread drains any rounding residue left in the
-pool in chunk-sized steals and then leaves the loop. The pool and the
-sampling counters are the paper's atomics (fetch-and-add, atomic time
-sums), and SF/k are computed by exactly one thread. The simulator charges
-the atomics' cost through the overhead model; the code itself runs one
-scheduler call at a time on both backends.
+The first three are the sampling phase every AID variant shares
+(:class:`~repro.sched.aid_common.AidScheduler`); this module adds the
+targets publication and the allotment. After its AID allotment a thread
+drains any rounding residue left in the pool in chunk-sized steals and
+then leaves the loop. The pool and the sampling counters are the paper's
+atomics (fetch-and-add, atomic time sums), and SF/k are computed by
+exactly one thread. The simulator charges the atomics' cost through the
+overhead model; the code itself runs one scheduler call at a time on
+both backends.
 """
 
 from __future__ import annotations
@@ -64,50 +67,19 @@ class AidStaticScheduler(ac.AidScheduler):
         self.use_offline_sf = use_offline_sf
         self.aid_fraction = aid_fraction
         self.tail_chunk = tail_chunk if tail_chunk is not None else sampling_chunk
-        self.delta = [0] * ctx.n_threads  # executed before the AID allotment
-        self.sampling = ac.SamplingState(ctx.n_types)
-        self.sf: dict[int, float] | None = None
         self.targets: list[int] | None = None
         if use_offline_sf:
             # Published at loop setup, before any thread runs: tid -1, t 0.
-            self._publish_targets(ac.offline_sf_table(ctx), tid=-1, now=0.0)
+            self._publish(ac.offline_sf_table(ctx), tid=-1, now=0.0)
 
-    # -- shared-state helpers ------------------------------------------------
-
-    def _publish_targets(
-        self, sf: dict[int, float], tid: int, now: float
-    ) -> None:
-        """Compute and publish per-type targets (done by one thread)."""
+    def publish(self, sf: dict[int, float]) -> tuple[str, dict]:
+        """Per-type targets over ``aid_fraction`` of NI (one thread)."""
+        self.sf = sf
         ni_aid = int(self.aid_fraction * self.ctx.n_iterations)
         self.targets = ac.aid_targets(ni_aid, sf, self.ctx.type_counts())
-        self.sf = sf
-        ac.emit_sf_publication(
-            self.dec,
-            tid,
-            now,
-            "publish_targets",
-            sf,
-            sampling=None if self.use_offline_sf else self.sampling,
-            targets=list(self.targets),
-            aid_fraction=self.aid_fraction,
-        )
-
-    def estimated_sf(self) -> dict[int, float] | None:
-        # Only report SFs actually *estimated* online; the offline-SF
-        # variant distributes from supplied tables without sampling.
-        return None if self.use_offline_sf else self.sf
-
-    # -- fault-recovery hooks --------------------------------------------------
-
-    def on_worker_lost(self, tid: int, now: float) -> None:
-        # A sampler preempted by a core-offline fault never finished its
-        # chunk; its assign_time may even lie in the future (overhead-end
-        # refinement). Rewind to START so a revival re-samples instead of
-        # recording the parked interval as a sampling duration.
-        if self.state[tid] == ac.SAMPLING:
-            self.state[tid] = ac.START
-            self.timed[tid] = False
-            self._retakes[tid] += 1
+        return "publish_targets", {
+            "targets": list(self.targets), "aid_fraction": self.aid_fraction,
+        }
 
     # -- the GOMP_loop_next analogue ------------------------------------------
 
@@ -121,8 +93,7 @@ class AidStaticScheduler(ac.AidScheduler):
             self.set_state(tid, ac.DRAIN)
             got = self.ws.take(self.tail_chunk)
             if got is None:
-                self.set_state(tid, ac.DONE)
-                return None
+                return self._retire(tid)
             if self.dec.on:
                 self.dec.emit(
                     tid, now, "drain_steal",
@@ -130,66 +101,10 @@ class AidStaticScheduler(ac.AidScheduler):
                 )
             return got
 
-        if state == ac.START:
-            if self.targets is not None:
-                # Offline-SF variant: no sampling phase at all.
-                return self._enter_aid(tid, now)
-            got = self.ws.take(self.sampling_chunk)
-            if got is None:
-                self.set_state(tid, ac.DONE)
-                return None
-            self.set_state(tid, ac.SAMPLING)
-            self.time_chunk(tid, now)
-            self.delta[tid] += got[1] - got[0]
-            if self.dec.on:
-                self.dec.emit(
-                    tid, now, "sample_start",
-                    chunk_target=self.sampling_chunk, range=list(got),
-                    **self._retake_fields(tid),
-                )
-            return got
+        return self._sampling_next(tid, now)
 
-        if state == ac.SAMPLING:
-            # The sampling chunk just completed: log its duration.
-            self.ctx.charge_timestamp(tid)
-            duration = now - self.assign_time[tid]
-            done = self.sampling.record(self.type_of_tid[tid], duration)
-            if self.dec.on:
-                self.dec.emit(
-                    tid, now, "sample_complete",
-                    duration=duration, completed=done,
-                    mean_times=self.sampling.mean_times(),
-                    **self._retake_fields(tid),
-                )
-            if done == self.ctx.n_threads and self.targets is None:
-                # Last sampler computes SF and k (exactly one thread).
-                self._publish_targets(self.sampling.sf_per_type(), tid, now)
-            if self.targets is not None:
-                return self._enter_aid(tid, now)
-            return self._wait_steal(tid, now)
-
-        if state == ac.SAMPLING_WAIT:
-            if self.targets is not None:
-                return self._enter_aid(tid, now)
-            return self._wait_steal(tid, now)
-
-        return None  # DONE
-
-    def _wait_steal(self, tid: int, now: float) -> tuple[int, int] | None:
-        got = self.ws.take(self.sampling_chunk)
-        if got is None:
-            self.set_state(tid, ac.DONE)
-            return None
-        self.set_state(tid, ac.SAMPLING_WAIT)
-        self.delta[tid] += got[1] - got[0]
-        if self.dec.on:
-            self.dec.emit(
-                tid, now, "wait_steal",
-                chunk_target=self.sampling_chunk, range=list(got),
-            )
-        return got
-
-    def _enter_aid(self, tid: int, now: float) -> tuple[int, int] | None:
+    def _distribute(self, tid: int, now: float) -> tuple[int, int] | None:
+        """The AID allotment: what is left of the thread's target."""
         assert self.targets is not None
         target = self.targets[self.type_of_tid[tid]]
         need = target - self.delta[tid]
@@ -199,8 +114,7 @@ class AidStaticScheduler(ac.AidScheduler):
             return self.next_range(tid, now)
         got = self.ws.take(need)
         if got is None:
-            self.set_state(tid, ac.DONE)
-            return None
+            return self._retire(tid)
         self.delta[tid] += got[1] - got[0]
         if self.dec.on:
             self.dec.emit(

@@ -4,9 +4,10 @@ The paper's Sec. 4.3 sketches this as the natural next step: "possibly
 by combining our work-sharing version of AID, with work-stealing
 techniques [4, 27]". AID-steal does exactly that:
 
-* the sampling phase and the SF-proportional split are AID-static's —
-  after sampling, the remaining iterations are partitioned into one
-  contiguous *local range* per thread, sized ``SF_j * k``;
+* the sampling phase is the one every AID variant shares, and the
+  split is SF-proportional as in AID-static — after sampling, the
+  remaining iterations are partitioned into one contiguous *local
+  range* per thread, sized ``SF_j * k``;
 * each thread then serves itself from the front of its own range in
   ``serve_chunk``-sized pieces — local work needs no shared-pool atomics
   at all;
@@ -69,9 +70,6 @@ class AidStealScheduler(ac.AidScheduler):
         self.serve_chunk = serve_chunk
         self.min_steal = min_steal
         self.use_offline_sf = use_offline_sf
-        self.delta = [0] * ctx.n_threads
-        self.sampling = ac.SamplingState(ctx.n_types)
-        self.sf: dict[int, float] | None = None
         #: Per-thread local range [lo, hi); (0, 0) when empty.
         self.local: list[tuple[int, int]] | None = None
         self.steals = 0
@@ -81,18 +79,9 @@ class AidStealScheduler(ac.AidScheduler):
         self._faulted = False
         if use_offline_sf:
             # Partitioned at loop setup, before any thread runs.
-            self._partition(ac.offline_sf_table(ctx), tid=-1, now=0.0)
+            self._publish(ac.offline_sf_table(ctx), tid=-1, now=0.0)
 
-    # -- introspection -------------------------------------------------------
-
-    def estimated_sf(self) -> dict[int, float] | None:
-        return None if self.use_offline_sf else self.sf
-
-    # -- setup -----------------------------------------------------------------
-
-    def _partition(
-        self, sf: dict[int, float], tid: int, now: float
-    ) -> None:
+    def publish(self, sf: dict[int, float]) -> tuple[str, dict]:
         """Split everything left in the pool into per-thread ranges,
         proportional to the per-type SF (one pool access total)."""
         self.sf = sf
@@ -111,77 +100,14 @@ class AidStealScheduler(ac.AidScheduler):
                 share = min(share, hi - cursor)
             self.local.append((cursor, cursor + share))
             cursor += share
-        ac.emit_sf_publication(
-            self.dec,
-            tid,
-            now,
-            "partition",
-            sf,
-            sampling=None if self.use_offline_sf else self.sampling,
-            ranges=[list(r) for r in self.local],
-        )
+        return "partition", {"ranges": [list(r) for r in self.local]}
 
     # -- the GOMP_loop_next analogue ------------------------------------------
 
     def next_range(self, tid: int, now: float) -> tuple[int, int] | None:
-        state = self.state[tid]
-
-        if self.local is not None and state in (
-            ac.START,
-            SERVING,
-            ac.SAMPLING_WAIT,
-        ):
+        if self.state[tid] == SERVING:
             return self._serve(tid, now)
-
-        if state == ac.START:
-            got = self.ws.take(self.sampling_chunk)
-            if got is None:
-                self.set_state(tid, ac.DONE)
-                return None
-            self.set_state(tid, ac.SAMPLING)
-            self.time_chunk(tid, now)
-            if self.dec.on:
-                self.dec.emit(
-                    tid, now, "sample_start",
-                    chunk_target=self.sampling_chunk, range=list(got),
-                    **self._retake_fields(tid),
-                )
-            return got
-
-        if state == ac.SAMPLING:
-            self.ctx.charge_timestamp(tid)
-            duration = now - self.assign_time[tid]
-            done = self.sampling.record(self.type_of_tid[tid], duration)
-            if self.dec.on:
-                self.dec.emit(
-                    tid, now, "sample_complete",
-                    duration=duration, completed=done,
-                    mean_times=self.sampling.mean_times(),
-                    **self._retake_fields(tid),
-                )
-            if done == self.ctx.n_threads and self.local is None:
-                self._partition(self.sampling.sf_per_type(), tid, now)
-            if self.local is not None:
-                return self._serve(tid, now)
-            return self._wait_steal(tid, now)
-
-        if state == ac.SAMPLING_WAIT:
-            return self._wait_steal(tid, now)
-
-        return None  # DONE
-
-    def _wait_steal(self, tid: int, now: float) -> tuple[int, int] | None:
-        got = self.ws.take(self.sampling_chunk)
-        if got is None:
-            self.set_state(tid, ac.DONE)
-            return None
-        self.set_state(tid, ac.SAMPLING_WAIT)
-        if self.dec.on:
-            self.dec.emit(
-                tid, now, "wait_steal",
-                chunk_target=self.sampling_chunk, range=list(got),
-            )
-        return got
+        return self._sampling_next(tid, now)
 
     # -- serving and stealing -----------------------------------------------------
 
@@ -202,12 +128,14 @@ class AidStealScheduler(ac.AidScheduler):
                             chunk_target=self.serve_chunk, range=list(got),
                         )
                     return got
-            self.set_state(tid, ac.DONE)
-            return None
+            return self._retire(tid)
         lo, hi = self.local[tid]
         cut = min(hi, lo + self.serve_chunk)
         self.local[tid] = (cut, hi)
         return (lo, cut)
+
+    #: Once partitioned, a thread's share is served from its own range.
+    _distribute = _serve
 
     def _steal_into(self, thief: int, now: float) -> bool:
         """Move the back half of the richest thread's range to the thief."""
@@ -268,12 +196,7 @@ class AidStealScheduler(ac.AidScheduler):
         # The lost worker's local range stays in place: the whole-range
         # steal fallback lets survivors absorb it, however small.
         self._faulted = True
-        # A sampler preempted mid-chunk must re-sample on revival rather
-        # than record the parked interval as a sampling duration.
-        if self.state[tid] == ac.SAMPLING:
-            self.state[tid] = ac.START
-            self.timed[tid] = False
-            self._retakes[tid] += 1
+        super().on_worker_lost(tid, now)
 
     def on_worker_back(self, tid: int, now: float) -> None:
         self._faulted = True

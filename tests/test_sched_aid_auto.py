@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
+from repro.obs import Observability
+from repro.perfmodel.overhead import OverheadModel
 from repro.sched import parse_schedule
 from repro.sched.aid_auto import AidAutoSpec
 from repro.sched.aid_dynamic import AidDynamicSpec
 from repro.sched.aid_hybrid import AidHybridSpec
 
-from tests.helpers import assert_valid_partition, run_loop
+from tests.helpers import assert_valid_partition, preset_platform, run_loop
 
 
 def test_name_and_validation():
@@ -75,6 +77,53 @@ def test_tracks_aid_dynamic_on_irregular_loops(flat2x):
     auto = run_loop(flat2x, AidAutoSpec(), n_iterations=2000, costs=costs)
     aidd = run_loop(flat2x, AidDynamicSpec(1, 5), n_iterations=2000, costs=costs)
     assert auto.end_time <= aidd.end_time * 1.05
+
+
+def _schedule(platform, spec, n, cost, seed):
+    """One run's result and its (tid, event, range, t) decision stream,
+    without the publication record (``decide`` / ``publish_targets``)."""
+    costs = np.full(n, 1e-4) if cost == "flat" else np.linspace(5e-5, 2e-4, n)
+    obs = Observability()
+    result = run_loop(
+        preset_platform(platform), spec, n_iterations=n, costs=costs,
+        overhead=OverheadModel(), obs=obs, rng=np.random.default_rng(seed),
+    )
+    stream = [
+        (r["tid"], r["event"], r.get("range"), r["t"])
+        for r in obs.decisions.records
+        if r["event"] not in ("decide", "publish_targets")
+    ]
+    return result, stream
+
+
+def test_regular_path_is_aid_hybrids_schedule():
+    """A loop classified regular gets exactly AID-hybrid(85)'s schedule
+    with m as both its sampling chunk and its dynamic chunk."""
+    grid = [
+        (platform, n, m, cost)
+        for platform in ("odroid_xu4", "xeon_emulated", "tri")
+        for n in (7, 64, 500, 4096)
+        for m in (1, 3)
+        for cost in ("flat", "ramp")
+    ]
+    regular = 0
+    for seed, (platform, n, m, cost) in enumerate(grid):
+        auto, auto_stream = _schedule(
+            platform, AidAutoSpec(minor_chunk=m, major_chunk=5), n, cost, seed
+        )
+        if auto.extra["scheduler"].mode != "static":
+            continue
+        regular += 1
+        hybrid, hybrid_stream = _schedule(
+            platform,
+            AidHybridSpec(percentage=85, sampling_chunk=m, dynamic_chunk=m),
+            n, cost, seed,
+        )
+        where = (platform, n, m, cost)
+        assert auto.ranges == hybrid.ranges, where
+        assert auto.finish_times == hybrid.finish_times, where
+        assert auto_stream == hybrid_stream, where
+    assert regular > len(grid) // 2
 
 
 def test_tiny_loops_terminate(flat2x):
