@@ -19,8 +19,8 @@ Subcommands:
   catches it with a small shrunk reproducer (the CI smoke that proves
   the oracle has teeth);
 * ``golden`` — check or regenerate the per-variant golden decision
-  logs, the engine corpus, the resilience sweep pin and the paper-grid
-  pin under ``tests/golden/``.
+  logs, the engine corpus, the resilience sweep pin, the paper-grid pin
+  and the fleet-snapshot pin under ``tests/golden/``.
 
 Exit status is 0 iff every requested check passed.
 """
@@ -224,8 +224,8 @@ def _cmd_golden(args: argparse.Namespace) -> int:
     if not problems:
         print(
             f"golden: all {len(golden_mod.GOLDEN_VARIANTS)} decision logs, "
-            f"the engine corpus, the resilience sweep pin and the "
-            f"paper-grid pin match {directory}"
+            f"the engine corpus, the resilience sweep pin, the "
+            f"paper-grid pin and the fleet-snapshot pin match {directory}"
         )
         return 0
     for key, rendered in sorted(problems.items()):

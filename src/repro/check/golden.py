@@ -37,6 +37,14 @@ of the full Fig. 6/7 grid (every program under every default
 configuration, root seed 0). It pins the paper's 294 cells byte for
 byte; a mismatch names the platform.
 
+The *fleet-snapshot pin*, ``fleet_snapshot.json``, holds the SHA-256 of
+the canonical-JSON :func:`~repro.obs.merge.comparable_snapshot` of the
+merged fleet snapshot of the ``smoke`` grid (``python -m repro.fleet
+smoke``: root seed 0, ``jobs=1``, a fresh cache), once without span
+tracing and once with it. It pins the merge and the render of the
+fleet's observability snapshot byte for byte; a mismatch names the
+variant.
+
 :class:`GoldenArtifacts` holds the fresh side of every comparison, each
 part computed on first use, so one computation can serve several
 checks (the test suite builds one per session).
@@ -105,6 +113,13 @@ SWEEP_ROOT_SEEDS = (0, 1)
 GRID_PIN_FILE = "paper_grids.json"
 GRID_PIN_SCHEMA = "repro.check.grid_pin/v1"
 GRID_PRESETS = ("odroid_xu4", "xeon_emulated")
+
+#: The fleet-snapshot pin: file name, schema, the fleet grid it runs and
+#: its variants (name -> span trace context, ``None`` = untraced).
+FLEET_PIN_FILE = "fleet_snapshot.json"
+FLEET_PIN_SCHEMA = "repro.check.fleet_pin/v1"
+FLEET_GRID = "smoke"
+FLEET_VARIANTS: dict[str, str | None] = {"untraced": None, "traced": "pin"}
 
 
 def run_golden(key: str) -> CheckContext:
@@ -295,12 +310,55 @@ def grid_digests(grids=None) -> dict[str, str]:
     return {g.platform_name: payload_digest(grid_payload(g)) for g in grids}
 
 
+def fleet_snapshots() -> dict[str, str]:
+    """Variant -> the merged fleet snapshot's text (``to_json``) of the
+    :data:`FLEET_GRID` grid, run as ``python -m repro.fleet`` runs it
+    (root seed 0, ``jobs=1``, a fresh cache) on the ``reference``
+    backend."""
+    import tempfile
+
+    from repro.experiments.harness import run_grid
+    from repro.fleet import FleetProgress, ResultCache
+    from repro.fleet.cli import GRIDS
+    from repro.obs.snapshot import to_json
+
+    builder, _ = GRIDS[FLEET_GRID]
+    texts = {}
+    for variant, context in FLEET_VARIANTS.items():
+        platform, programs, configs = builder(0)
+        progress = FleetProgress()
+        with tempfile.TemporaryDirectory() as cache_dir:
+            run_grid(
+                platform, programs, configs, root_seed=0, jobs=1,
+                cache=ResultCache(cache_dir), progress=progress,
+                backend="reference", trace_context=context,
+            )
+        texts[variant] = to_json(
+            progress.obs_snapshot(meta={"grids": FLEET_GRID})
+        )
+    return texts
+
+
+def fleet_digests(texts: dict[str, str]) -> dict[str, str]:
+    """Variant -> :func:`payload_digest` of the comparable snapshot
+    (:func:`~repro.obs.merge.comparable_snapshot`) of each text of
+    :func:`fleet_snapshots`."""
+    from repro.obs.merge import comparable_snapshot
+
+    return {
+        variant: payload_digest(comparable_snapshot(json.loads(text)))
+        for variant, text in texts.items()
+    }
+
+
 class GoldenArtifacts:
     """The fresh side of every golden comparison, each part computed on
     first use and kept: ``logs`` (variant key -> decision-log JSONL),
-    ``corpus`` (:func:`engine_corpus`), ``sweep`` (:func:`sweep_digests`)
-    and ``grids`` (:func:`grid_digests`). ``grids`` may be supplied by a
-    caller that already built both full grids."""
+    ``corpus`` (:func:`engine_corpus`), ``sweep`` (:func:`sweep_digests`),
+    ``grids`` (:func:`grid_digests`), ``fleet_texts``
+    (:func:`fleet_snapshots`) and ``fleet`` (their
+    :func:`fleet_digests`). ``grids`` may be supplied by a caller that
+    already built both full grids."""
 
     def __init__(self, grids: dict[str, str] | None = None) -> None:
         if grids is not None:
@@ -321,6 +379,14 @@ class GoldenArtifacts:
     @cached_property
     def grids(self) -> dict[str, str]:
         return grid_digests()
+
+    @cached_property
+    def fleet_texts(self) -> dict[str, str]:
+        return fleet_snapshots()
+
+    @cached_property
+    def fleet(self) -> dict[str, str]:
+        return fleet_digests(self.fleet_texts)
 
 
 def fresh_artifacts() -> GoldenArtifacts:
@@ -345,6 +411,11 @@ def sweep_pin_text(digests: dict[str, str]) -> str:
 def grid_pin_text(digests: dict[str, str]) -> str:
     """The grid pin file: one digest per platform name."""
     return pin_text(GRID_PIN_SCHEMA, digests)
+
+
+def fleet_pin_text(digests: dict[str, str]) -> str:
+    """The fleet-snapshot pin file: one digest per variant."""
+    return pin_text(FLEET_PIN_SCHEMA, digests)
 
 
 def _check_pin(
@@ -397,18 +468,31 @@ def check_grid_pin(
     )
 
 
+def check_fleet_pin(
+    path: Path, fresh: GoldenArtifacts | None = None
+) -> str | None:
+    """Compare the committed fleet-snapshot pin with ``fresh.fleet``
+    (default: both smoke runs anew); ``None`` = match. A mismatch names
+    each diverging variant."""
+    return _check_pin(
+        path, "fleet-snapshot pin", "variant",
+        lambda: (fresh or fresh_artifacts()).fleet,
+    )
+
+
 def check_golden(
     directory: str | Path, fresh: GoldenArtifacts | None = None
 ) -> dict[str, str]:
     """Compare every golden file, the engine corpus, the resilience
-    sweep pin and the paper-grid pin against ``fresh`` (default: a new
-    :func:`fresh_artifacts`; a part whose file is missing is never
-    computed).
+    sweep pin, the paper-grid pin and the fleet-snapshot pin against
+    ``fresh`` (default: a new :func:`fresh_artifacts`; a part whose
+    file is missing is never computed).
 
     Returns a map of diverging keys (variant keys,
-    :data:`ENGINE_CORPUS_FILE`, :data:`SWEEP_PIN_FILE` or
-    :data:`GRID_PIN_FILE`) to rendered divergence reports (empty = all
-    match). Missing files count as divergences.
+    :data:`ENGINE_CORPUS_FILE`, :data:`SWEEP_PIN_FILE`,
+    :data:`GRID_PIN_FILE` or :data:`FLEET_PIN_FILE`) to rendered
+    divergence reports (empty = all match). Missing files count as
+    divergences.
     """
     directory = Path(directory)
     fresh = fresh if fresh is not None else fresh_artifacts()
@@ -417,6 +501,7 @@ def check_golden(
         (ENGINE_CORPUS_FILE, check_engine_corpus),
         (SWEEP_PIN_FILE, check_sweep_pin),
         (GRID_PIN_FILE, check_grid_pin),
+        (FLEET_PIN_FILE, check_fleet_pin),
     ):
         report = check(directory / name, fresh)
         if report is not None:
@@ -436,9 +521,9 @@ def check_golden(
 def update_golden(
     directory: str | Path, fresh: GoldenArtifacts | None = None
 ) -> list[str]:
-    """(Re)write every golden file, the engine corpus, the sweep pin and
-    the grid pin from ``fresh`` (default: a new :func:`fresh_artifacts`);
-    returns the paths written."""
+    """(Re)write every golden file, the engine corpus, the sweep pin, the
+    grid pin and the fleet-snapshot pin from ``fresh`` (default: a new
+    :func:`fresh_artifacts`); returns the paths written."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     fresh = fresh if fresh is not None else fresh_artifacts()
@@ -446,6 +531,7 @@ def update_golden(
     files[ENGINE_CORPUS_FILE] = engine_corpus_text(fresh.corpus)
     files[SWEEP_PIN_FILE] = sweep_pin_text(fresh.sweep)
     files[GRID_PIN_FILE] = grid_pin_text(fresh.grids)
+    files[FLEET_PIN_FILE] = fleet_pin_text(fresh.fleet)
     written = []
     for name, text in files.items():
         path = directory / name

@@ -5,8 +5,10 @@ the committed decision log byte-for-byte. A digest change means the
 scheduler's decision sequence changed — fail with the oracle-rendered
 divergence. The engine corpus pins every case of the two CI
 backend-diff campaigns field by field, the resilience sweep pin holds
-one payload digest per root seed of a small fault sweep, and the
-paper-grid pin one per platform of the full Fig. 6/7 grid. Every
+one payload digest per root seed of a small fault sweep, the
+paper-grid pin one per platform of the full Fig. 6/7 grid, and the
+fleet-snapshot pin one per span-tracing variant of the smoke grid's
+merged fleet snapshot. Every
 comparison reads the session's ``fresh_golden`` (see conftest), so the
 corpus is computed once for all of them plus once more to show that two
 computations agree. If a change is intentional, regenerate with
@@ -24,12 +26,15 @@ from repro.check.golden import (
     ENGINE_CAMPAIGNS,
     ENGINE_CORPUS_FILE,
     ENGINE_FIELDS,
+    FLEET_PIN_FILE,
+    FLEET_VARIANTS,
     GOLDEN_VARIANTS,
     GRID_PIN_FILE,
     SWEEP_PIN_FILE,
     SWEEP_ROOT_SEEDS,
     GoldenArtifacts,
     check_engine_corpus,
+    check_fleet_pin,
     check_golden,
     check_grid_pin,
     check_sweep_pin,
@@ -37,12 +42,14 @@ from repro.check.golden import (
     digest,
     engine_corpus,
     engine_corpus_text,
+    fleet_pin_text,
     golden_jsonl,
     grid_pin_text,
     render_divergence,
     run_golden,
     sweep_pin_text,
 )
+from repro.obs.snapshot import canonical_json
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -159,12 +166,46 @@ def test_tampered_grid_pin_names_the_platform(tmp_path):
     assert "--update" in report
 
 
+def test_fleet_snapshot_matches_pin_as_canonical_text(fresh_golden):
+    report = check_fleet_pin(GOLDEN_DIR / FLEET_PIN_FILE, fresh_golden)
+    assert report is None, report
+    for variant, text in fresh_golden.fleet_texts.items():
+        assert canonical_json(json.loads(text)) + "\n" == text, (
+            f"variant {variant}: the merged snapshot's text is not "
+            "canonical JSON"
+        )
+
+
+def test_fleet_pin_text_is_what_update_writes():
+    text = (GOLDEN_DIR / FLEET_PIN_FILE).read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert set(doc["digests"]) == set(FLEET_VARIANTS)
+    assert fleet_pin_text(doc["digests"]) == text
+
+
+def test_tampered_fleet_pin_names_the_variant(tmp_path):
+    doc = json.loads((GOLDEN_DIR / FLEET_PIN_FILE).read_text())
+    fresh = GoldenArtifacts()
+    fresh.fleet = dict(doc["digests"])
+    fresh.fleet["traced"] = "0" * 64
+    report = check_fleet_pin(GOLDEN_DIR / FLEET_PIN_FILE, fresh)
+    assert report is not None
+    assert (
+        f"variant traced: payload digest {doc['digests']['traced']} "
+        f"!= {'0' * 64}"
+    ) in report
+    assert "untraced" not in report
+    assert "--update" in report
+
+
 def test_check_golden_flags_tampered_file(tmp_path, fresh_golden):
     for key in GOLDEN_VARIANTS:
         (tmp_path / f"{key}.jsonl").write_text(
             fresh_golden.logs[key], encoding="utf-8"
         )
-    for name in (ENGINE_CORPUS_FILE, SWEEP_PIN_FILE, GRID_PIN_FILE):
+    for name in (
+        ENGINE_CORPUS_FILE, SWEEP_PIN_FILE, GRID_PIN_FILE, FLEET_PIN_FILE,
+    ):
         (tmp_path / name).write_text(
             (GOLDEN_DIR / name).read_text(encoding="utf-8"),
             encoding="utf-8",
@@ -187,7 +228,7 @@ def test_check_golden_flags_missing_file(tmp_path):
     problems = check_golden(tmp_path)
     assert set(problems) == (
         set(GOLDEN_VARIANTS)
-        | {ENGINE_CORPUS_FILE, SWEEP_PIN_FILE, GRID_PIN_FILE}
+        | {ENGINE_CORPUS_FILE, SWEEP_PIN_FILE, GRID_PIN_FILE, FLEET_PIN_FILE}
     )
     assert all("missing" in p for p in problems.values())
 
