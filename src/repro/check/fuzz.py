@@ -14,11 +14,13 @@ recorded up to the abort usually carries the actual evidence, e.g. the
 overlapping grants behind an iteration-count mismatch.
 
 Every simulator case also runs with a live observability bundle, and
-:func:`obs_violations` validates the resulting snapshot: canonical-JSON
+:func:`obs_violations` validates the resulting registry: canonical-JSON
 round-trip (no NaN/inf leaks), busy-window occupancy bounds, and merge
-self-consistency (one fold rebuilds the snapshot exactly, a second fold
-exactly doubles it). A violation is folded into ``check.error`` like any
-other runtime abort, so the fuzzer shrinks it.
+self-consistency (one fold rebuilds the snapshot exactly; the fleet's
+text merge of the job snapshot renders the fold's bytes, kept or
+converted, and a second merge exactly doubles it). A violation is
+folded into ``check.error`` like any other runtime abort, so the fuzzer
+shrinks it.
 
 The bundle carries a span recorder too, so every case also checks the
 causal span tree (:func:`repro.obs.spans.span_violations` — single
@@ -45,7 +47,9 @@ from repro.check.mutants import apply_mutant
 from repro.check.oracle import ConformanceReport, verify_loop
 from repro.check.recording import CheckContext
 from repro.faults.model import plan_from_tuples
-from repro.obs import Observability
+from repro.obs import MetricsRegistry, Observability
+from repro.obs.merge import MergedSnapshot, job_snapshot_json, merge_metrics_into
+from repro.obs.snapshot import canonical_json
 from repro.sim.rng import stable_seed
 from repro.tracing.trace import TraceRecorder
 
@@ -70,27 +74,40 @@ class CaseResult:
         )
 
 
-def obs_violations(metrics: dict) -> list[str]:
-    """Invariant checks over one registry snapshot (empty list = clean).
+#: Two grid cells' merge labels. :func:`obs_violations` merges a case's
+#: job snapshot under each, so their instruments interleave in key
+#: order, as a fleet grid's columns do.
+MERGE_LABELS = (
+    {"program": "fuzz", "config": "a", "platform": "shape"},
+    {"program": "fuzz", "config": "b", "platform": "shape"},
+)
+
+
+def obs_violations(registry: MetricsRegistry) -> list[str]:
+    """Invariant checks over one metrics registry (empty list = clean).
 
     These are the properties the telemetry layer promises everywhere
     else (fleet shipping, snapshot diffing, trace export) and which a
     scheduling bug could silently corrupt:
 
-    * the document serializes as strict canonical JSON (``allow_nan``
+    * the snapshot serializes as strict canonical JSON (``allow_nan``
       off — a NaN rate or infinite span poisons every merge) and
       round-trips unchanged;
     * busy-mode windows never hold more busy time than ``window * norm``
       (a sampler overrun means overlapping execution spans);
-    * folding the snapshot into a fresh registry rebuilds it exactly,
-      both as kept documents and after converting them to live
-      instruments, and folding it twice exactly doubles counters and
+    * folding the snapshot into a fresh registry rebuilds it exactly;
+    * the fleet path — the registry's
+      :func:`~repro.obs.merge.job_snapshot_json` under the first of
+      :data:`MERGE_LABELS`, merged by :class:`MergedSnapshot` under
+      each (kept as text, then relabeled) — renders exactly the
+      canonical JSON of the fold
+      (:func:`~repro.obs.merge.merge_metrics_into`) under those labels,
+      both as kept texts and after converting them to live instruments,
+      and merging it twice under each exactly doubles counters and
       digest counts (the fleet-merge determinism contract, jobs=1 vs
       jobs=N).
     """
-    from repro.obs.merge import merge_metrics_into
-    from repro.obs.registry import MetricsRegistry
-
+    metrics = registry.snapshot()
     out: list[str] = []
     try:
         text = json.dumps(metrics, sort_keys=True, allow_nan=False)
@@ -117,26 +134,47 @@ def obs_violations(metrics: dict) -> list[str]:
     merge_metrics_into(once, metrics)
     if json.dumps(once.snapshot(), sort_keys=True) != text:
         out.append("obs: merging the snapshot once does not rebuild it")
-    # A one-shot merge keeps every document as it came; converting them
-    # runs the fold, which must write the same bytes.
-    once.realize()
-    if json.dumps(once.snapshot(), sort_keys=True) != text:
+
+    folded = MetricsRegistry()
+    for labels in MERGE_LABELS:
+        merge_metrics_into(folded, metrics, labels)
+    reference = folded.snapshot()
+    expected = canonical_json(reference)
+    # Written as the first cell's; merged under the second cell's labels
+    # it is relabeled, as a renamed column replayed from cache is.
+    job_text = job_snapshot_json(
+        Observability(registry=registry, merge_labels=MERGE_LABELS[0])
+    )
+
+    def merge_into(merged: MergedSnapshot) -> MergedSnapshot:
+        for labels in MERGE_LABELS:
+            merged.add_job(job_text, **labels)
+        return merged
+
+    merged = merge_into(MergedSnapshot())
+    if "".join(merged.registry.snapshot_fragments()) != expected:
         out.append(
-            "obs: converting the kept documents to live instruments "
-            "does not rebuild the snapshot"
+            "obs: the text merge of the job snapshot does not render "
+            "the fold's canonical JSON"
         )
-    twice = MetricsRegistry()
-    merge_metrics_into(twice, metrics)
-    merge_metrics_into(twice, metrics)
-    doubled = twice.snapshot()
-    for a, b in zip(metrics.get("counters", []), doubled.get("counters", [])):
+    # The first cell's instruments are kept texts; converting them runs
+    # the fold, which must write the same bytes.
+    merged.registry.realize()
+    if "".join(merged.registry.snapshot_fragments()) != expected:
+        out.append(
+            "obs: converting the kept texts to live instruments does "
+            "not render the fold's canonical JSON"
+        )
+    twice = merge_into(merge_into(MergedSnapshot()))
+    doubled = twice.registry.snapshot()
+    for a, b in zip(reference["counters"], doubled["counters"]):
         if abs(b["value"] - 2.0 * a["value"]) > 1e-9 * max(1.0, abs(a["value"])):
             out.append(
                 f"obs: counter {a['name']}{a['labels']} does not double "
                 f"under self-merge ({a['value']} -> {b['value']})"
             )
             break
-    for a, b in zip(metrics.get("digests", []), doubled.get("digests", [])):
+    for a, b in zip(reference["digests"], doubled["digests"]):
         if b.get("count") != 2 * a.get("count"):
             out.append(
                 f"obs: digest {a['name']}{a['labels']} count does not "
@@ -195,7 +233,7 @@ def run_case(case: FuzzCase, mutant: str | None = None) -> CaseResult:
         except Exception as exc:  # noqa: BLE001 — a crash IS a finding
             check.error = f"{type(exc).__name__}: {exc}"
     if check.error is None:
-        bad = obs_violations(obs.registry.snapshot())
+        bad = obs_violations(obs.registry)
         if not bad:
             from repro.obs.critpath import critpath_violations
             from repro.obs.spans import span_violations

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,6 +34,7 @@ import numpy as np
 from repro._version import __version__
 from repro.amp.platform import Platform
 from repro.errors import FleetError
+from repro.obs.merge import read_job_snapshot
 from repro.obs.snapshot import canonical_json
 from repro.perfmodel.contention import ContentionModel
 from repro.perfmodel.overhead import OverheadModel
@@ -56,7 +56,10 @@ from repro.workloads.program import Program
 #: v7: snapshots drop four per-chunk instruments nothing read (the
 #: worker-rate, pool-depth and chunk-size series and the chunk-size
 #: histogram), so a cached v6 snapshot no longer matches a fresh run's.
-RESULT_SCHEMA = "repro.fleet.result/v7"
+#: v8: ``obs_json`` is the line format of ``JOB_SCHEMA`` v4 (a header,
+#: then one instrument per line, labeled as merged), which the merge
+#: keeps as text; a cached v7 entry is a miss once.
+RESULT_SCHEMA = "repro.fleet.result/v8"
 
 #: Code-version salt mixed into every digest. Any release that changes
 #: simulated numbers bumps ``__version__`` and thereby every digest.
@@ -207,6 +210,16 @@ class JobSpec:
         label = self.label or f"{self.env.schedule}({self.env.affinity})"
         return f"{self.program.name} / {label} @ {self.platform.name}"
 
+    @property
+    def merge_labels(self) -> dict[str, str]:
+        """The labels the fleet merge files this job's instruments under
+        (the grid cell: program, configuration column, platform)."""
+        return {
+            "program": self.program.name,
+            "config": self.label or self.env.schedule,
+            "platform": self.platform.name,
+        }
+
     def execute(self) -> "JobResult":
         """Run the cell in this process and package the outcome.
 
@@ -230,14 +243,16 @@ class JobSpec:
             needs_offline = True
         # Every fleet job runs with a live observability bundle: the
         # instrumentation never perturbs simulated numbers, and the
-        # compact snapshot rides home in the result (so cached replays
-        # report the very same metrics as the run that produced them).
+        # snapshot rides home in the result (so cached replays report
+        # the very same metrics as the run that produced them), its
+        # instruments already labeled as the fleet merge files them.
         obs = Observability(
             spans=(
                 SpanRecorder(context=self.trace_context)
                 if self.trace_context is not None
                 else None
-            )
+            ),
+            merge_labels=self.merge_labels,
         )
         runner = ProgramRunner(
             self.platform,
@@ -298,13 +313,19 @@ class JobResult:
         sf_series: captured estimated-SF series, as sorted (core-type
             index, SF) pairs per invocation, or None.
         obs_json: the per-job observability snapshot
-            (:func:`repro.obs.merge.job_snapshot_json`) as a canonical
-            JSON string — a string so results stay hashable, canonical
-            so snapshot equality is string equality. Everything in it is
-            simulated-time, so it *is* compared: a replayed cache entry
-            must report the same metrics as the run that produced it.
-            The worker encodes it once; payloads and cache entries carry
-            the text verbatim and only the obs merge parses it.
+            (:func:`repro.obs.merge.job_snapshot_json`): a header line
+            (schema, decision summary, the spec's merge labels, a traced
+            job's span flag and the instrument index), then one
+            canonical JSON line per instrument (after the span document,
+            when traced), labeled as the fleet merge files it. A string
+            so results stay hashable, canonical so snapshot equality is
+            string equality. Everything in it is simulated-time, so it
+            *is* compared: a replayed cache entry must report the same
+            metrics as the run that produced it. The worker encodes it
+            once; payloads and cache entries carry the text verbatim,
+            and the obs merge keeps each instrument's line as the merged
+            snapshot's text, decoding only on a key collision, a
+            relabel or a read.
     """
 
     digest: str
@@ -318,8 +339,11 @@ class JobResult:
     obs_json: str | None = None
 
     def obs_snapshot(self) -> dict | None:
-        """The per-job observability snapshot as a document, if any."""
-        return None if self.obs_json is None else json.loads(self.obs_json)
+        """The per-job observability snapshot as a document
+        (:func:`repro.obs.merge.read_job_snapshot`), if any."""
+        if self.obs_json is None:
+            return None
+        return read_job_snapshot(self.obs_json)
 
     def sf_series_dicts(self) -> list[dict[int, float]]:
         """The captured SF series in the runner's dict-per-invocation

@@ -46,6 +46,7 @@ from typing import Iterable
 from repro.fleet.jobs import JobResult, JobSpec
 from repro.obs import Observability
 from repro.obs.merge import MergedSnapshot
+from repro.obs.snapshot import SnapshotText
 
 #: Event-log format identifier.
 EVENTS_SCHEMA = "repro.fleet.events/v1"
@@ -171,17 +172,14 @@ class FleetProgress:
         The pool calls this for every successful outcome — computed or
         replayed from cache — in *submission order*, which pins the
         gauge last-wins semantics: serial and parallel runs of the same
-        grid merge identically.
+        grid merge identically. The snapshot text merges under the
+        spec's labels (:attr:`JobSpec.merge_labels`): a text the worker
+        stamped with the same labels keeps its instrument texts as they
+        are, and one stamped under an older ``label`` (a renamed column
+        replayed from cache) is decoded and relabeled.
         """
-        snapshot = result.obs_snapshot()
-        if snapshot is None:
-            return
-        self.merged.add_job(
-            snapshot,
-            program=spec.program.name,
-            config=spec.label or spec.env.schedule,
-            platform=spec.platform.name,
-        )
+        if result.obs_json is not None:
+            self.merged.add_job(result.obs_json, **spec.merge_labels)
 
     def record_duration_estimates(self, cache, specs: Iterable[JobSpec]) -> None:
         """Publish the cache's EWMA wall-time estimate per job profile
@@ -194,9 +192,11 @@ class FleetProgress:
                     "fleet_duration_estimate_seconds", profile=profile
                 ).set(estimates[profile])
 
-    def obs_snapshot(self, meta: dict | None = None) -> dict:
+    def obs_snapshot(self, meta: dict | None = None) -> SnapshotText:
         """The fleet-level snapshot document: fleet counters + merged
-        per-job metrics + the combined decision summary."""
+        per-job metrics + the combined decision summary, as a read-only
+        mapping backed by its canonical text (``to_json`` returns that
+        text)."""
         return self.merged.to_snapshot(meta=meta)
 
     # -- reading -----------------------------------------------------------

@@ -26,6 +26,8 @@ uninstrumented build. Enable by passing a fresh ``Observability()`` to
 
 from __future__ import annotations
 
+from typing import Mapping
+
 from repro.obs.decisions import (
     DecisionEmitter,
     DecisionLog,
@@ -69,21 +71,29 @@ class Observability:
         spans: optional causal span recorder; ``None`` (the default)
             disables span tracing, and every emission site gates on a
             single ``is not None`` check.
+        merge_labels: the labels a fleet merge files this run's
+            instruments under (a fleet job's ``program``, ``config``
+            and ``platform``). Instruments never carry them while the
+            run records; :func:`~repro.obs.merge.job_snapshot_json`
+            writes every instrument with them added, so the merge can
+            keep its text as it is. Empty by default.
         enabled: False only for the null bundle; hot paths check this
             before doing any metric computation.
     """
 
-    __slots__ = ("registry", "decisions", "spans", "enabled")
+    __slots__ = ("registry", "decisions", "spans", "merge_labels", "enabled")
 
     def __init__(
         self,
         registry: MetricsRegistry | None = None,
         decisions: DecisionLog | None = None,
         spans: SpanRecorder | None = None,
+        merge_labels: Mapping[str, object] | None = None,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.decisions = decisions if decisions is not None else DecisionLog()
         self.spans = spans
+        self.merge_labels = dict(merge_labels) if merge_labels else {}
         self.enabled = self.registry.enabled and self.decisions.enabled
 
     @classmethod

@@ -5,20 +5,45 @@ subprocesses, each cell's metrics registry and decision log live (and
 would die) in a worker. This module defines the wire format and the
 merge algebra that carry them back:
 
-* :func:`job_snapshot` / :func:`job_snapshot_json` — the compact per-job
+* :func:`job_snapshot` / :func:`job_snapshot_json` — the per-job
   document a worker attaches to its
-  :class:`~repro.fleet.jobs.JobResult`: the full metrics registry dump
-  plus a :func:`summarize_decisions` digest of the decision log (counts
-  per scheduler and event, not the raw records — cache entries stay
-  small);
+  :class:`~repro.fleet.jobs.JobResult`: every instrument of the metrics
+  registry, labeled as the fleet merge files it, plus a
+  :func:`summarize_decisions` digest of the decision log (counts per
+  scheduler and event, not the raw records — cache entries stay small);
 * :class:`MergedSnapshot` / :func:`merge` — fold any number of per-job
   documents into one fleet-level :class:`~repro.obs.registry.MetricsRegistry`
   (counters and histogram buckets sum, gauges are last-wins in merge
-  order) and one combined decision summary;
+  order) and one combined decision summary, rendered as one canonical
+  text;
 * :func:`comparable_snapshot` — strip the wall-clock metrics and
   volatile meta fields, leaving only content that must be byte-identical
   across ``--jobs 1`` / ``--jobs N`` / warm-cache reruns of the same
   grid. The diff tool and the determinism tests both build on it.
+
+**The wire format** (:data:`JOB_SCHEMA`, the text
+:func:`job_snapshot_json` writes) is lines of canonical JSON. The first
+line is a header object: ``schema``, the ``decisions`` summary, the
+job's merge ``labels`` (``program``/``config``/``platform`` for a fleet
+job, taken from :attr:`Observability.merge_labels
+<repro.obs.Observability>`), ``spans: true`` when a span document
+follows, and ``index``, which lists each kind's instruments (by
+snapshot plural, e.g. ``counters``) as their
+:func:`~repro.obs.registry.text_key`. A traced job's span document is
+the second line. Then comes one instrument document per line, kinds in
+sorted plural order and each kind in key order, with the merge labels
+already in its labels: each line is exactly the text the merged
+snapshot prints for that instrument.
+
+**The text merge.** :meth:`MergedSnapshot.add_job` takes that text with
+the labels the job is merged under. When they equal the header's, each
+instrument's text is kept as it is
+(:meth:`~repro.obs.registry.MetricsRegistry.keep_texts`) and decoded
+only when a second job lands on its key or a reader asks for it. When
+they differ (a cached job whose spec was renamed: ``label`` is not part
+of the spec digest), every instrument is decoded and folded under its
+labels updated with the given ones. :meth:`MergedSnapshot.to_snapshot`
+joins the kept texts, in key order, into the merged snapshot's text.
 
 Merging happens in *submission order* (the pool guarantees this), so the
 only order-sensitive instrument — the gauge — resolves identically no
@@ -28,18 +53,24 @@ matter how many workers raced.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from repro.errors import ObsError
-from repro.obs.registry import KIND_PLURALS, MetricsRegistry
+from repro.obs.registry import KIND_PLURALS, MetricsRegistry, label_key, text_key
 from repro.obs.snapshot import SCHEMA as SNAPSHOT_SCHEMA
-from repro.obs.snapshot import canonical_json
+from repro.obs.snapshot import SnapshotText, canonical_json, json_array_fragments
 
 #: Per-job snapshot document identifier. v2 added the time-resolved
 #: instruments (``timeseries`` + ``digests``) to the metrics dump.
 #: v3 lets span-tracing jobs attach their canonical causal span trace
 #: under an optional ``spans`` key (absent, not empty, when untraced).
-JOB_SCHEMA = "repro.obs.job-snapshot/v3"
+#: v4 is the line format above: a header, then the span document and
+#: every instrument on its own line, labeled as merged.
+JOB_SCHEMA = "repro.obs.job-snapshot/v4"
+
+#: Snapshot plural -> instrument kind.
+PLURAL_KINDS = {plural: kind for kind, plural in KIND_PLURALS.items()}
 
 #: Metrics measured in host wall-clock time: meaningful per run, never
 #: comparable across hosts, cache states or worker counts.
@@ -129,30 +160,103 @@ def summarize_decisions(records: Iterable[Mapping]) -> dict:
 
 
 def job_snapshot(obs) -> dict:
-    """The per-job observability document for one finished run.
+    """The per-job observability document for one finished run, as a
+    mapping: :func:`read_job_snapshot` of its :func:`job_snapshot_json`
+    text.
 
+    ``labels`` holds the bundle's merge labels, and every instrument
+    document in ``metrics`` carries them added to its own labels.
     Span-tracing bundles attach their canonical span-trace document
-    under ``spans``; untraced jobs omit the key entirely, so their
-    documents are byte-identical to pre-tracing ones modulo the schema
-    marker.
+    under ``spans``; untraced jobs omit the key entirely.
     """
-    doc = {
-        "schema": JOB_SCHEMA,
-        "metrics": obs.registry.snapshot(),
-        "decisions": summarize_decisions(obs.decisions.records),
-    }
-    spans = getattr(obs, "spans", None)
-    if spans is not None:
-        doc["spans"] = spans.as_doc()
-    return doc
+    return read_job_snapshot(job_snapshot_json(obs))
 
 
 def job_snapshot_json(obs) -> str:
-    """Canonical (:func:`~repro.obs.snapshot.canonical_json`)
-    serialization of the per-job document — the form
-    :class:`~repro.fleet.jobs.JobResult` stores and the fleet cache
-    keeps verbatim, so snapshot equality is plain string equality."""
-    return canonical_json(job_snapshot(obs))
+    """The per-job document in the wire format (see the module
+    docstring): what :class:`~repro.fleet.jobs.JobResult` stores and
+    the fleet cache keeps verbatim, so snapshot equality is plain string
+    equality. Every line is canonical
+    (:func:`~repro.obs.snapshot.canonical_json`) JSON.
+
+    Raises :class:`~repro.errors.ObsError` for an instrument whose name
+    or labels hold a NUL (see :func:`~repro.obs.registry.text_key`).
+    """
+    merge_labels = getattr(obs, "merge_labels", None) or {}
+    header = {
+        "schema": JOB_SCHEMA,
+        "labels": dict(label_key(merge_labels)),
+        "decisions": summarize_decisions(obs.decisions.records),
+        "index": {},
+    }
+    lines = [""]
+    spans = getattr(obs, "spans", None)
+    if spans is not None:
+        header["spans"] = True
+        lines.append(canonical_json(spans.as_doc()))
+    metrics = obs.registry.snapshot()
+    for plural in sorted(metrics):
+        rows = []
+        for m in metrics[plural]:
+            key = label_key({**m["labels"], **merge_labels})
+            m["labels"] = dict(key)
+            rows.append((text_key((m["name"], key)), m))
+        # Added labels can reorder keys; the sort is stable, so keys
+        # they merge stay in the order the fold would meet them.
+        rows.sort(key=itemgetter(0))
+        header["index"][plural] = [tkey for tkey, _ in rows]
+        lines += [canonical_json(m) for _, m in rows]
+    lines[0] = canonical_json(header)
+    return "\n".join(lines)
+
+
+def _split_job_text(text: str) -> tuple[dict, str | None, list[tuple]]:
+    """A :func:`job_snapshot_json` text as its header, its span line
+    (``None`` when untraced) and ``(kind, text keys, instrument texts)``
+    per kind, in the order written."""
+    lines = text.split("\n")
+    try:
+        header = json.loads(lines[0])
+    except ValueError as exc:
+        raise ObsError(f"unreadable {JOB_SCHEMA} header: {exc}") from exc
+    schema = header.get("schema") if isinstance(header, dict) else None
+    if schema != JOB_SCHEMA:
+        raise ObsError(f"not a {JOB_SCHEMA} document (schema={schema!r})")
+    pos = 1
+    spans = None
+    if header.get("spans"):
+        spans = lines[1]
+        pos = 2
+    sections = []
+    for plural, keys in header["index"].items():
+        if plural not in PLURAL_KINDS:
+            raise ObsError(f"{JOB_SCHEMA} index names unknown kind {plural!r}")
+        sections.append((PLURAL_KINDS[plural], keys, lines[pos:pos + len(keys)]))
+        pos += len(keys)
+    if pos != len(lines):
+        raise ObsError(
+            f"{JOB_SCHEMA} text holds {len(lines)} lines, its header "
+            f"accounts for {pos}"
+        )
+    return header, spans, sections
+
+
+def read_job_snapshot(text: str) -> dict:
+    """Decode a :func:`job_snapshot_json` text into the
+    :func:`job_snapshot` mapping."""
+    header, spans, sections = _split_job_text(text)
+    doc = {
+        "schema": header["schema"],
+        "labels": header["labels"],
+        "metrics": {
+            KIND_PLURALS[kind]: [json.loads(line) for line in lines]
+            for kind, _, lines in sections
+        },
+        "decisions": header["decisions"],
+    }
+    if spans is not None:
+        doc["spans"] = json.loads(spans)
+    return doc
 
 
 def merge_metrics_into(
@@ -165,12 +269,12 @@ def merge_metrics_into(
     Counters and histogram buckets add; gauges take the incoming value
     (last-wins, so callers must merge in a deterministic order).
     ``extra_labels`` (e.g. ``program``/``config``/``platform`` of the
-    producing job) are appended to every instrument's label set, keeping
-    same-named metrics from different jobs distinguishable. An
-    instrument the registry has not seen is kept as its document (see
-    :meth:`~repro.obs.registry.MetricsRegistry.merge_doc`, which states
-    the ``as_dict``-form precondition), so a dump whose keys are all new
-    — every fleet job, given its unique labels — costs no rebuild.
+    producing job) are added to every instrument's label set (replacing
+    same-named ones), keeping same-named metrics from different jobs
+    distinguishable. Every document folds into a live instrument
+    (:meth:`~repro.obs.registry.MetricsRegistry.merge_doc`): this is the
+    reference the text merge of :class:`MergedSnapshot` must reproduce
+    byte for byte, which the conformance fuzz checks.
     """
     extra = dict(extra_labels) if extra_labels else {}
     for kind, plural in KIND_PLURALS.items():
@@ -203,11 +307,21 @@ class MergedSnapshot:
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.decisions: dict = {"total": 0, "schedulers": {}, "loops": {}}
-        self.spans: list[dict] = []
+        #: Each traced job's merged span entry, as its canonical JSON.
+        self.spans: list[str] = []
         self.jobs = 0
 
-    def add_job(self, snapshot: Mapping, **labels: object) -> None:
-        """Merge one per-job document (see :func:`job_snapshot`).
+    def add_job(self, snapshot: str | Mapping, **labels: object) -> None:
+        """Merge one per-job snapshot under ``labels``: the text
+        :func:`job_snapshot_json` writes, or the :func:`job_snapshot`
+        mapping.
+
+        ``labels`` (the producing job's ``program``/``config``/
+        ``platform``) are added to every instrument's labels. A text
+        stamped with exactly these labels keeps each instrument's text
+        as it is; a mapping, or a text stamped with other labels, is
+        decoded and folded, its stamped labels replaced by ``labels``
+        (see the module docstring).
 
         Span traces are not summed like metrics: each job's tree is kept
         whole, tagged with the job's merge labels. Merging in submission
@@ -215,24 +329,50 @@ class MergedSnapshot:
         merged snapshots obey the same jobs=1 == jobs=N byte-equality
         contract as the metrics they ride with.
         """
-        if snapshot.get("schema") != JOB_SCHEMA:
-            raise ObsError(
-                f"not a {JOB_SCHEMA} document "
-                f"(schema={snapshot.get('schema')!r})"
+        if isinstance(snapshot, str):
+            header, spans, sections = _split_job_text(snapshot)
+            if header["labels"] == dict(label_key(labels)):
+                for kind, keys, texts in sections:
+                    self.registry.keep_texts(kind, keys, texts)
+            else:
+                self._relabel(
+                    header["labels"],
+                    ((kind, map(json.loads, texts)) for kind, _, texts in sections),
+                    labels,
+                )
+        else:
+            header = snapshot
+            if header.get("schema") != JOB_SCHEMA:
+                raise ObsError(
+                    f"not a {JOB_SCHEMA} document "
+                    f"(schema={header.get('schema')!r})"
+                )
+            metrics = header.get("metrics", {})
+            self._relabel(
+                header.get("labels", {}),
+                ((kind, metrics.get(plural, ())) for kind, plural in KIND_PLURALS.items()),
+                labels,
             )
-        merge_metrics_into(
-            self.registry, snapshot.get("metrics", {}), labels
-        )
-        merge_decision_summaries(self.decisions, snapshot.get("decisions", {}))
-        spans = snapshot.get("spans")
+            spans = header.get("spans")
+            if spans is not None:
+                spans = canonical_json(spans)
+        merge_decision_summaries(self.decisions, header.get("decisions", {}))
         if spans is not None:
+            # {"doc":...,"labels":...} in canonical key order.
             self.spans.append(
-                {
-                    "labels": {str(k): labels[k] for k in sorted(labels)},
-                    "doc": spans,
-                }
+                '{"doc":' + spans + ',"labels":'
+                + canonical_json({str(k): v for k, v in labels.items()}) + "}"
             )
         self.jobs += 1
+
+    def _relabel(self, stamped: Mapping, sections, labels: Mapping) -> None:
+        """Fold decoded instrument documents, ``(kind, documents)`` per
+        kind, under ``labels``, which replace the ``stamped`` merge
+        labels the worker wrote them with."""
+        for kind, docs in sections:
+            for m in docs:
+                own = {k: v for k, v in m["labels"].items() if k not in stamped}
+                self.registry.merge_doc(kind, m, {**own, **labels})
 
     def decision_summary(self) -> dict:
         """The combined decision summary with deterministic ordering."""
@@ -250,26 +390,36 @@ class MergedSnapshot:
             "loops": dict(sorted(self.decisions.get("loops", {}).items())),
         }
 
-    def to_snapshot(self, meta: Mapping[str, object] | None = None) -> dict:
-        """A full snapshot document (same schema the report CLI reads).
+    def to_snapshot(
+        self, meta: Mapping[str, object] | None = None
+    ) -> SnapshotText:
+        """The full snapshot document (same schema the report CLI
+        reads), as a read-only mapping backed by its canonical text.
 
         Raw decision records never cross the process boundary, so
         ``decisions`` is empty and the merged digest travels in
         ``decision_summary`` instead. Span traces (present only when the
         jobs ran with tracing on) travel whole under ``spans``, one
         labeled tree per traced job in submission order.
+
+        The text is :func:`~repro.obs.snapshot.to_json` of the document
+        (canonical JSON and a trailing newline), built with one join
+        over its pieces: the kept instrument texts in key order, between
+        the canonical JSON of everything else.
         """
-        doc = {
-            "schema": SNAPSHOT_SCHEMA,
-            "meta": dict(meta) if meta else {},
-            "metrics": self.registry.snapshot(),
-            "decisions": [],
-            "decision_summary": self.decision_summary(),
-            "merged_jobs": self.jobs,
-        }
+        parts = [
+            '{"decision_summary":', canonical_json(self.decision_summary()),
+            ',"decisions":[],"merged_jobs":', canonical_json(self.jobs),
+            ',"meta":', canonical_json(dict(meta) if meta else {}),
+            ',"metrics":',
+        ]
+        parts += self.registry.snapshot_fragments()
+        parts.append(',"schema":' + canonical_json(SNAPSHOT_SCHEMA))
         if self.spans:
-            doc["spans"] = list(self.spans)
-        return doc
+            parts.append(',"spans":')
+            parts += json_array_fragments(self.spans)
+        parts.append("}\n")
+        return SnapshotText("".join(parts))
 
 
 def merge(
@@ -289,9 +439,14 @@ def comparable_snapshot(snapshot: Mapping) -> dict:
     Drops :data:`WALL_CLOCK_METRICS` instruments and
     :data:`VOLATILE_META` meta keys; what remains must be byte-identical
     between a serial and a parallel run of the same grid, and between a
-    cold run and its warm cache replay.
+    cold run and its warm cache replay. ``snapshot`` may be a plain
+    document or a :class:`~repro.obs.snapshot.SnapshotText`.
     """
-    doc = json.loads(json.dumps(snapshot))
+    doc = json.loads(
+        snapshot.text
+        if isinstance(snapshot, SnapshotText)
+        else json.dumps(snapshot)
+    )
     metrics = doc.get("metrics")
     if isinstance(metrics, dict):
         for kind in KIND_PLURALS.values():

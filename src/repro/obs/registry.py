@@ -17,22 +17,29 @@ The :class:`NullRegistry` subclass hands out shared no-op instruments —
 the default everywhere in the runtime, so uninstrumented runs pay only
 an attribute check per hook.
 
-:meth:`MetricsRegistry.merge_doc` folds *serialized* instruments (the
-cross-process merge of :mod:`repro.obs.merge`). A key seen for the first
-time keeps the incoming document, normalized to what the fold would
-write, instead of rebuilding a live instrument from it; the document
-becomes a live instrument only when a second one lands on the same key
-or an accessor asks for it.
+The cross-process merge of :mod:`repro.obs.merge` lands here in two
+forms. :meth:`MetricsRegistry.merge_doc` folds one *decoded* instrument
+document into a live instrument. :meth:`MetricsRegistry.keep_texts`
+holds instruments as the canonical JSON text a fleet worker wrote: a
+key seen for the first time keeps its text, which
+:meth:`MetricsRegistry.snapshot_fragments` writes back as it is, and
+the text becomes a live instrument (decoded and folded) only when a
+second instrument lands on the same key or an accessor asks for it.
+
+Every instrument also has a *text key*, :func:`text_key`: its name and
+label pairs joined with NUL. Text keys sort exactly like the
+``(name, labels)`` tuples, so snapshots order instruments by them; a
+name, label key or label value holding a NUL is rejected.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
-from operator import itemgetter
-from typing import Mapping, Sequence
+import json
+from typing import Iterable, Mapping, Sequence
 
 from repro.errors import ObsError
+from repro.obs.snapshot import canonical_json, json_array_fragments
 from repro.obs.timeseries import (
     DEFAULT_CAPACITY,
     DEFAULT_GAMMA,
@@ -53,6 +60,9 @@ KIND_PLURALS = {
     "digest": "digests",
 }
 
+#: The snapshot's kinds in canonical (sorted) key order.
+_PLURAL_ORDER = tuple(sorted(KIND_PLURALS.values()))
+
 #: Default histogram buckets: powers of two covering chunk sizes from a
 #: single iteration up to the largest AID allotments seen in practice.
 POW2_BUCKETS = tuple(float(2**i) for i in range(13))  # 1 .. 4096
@@ -64,6 +74,24 @@ def label_key(labels: Mapping[str, object]) -> LabelKey:
     if len(items) > 1:
         items.sort()
     return tuple(items)
+
+
+def text_key(key: tuple[str, LabelKey]) -> str:
+    """The ``(name, labels)`` key as one string: the name and every
+    label key and value, joined with NUL.
+
+    NUL sorts before every other character, so text keys sort exactly
+    like the tuples as long as no part holds a NUL; one that does
+    raises :class:`~repro.errors.ObsError`.
+    """
+    name, labels = key
+    text = "\0".join([name, *[part for pair in labels for part in pair]])
+    if text.count("\0") != 2 * len(labels):
+        raise ObsError(
+            f"metric {name!r} {dict(labels)!r}: names and labels must not "
+            "contain NUL"
+        )
+    return text
 
 
 class Counter:
@@ -175,7 +203,10 @@ class MetricsRegistry:
     enabled = True
 
     def __init__(self) -> None:
+        # Live instruments by (name, labels), and every instrument, live
+        # or a kept ``(kind, text)`` pair, by its text key.
         self._metrics: dict[tuple[str, LabelKey], object] = {}
+        self._entries: dict[str, object] = {}
 
     # -- instrument accessors ------------------------------------------------
 
@@ -210,18 +241,21 @@ class MetricsRegistry:
 
     def _get(self, cls, key: tuple[str, LabelKey], *args):
         """Get-or-create the live ``cls`` at ``key``; ``args`` follow
-        ``(name, labels)`` in its constructor and only apply on create."""
+        ``(name, labels)`` in its constructor and only apply on create.
+        A text kept at ``key`` becomes the live instrument first."""
         inst = self._metrics.get(key)
         if inst is None:
-            inst = cls(key[0], key[1], *args)
-            self._metrics[key] = inst
-        elif not isinstance(inst, cls):
-            if type(inst) is _Kept:
-                inst = self._realize(key, inst)
-            if not isinstance(inst, cls):
-                raise ObsError(
-                    f"metric {key[0]!r} already registered as a {inst.kind}"
-                )
+            tkey = text_key(key)
+            kept = self._entries.get(tkey)
+            if kept is None:
+                inst = cls(key[0], key[1], *args)
+                self._metrics[key] = self._entries[tkey] = inst
+                return inst
+            inst = self._realize(tkey, kept)
+        if not isinstance(inst, cls):
+            raise ObsError(
+                f"metric {key[0]!r} already registered as a {inst.kind}"
+            )
         return inst
 
     # -- merging serialized instruments --------------------------------------
@@ -229,66 +263,74 @@ class MetricsRegistry:
     def merge_doc(
         self, kind: str, doc: Mapping, labels: Mapping[str, object]
     ) -> None:
-        """Fold one serialized instrument (``as_dict`` form) of ``kind``
-        into the registry under ``labels`` (which replace the document's
-        own).
+        """Fold one decoded instrument document (``as_dict`` form) of
+        ``kind`` into the registry under ``labels`` (which replace the
+        document's own).
 
         The merge rules: counters and histogram buckets sum, gauges are
         last-wins, series rescale to the coarser window and add, digests
         add; kind and bucket mismatches raise
-        :class:`~repro.errors.ObsError`. A key the registry has not seen
-        keeps the document itself, normalized to the bytes the fold
-        would write (with no per-point work) and checked as the fold
-        checks it (a document the checks reject, or a series holding
-        more points than its capacity, takes the fold instead). A second
-        document on the key, or an accessor asking for it, converts the
-        kept document through the fold into a live instrument.
-
-        Precondition: the nested ``points`` (series) and ``buckets``
-        (digest) maps are in ``as_dict`` form — canonical integer-string
-        keys, float windows, integer counts — as every
-        :func:`~repro.obs.merge.job_snapshot_json` text is. They are kept
-        by reference and emitted by :meth:`snapshot` as they are; the
-        registry never mutates them, and the caller must not either.
+        :class:`~repro.errors.ObsError`. The document always folds into
+        a live instrument (a text kept at the key is folded first), and
+        the registry keeps no reference to it.
         """
-        key = (doc["name"], label_key(labels))
-        inst = self._metrics.get(key)
-        if inst is None:
-            kept = _KEEP[kind](key, doc)
-            if kept is not None:
-                self._metrics[key] = _Kept(kind, kept)
-                return
-        elif type(inst) is _Kept:
-            self._realize(key, inst)
-        _FOLD[kind](self, key, doc)
+        _FOLD[kind](self, (doc["name"], label_key(labels)), doc)
+
+    def keep_texts(
+        self, kind: str, keys: Iterable[str], texts: Iterable[str]
+    ) -> None:
+        """Hold instruments of ``kind`` as their canonical JSON texts.
+
+        Each text is one instrument document (``as_dict`` form, labels
+        final) as :func:`~repro.obs.merge.job_snapshot_json` writes it,
+        and the matching entry of ``keys`` its :func:`text_key`. A key
+        the registry has not seen keeps the text as it is:
+        :meth:`snapshot_fragments` writes it back unchanged and
+        :meth:`snapshot` decodes it. A key already held, live or as
+        text, decodes the incoming document and folds it in through
+        :meth:`merge_doc`.
+        """
+        entries = self._entries
+        for tkey, text in zip(keys, texts):
+            if tkey in entries:
+                doc = json.loads(text)
+                _FOLD[kind](self, _filed_key(tkey, doc), doc)
+            else:
+                entries[tkey] = (kind, text)
 
     def realize(self) -> None:
-        """Convert every kept document into a live instrument (snapshot
+        """Convert every kept text into a live instrument (snapshot
         bytes do not change; the conformance fuzz checks exactly that)."""
-        for key, inst in list(self._metrics.items()):
-            if type(inst) is _Kept:
-                self._realize(key, inst)
+        for tkey, inst in list(self._entries.items()):
+            if type(inst) is tuple:
+                self._realize(tkey, inst)
 
-    def _realize(self, key: tuple[str, LabelKey], kept: "_Kept"):
-        """Replace the kept document at ``key`` by a fresh live
-        instrument folded from it; returns that instrument."""
-        del self._metrics[key]
-        _FOLD[kept.kind](self, key, kept.doc)
+    def _realize(self, tkey: str, kept: tuple[str, str]):
+        """Replace the text kept under ``tkey`` by a fresh live
+        instrument folded from its decoded document; returns that
+        instrument."""
+        kind, text = kept
+        del self._entries[tkey]
+        doc = json.loads(text)
+        key = _filed_key(tkey, doc)
+        _FOLD[kind](self, key, doc)
         return self._metrics[key]
 
     # -- introspection -------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._metrics)
+        return len(self._entries)
 
     def value(self, name: str, **labels: object) -> float:
         """Current value of a counter/gauge (test & report convenience)."""
         key = (name, label_key(labels))
         inst = self._metrics.get(key)
         if inst is None:
-            raise ObsError(f"no metric {name!r} with labels {labels!r}")
-        if type(inst) is _Kept:
-            inst = self._realize(key, inst)
+            tkey = text_key(key)
+            kept = self._entries.get(tkey)
+            if kept is None:
+                raise ObsError(f"no metric {name!r} with labels {labels!r}")
+            inst = self._realize(tkey, kept)
         if not isinstance(inst, (Counter, Gauge)):
             raise ObsError(f"{name!r} is a {inst.kind}; read its structure")
         return inst.value
@@ -298,31 +340,55 @@ class MetricsRegistry:
 
         Instruments are sorted by (name, labels), so two registries fed
         the same observations serialize identically regardless of
-        creation order. Kept documents (see :meth:`merge_doc`) are
-        emitted as they are, shared with the registry: treat the result
-        as read-only.
+        creation order. Kept texts are decoded; every call builds new
+        documents.
         """
         out: dict[str, list] = {plural: [] for plural in KIND_PLURALS.values()}
-        # Keys are unique: ordering by the key alone skips comparing
-        # (key, instrument) pairs, which tests the keys for equality
-        # before ordering them.
-        for _, inst in sorted(self._metrics.items(), key=itemgetter(0)):
-            out[KIND_PLURALS[inst.kind]].append(inst.as_dict())
+        entries = self._entries
+        for tkey in sorted(entries):
+            inst = entries[tkey]
+            if type(inst) is tuple:
+                out[KIND_PLURALS[inst[0]]].append(json.loads(inst[1]))
+            else:
+                out[KIND_PLURALS[inst.kind]].append(inst.as_dict())
+        return out
+
+    def snapshot_fragments(self) -> list[str]:
+        """:meth:`snapshot` as canonical JSON, in pieces:
+        ``"".join(fragments) == canonical_json(self.snapshot())``.
+
+        A kept text is a fragment as it is, and a live instrument the
+        canonical JSON of its ``as_dict``. The caller joins the
+        fragments once, with whatever surrounds them, so no part of a
+        large snapshot is copied twice.
+        """
+        texts: dict[str, list[str]] = {plural: [] for plural in _PLURAL_ORDER}
+        entries = self._entries
+        for tkey in sorted(entries):
+            inst = entries[tkey]
+            if type(inst) is tuple:
+                texts[KIND_PLURALS[inst[0]]].append(inst[1])
+            else:
+                texts[KIND_PLURALS[inst.kind]].append(
+                    canonical_json(inst.as_dict())
+                )
+        out: list[str] = []
+        sep = '{"'
+        for plural, items in texts.items():
+            out.append(f'{sep}{plural}":')
+            out += json_array_fragments(items)
+            sep = ',"'
+        out.append("}")
         return out
 
 
-class _Kept:
-    """A merged instrument still in its serialized form (see
-    :meth:`MetricsRegistry.merge_doc`)."""
-
-    __slots__ = ("kind", "doc")
-
-    def __init__(self, kind: str, doc: dict) -> None:
-        self.kind = kind
-        self.doc = doc
-
-    def as_dict(self) -> dict:
-        return self.doc
+def _filed_key(tkey: str, doc: Mapping) -> tuple[str, LabelKey]:
+    """The ``(name, labels)`` key of a decoded instrument text, which
+    must be the key ``tkey`` names."""
+    key = (doc["name"], label_key(doc["labels"]))
+    if text_key(key) != tkey:
+        raise ObsError(f"instrument text filed under {tkey!r} holds {key!r}")
+    return key
 
 
 # -- the fold: a serialized instrument into a live one ------------------------
@@ -375,104 +441,12 @@ def _fold_digest(reg: MetricsRegistry, key, m: Mapping) -> None:
     reg._get(QuantileDigest, key, float(m["gamma"])).merge_doc(m)
 
 
-# -- the keep: a first-seen document as the fold would write it ---------------
-#
-# Each returns the normalized document, or None when the fold would
-# raise or reshape it (the caller then runs the fold, which does).
-
-
-def _keep_counter(key, m: Mapping) -> dict | None:
-    value = float(m["value"])
-    if value < 0:
-        return None
-    return {"name": key[0], "labels": dict(key[1]), "value": 0.0 + value}
-
-
-def _keep_gauge(key, m: Mapping) -> dict | None:
-    return {"name": key[0], "labels": dict(key[1]), "value": float(m["value"])}
-
-
-def _keep_histogram(key, m: Mapping) -> dict | None:
-    buckets = m["buckets"]
-    bounds = tuple(float(b["le"]) for b in buckets if b["le"] != "+Inf")
-    if (
-        not bounds
-        or len(buckets) != len(bounds) + 1
-        or any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:]))
-    ):
-        return None
-    return {
-        "name": key[0],
-        "labels": dict(key[1]),
-        "buckets": [
-            {"le": le, "count": int(b["count"])}
-            for le, b in zip(bounds + ("+Inf",), buckets)
-        ],
-        "sum": 0.0 + float(m["sum"]),
-        "count": int(m["count"]),
-    }
-
-
-def _keep_series(key, m: Mapping) -> dict | None:
-    mode, window0, capacity, norm = _series_params(m)
-    level = int(m.get("level", 0))
-    points = m.get("points") or {}
-    if (
-        m.get("mode") not in ("sample", "busy")
-        or not window0 > 0.0
-        or capacity < 2
-        or norm != norm  # NaN: the fold's norm check rejects it
-        or level < 0
-        or len(points) > capacity
-    ):
-        return None
-    return {
-        "name": key[0],
-        "labels": dict(key[1]),
-        "mode": mode,
-        "window0": window0,
-        "window": window0 * 2.0 ** level,
-        "level": level,
-        "capacity": capacity,
-        "norm": norm,
-        "points": points,
-    }
-
-
-def _keep_digest(key, m: Mapping) -> dict | None:
-    gamma = float(m["gamma"])
-    count = int(m.get("count", 0))
-    if not gamma > 1.0 or count < 0:
-        return None
-    return {
-        "name": key[0],
-        "labels": dict(key[1]),
-        "gamma": gamma,
-        "zero": int(m.get("zero", 0)),
-        "buckets": m.get("buckets") or {},
-        "sum": 0.0 + float(m.get("sum", 0.0)),
-        "count": count,
-        # Folded against an empty digest's +/-inf extrema, as the fold
-        # does (a NaN extremum stays infinite there too).
-        "min": min(math.inf, float(m["min"])) if count else 0.0,
-        "max": max(-math.inf, float(m["max"])) if count else 0.0,
-    }
-
-
 _FOLD = {
     "counter": _fold_counter,
     "gauge": _fold_gauge,
     "histogram": _fold_histogram,
     "timeseries": _fold_series,
     "digest": _fold_digest,
-}
-
-_KEEP = {
-    "counter": _keep_counter,
-    "gauge": _keep_gauge,
-    "histogram": _keep_histogram,
-    "timeseries": _keep_series,
-    "digest": _keep_digest,
 }
 
 
@@ -531,6 +505,9 @@ class NullRegistry(MetricsRegistry):
         return _NULL_INSTRUMENT
 
     def merge_doc(self, kind, doc, labels) -> None:  # type: ignore[override]
+        pass
+
+    def keep_texts(self, kind, keys, texts) -> None:  # type: ignore[override]
         pass
 
     def snapshot(self) -> dict:

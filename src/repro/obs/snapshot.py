@@ -13,8 +13,8 @@ stamped here — pass run identity through ``meta`` if you need it.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator, Mapping
 from pathlib import Path
-from typing import Mapping
 
 from repro.errors import ObsError
 
@@ -54,15 +54,62 @@ def canonical_json(doc: object) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def json_array_fragments(texts: list[str]) -> list[str]:
+    """The JSON array of the already-encoded ``texts`` as fragments to
+    join: ``"[", texts[0], ",", texts[1], ..., "]"``. The texts are not
+    copied."""
+    if not texts:
+        return ["[]"]
+    frags = [","] * (2 * len(texts) + 1)
+    frags[0] = "["
+    frags[1::2] = texts
+    frags[-1] = "]"
+    return frags
+
+
+class SnapshotText(Mapping):
+    """A snapshot document held as its :func:`to_json` text (canonical
+    JSON plus the trailing newline).
+
+    :func:`to_json` returns :attr:`text` as it is. The mapping is
+    read-only: reading any key decodes the text once, and every later
+    read is served from that one decoded document, which callers must
+    not mutate.
+    """
+
+    __slots__ = ("text", "_doc")
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self._doc: dict | None = None
+
+    def _decoded(self) -> dict:
+        if self._doc is None:
+            self._doc = json.loads(self.text)
+        return self._doc
+
+    def __getitem__(self, key: str) -> object:
+        return self._decoded()[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._decoded())
+
+    def __len__(self) -> int:
+        return len(self._decoded())
+
+
 def to_json(snapshot: Mapping[str, object]) -> str:
     """Canonical serialization: :func:`canonical_json` plus one trailing
     newline, i.e. ``json.dumps(snapshot, sort_keys=True,
-    separators=(",", ":")) + "\\n"``.
+    separators=(",", ":")) + "\\n"``. A :class:`SnapshotText` already
+    is that text and is returned as it is.
 
     Readers parse any JSON layout, so snapshots written in the older
     indented form still load through :func:`load_snapshot` and diff
     cleanly against compact ones.
     """
+    if isinstance(snapshot, SnapshotText):
+        return snapshot.text
     return canonical_json(snapshot) + "\n"
 
 

@@ -19,7 +19,7 @@ from repro.fleet import FleetProgress, ResultCache
 from repro.obs.diff import diff_snapshots
 from repro.obs.merge import comparable_snapshot
 from repro.obs.report import main as report_main
-from repro.obs.snapshot import grid_payload, load_snapshot
+from repro.obs.snapshot import grid_payload, load_snapshot, to_json
 from repro.runtime.env import OmpEnv
 from repro.workloads.registry import get_program
 
@@ -153,7 +153,7 @@ class TestMergedObservabilityAcceptance:
 
     def test_doubled_overhead_fails_the_cli_gate(self, tmp_path, capsys):
         baseline = self.run_with(jobs=1)
-        perturbed = json.loads(json.dumps(baseline))
+        perturbed = json.loads(to_json(baseline))
         touched = 0
         for c in perturbed["metrics"]["counters"]:
             if c["name"] == "runtime_overhead_seconds_total":
@@ -162,14 +162,14 @@ class TestMergedObservabilityAcceptance:
         assert touched > 0, "the grid must have recorded runtime overhead"
         a = tmp_path / "baseline.json"
         b = tmp_path / "perturbed.json"
-        a.write_text(json.dumps(baseline, sort_keys=True), encoding="utf-8")
+        a.write_text(to_json(baseline), encoding="utf-8")
         b.write_text(json.dumps(perturbed, sort_keys=True), encoding="utf-8")
         assert report_main(
             ["diff", str(a), str(b), "--fail-on-regression"]
         ) == 1
         capsys.readouterr()
         # The unperturbed pair passes the same gate.
-        b.write_text(json.dumps(baseline, sort_keys=True), encoding="utf-8")
+        b.write_text(to_json(baseline), encoding="utf-8")
         assert report_main(
             ["diff", str(a), str(b), "--fail-on-regression"]
         ) == 0
@@ -190,14 +190,8 @@ class TestMergedObservabilityAcceptance:
         )
         a = tmp_path / "cold.json"
         b = tmp_path / "warm.json"
-        a.write_text(
-            json.dumps(cold_progress.obs_snapshot(), sort_keys=True),
-            encoding="utf-8",
-        )
-        b.write_text(
-            json.dumps(warm_progress.obs_snapshot(), sort_keys=True),
-            encoding="utf-8",
-        )
+        a.write_text(to_json(cold_progress.obs_snapshot()), encoding="utf-8")
+        b.write_text(to_json(warm_progress.obs_snapshot()), encoding="utf-8")
         # Cache-temperature counters flip wholesale; still no regression.
         assert report_main(
             ["diff", str(a), str(b), "--fail-on-regression"]

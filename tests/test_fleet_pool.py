@@ -2,6 +2,7 @@
 recovery, retry exhaustion, LPT ordering, degradation, and the merged
 cross-process observability capture."""
 
+import dataclasses
 import json
 
 import pytest
@@ -18,7 +19,7 @@ from repro.fleet import (
     run_jobs,
 )
 from repro.fleet import chaos
-from repro.fleet.chaos import ChaosPlan, WorkerKill
+from repro.fleet.chaos import ChaosPlan, WorkerKill, infrastructure_comparable
 from repro.fleet.pool import _lpt_order
 from repro.obs.merge import JOB_SCHEMA, comparable_snapshot
 from repro.runtime.env import OmpEnv
@@ -97,6 +98,34 @@ def test_inline_and_parallel_merge_identical_snapshots(small_specs):
     run_jobs(small_specs, FleetConfig(jobs=4), progress=pooled)
     assert inline.merged.jobs == pooled.merged.jobs == len(small_specs)
     assert comparable_json(inline) == comparable_json(pooled)
+
+
+def test_a_renamed_column_replays_under_its_new_label(tmp_path):
+    # ``label`` is not part of the digest, so the renamed specs hit the
+    # entries written under the old names; their instruments must still
+    # merge under the new names, exactly as a cold run of them would.
+    specs = grid_specs(
+        odroid_xu4(), [get_program("EP")], default_configs()[:2]
+    )
+    renamed = [
+        dataclasses.replace(spec, label=f"{spec.label} (renamed)")
+        for spec in specs
+    ]
+    cache = ResultCache(tmp_path / "cache")
+    run_jobs(specs, FleetConfig(jobs=1), cache=cache, progress=FleetProgress())
+    replay = FleetProgress()
+    run_jobs(renamed, FleetConfig(jobs=1), cache=cache, progress=replay)
+    assert replay.count("fleet_cache_hits") == len(renamed)
+    cold = FleetProgress()
+    run_jobs(renamed, FleetConfig(jobs=1), progress=cold)
+    replayed = infrastructure_comparable(replay.obs_snapshot())
+    assert json.dumps(replayed, sort_keys=True) == json.dumps(
+        infrastructure_comparable(cold.obs_snapshot()), sort_keys=True
+    )
+    new_names = {spec.label for spec in renamed}
+    docs = [doc for kind in replayed["metrics"].values() for doc in kind]
+    assert docs
+    assert {doc["labels"]["config"] for doc in docs} == new_names
 
 
 def test_cached_outcomes_replay_their_stored_snapshots(small_specs, tmp_path):

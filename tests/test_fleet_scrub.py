@@ -16,7 +16,7 @@ from repro.fleet.cli import main as fleet_main
 from repro.fleet.jobs import JobSpec
 from repro.fleet.scrub import SCRUB_SCHEMA, scrub_cache
 from repro.obs import Observability
-from repro.obs.merge import comparable_snapshot
+from repro.obs.merge import comparable_snapshot, read_job_snapshot
 from repro.runtime.env import OmpEnv
 from repro.workloads.registry import get_program
 
@@ -219,7 +219,7 @@ def test_scrub_counts_v4_layout_entries_as_stale(seeded_cache):
     path = cache.path_for(specs[0].key)
     doc = json.loads(path.read_text(encoding="utf-8"))
     result = doc["result"]
-    result["obs"] = json.loads(result.pop("obs_json"))
+    result["obs"] = read_job_snapshot(result.pop("obs_json"))
     del result["obs_sha256"]
     doc["result_schema"] = "repro.fleet.result/v4"
     doc["salt"] = f"{__version__}/repro.fleet.result/v4"

@@ -1,7 +1,8 @@
 """Tests for cross-process snapshot merging (repro.obs.merge):
-decision-log digests, the merge algebra (counters/buckets sum, gauges
-last-wins), label augmentation, schema/bounds validation, the kept
-first-seen documents, and the volatile-field stripping that the
+decision-log digests, the per-job wire format, the merge algebra
+(counters/buckets sum, gauges last-wins), label augmentation and
+relabeling, schema/bounds validation, the kept instrument texts, the
+text-backed merged snapshot, and the volatile-field stripping that the
 determinism tests build on."""
 
 import copy
@@ -10,7 +11,7 @@ import json
 import pytest
 
 from repro.errors import ObsError
-from repro.obs import DecisionLog, MetricsRegistry, Observability
+from repro.obs import DecisionLog, MetricsRegistry, Observability, SpanRecorder
 from repro.obs.merge import (
     JOB_SCHEMA,
     VOLATILE_META,
@@ -21,17 +22,22 @@ from repro.obs.merge import (
     job_snapshot_json,
     merge,
     merge_metrics_into,
+    read_job_snapshot,
     summarize_decisions,
 )
-from repro.obs.registry import NullRegistry
+from repro.obs.registry import KIND_PLURALS, NullRegistry, label_key, text_key
 from repro.obs.snapshot import SCHEMA as SNAPSHOT_SCHEMA
-from repro.obs.snapshot import canonical_json
+from repro.obs.snapshot import SnapshotText, canonical_json, to_json
 from repro.obs.timeseries import TimeSeries
 
+#: A fleet job's merge labels, and the same cell with its column renamed.
+LABELS = {"program": "EP", "config": "AID-static", "platform": "A"}
+RENAMED = {**LABELS, "config": "AID-static(renamed)"}
 
-def make_obs(dispatches=3, chunk_values=(1.0, 4.0), gauge=0.5):
+
+def make_obs(dispatches=3, chunk_values=(1.0, 4.0), gauge=0.5, labels=None):
     """A small but fully populated Observability bundle."""
-    obs = Observability()
+    obs = Observability(merge_labels=labels)
     for _ in range(dispatches):
         obs.registry.counter("dispatches_total", loop="L", tid=0).inc()
     obs.registry.gauge("loop_last_imbalance", loop="L").set(gauge)
@@ -123,12 +129,80 @@ class TestJobSnapshot:
     def test_canonical_json_is_deterministic(self):
         assert job_snapshot_json(make_obs()) == job_snapshot_json(make_obs())
 
-    def test_json_round_trips_exactly(self):
+    def test_every_line_is_canonical_json(self):
+        text = job_snapshot_json(make_obs(labels=LABELS))
+        for line in text.split("\n"):
+            assert canonical_json(json.loads(line)) == line
+
+    def test_header_indexes_every_instrument_line(self):
+        lines = job_snapshot_json(make_obs(labels=LABELS)).split("\n")
+        header = json.loads(lines[0])
+        assert header["schema"] == JOB_SCHEMA
+        assert header["labels"] == dict(label_key(LABELS))
+        assert header["decisions"]["total"] == 2
+        assert "spans" not in header
+        assert list(header["index"]) == sorted(KIND_PLURALS.values())
+        keys = [k for ks in header["index"].values() for k in ks]
+        docs = [json.loads(line) for line in lines[1:]]
+        assert len(keys) == len(docs) == 3
+        for tkey, doc in zip(keys, docs):
+            assert tkey == text_key((doc["name"], label_key(doc["labels"])))
+            assert doc["labels"]["config"] == "AID-static"
+
+    def test_merge_labels_can_reorder_keys(self):
+        obs = Observability(merge_labels={"c": "x"})
+        obs.registry.counter("n", a=1)
+        obs.registry.counter("n", a=1, b=2)
+        lines = job_snapshot_json(obs).split("\n")
+        # (a, b, c) now sorts before (a, c).
+        assert [json.loads(line)["labels"] for line in lines[1:]] == [
+            {"a": "1", "b": "2", "c": "x"}, {"a": "1", "c": "x"},
+        ]
+        assert json.loads(lines[0])["index"]["counters"] == [
+            "n\0a\0" "1\0b\0" "2\0c\0x", "n\0a\0" "1\0c\0x",
+        ]
+
+    def test_a_traced_job_carries_its_span_document(self):
+        obs = Observability(spans=SpanRecorder(context="t"))
+        lines = job_snapshot_json(obs).split("\n")
+        assert json.loads(lines[0])["spans"] is True
+        assert lines[1] == canonical_json(obs.spans.as_doc())
+        assert job_snapshot(obs)["spans"] == obs.spans.as_doc()
+
+    def test_read_job_snapshot_inverts_the_text(self):
+        obs = make_obs(labels=LABELS)
+        doc = read_job_snapshot(job_snapshot_json(obs))
+        assert doc == job_snapshot(obs)
+        assert doc["labels"] == LABELS
+        (counter,) = doc["metrics"]["counters"]
+        assert counter["labels"] == {"loop": "L", "tid": "0", **LABELS}
+
+    def test_a_nul_in_a_name_or_label_is_rejected(self):
+        obs = Observability()
+        with pytest.raises(ObsError, match="NUL"):
+            obs.registry.counter("c", loop="a\0b")
+        with pytest.raises(ObsError, match="NUL"):
+            obs.registry.gauge("g\0")
+        with pytest.raises(ObsError, match="NUL"):
+            job_snapshot_json(make_obs(labels={"program": "E\0P"}))
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ('{"schema":"something/else"}', "job-snapshot"),
+            ("not json", "unreadable"),
+        ],
+    )
+    def test_a_foreign_text_is_rejected(self, text, match):
+        with pytest.raises(ObsError, match=match):
+            MergedSnapshot().add_job(text)
+
+    def test_lines_the_index_does_not_account_for_are_rejected(self):
         text = job_snapshot_json(make_obs())
-        rebuilt = json.dumps(
-            json.loads(text), sort_keys=True, separators=(",", ":")
-        )
-        assert rebuilt == text
+        with pytest.raises(ObsError, match="accounts for"):
+            MergedSnapshot().add_job(text + "\n{}")
+        with pytest.raises(ObsError, match="accounts for"):
+            MergedSnapshot().add_job(text.rsplit("\n", 1)[0])
 
 
 # -- the merge algebra -------------------------------------------------------
@@ -217,13 +291,12 @@ class TestMergedSnapshot:
         }
 
 
-# -- kept first-seen documents -----------------------------------------------
+# -- kept instrument texts --------------------------------------------------
 
 
 def kept_kinds_registry() -> MetricsRegistry:
-    """One live instrument of each kind the merge keeps: a counter, a
-    gauge, a histogram, a series coalesced past level 0 and an empty
-    digest."""
+    """One live instrument of each kind: a counter, a gauge, a
+    histogram, a series coalesced past level 0 and an empty digest."""
     reg = MetricsRegistry()
     reg.counter("dispatches_total", loop="L").inc(3)
     reg.gauge("imbalance", loop="L").set(0.5)
@@ -242,80 +315,148 @@ def merged_text(reg: MetricsRegistry) -> str:
     return canonical_json(reg.snapshot())
 
 
-class TestKeptDocuments:
-    def test_kept_and_converted_snapshots_write_the_same_bytes(self):
-        text = merged_text(kept_kinds_registry())
-        metrics = json.loads(text)
+def job_text(source: MetricsRegistry, labels=LABELS) -> str:
+    """``source``'s job snapshot, stamped with ``labels``."""
+    return job_snapshot_json(Observability(registry=source, merge_labels=labels))
+
+
+def folded(source: MetricsRegistry, labels=LABELS) -> MetricsRegistry:
+    """The reference: ``source``'s dump folded under ``labels``."""
+    reg = MetricsRegistry()
+    merge_metrics_into(reg, source.snapshot(), labels)
+    return reg
+
+
+class TestKeptTexts:
+    def test_kept_and_converted_texts_render_the_fold(self):
+        source = kept_kinds_registry()
+        expected = merged_text(folded(source))
+        merged = MergedSnapshot()
+        merged.add_job(job_text(source), **LABELS)
+        reg = merged.registry
+        assert "".join(reg.snapshot_fragments()) == expected
+        assert merged_text(reg) == expected
+        reg.realize()
+        assert "".join(reg.snapshot_fragments()) == expected
+        assert merged_text(reg) == expected
+
+    def test_each_instrument_line_is_rendered_verbatim(self):
+        text = job_text(kept_kinds_registry())
+        merged = MergedSnapshot()
+        merged.add_job(text, **LABELS)
+        fragments = merged.registry.snapshot_fragments()
+        for line in text.split("\n")[1:]:
+            assert line in fragments
+
+    def test_collisions_fold(self):
+        source = kept_kinds_registry()
+        text = job_text(source)
+        merged = MergedSnapshot()
+        merged.add_job(text, **LABELS)
+        merged.add_job(text, **LABELS)
+        snap = merged.registry.snapshot()
+        assert snap["counters"][0]["value"] == 6.0
+        assert snap["gauges"][0]["value"] == 0.5  # last-wins, not summed
+        assert snap["histograms"][0]["count"] == 6
+        reference = folded(source)
+        merge_metrics_into(reference, source.snapshot(), LABELS)
+        assert merged_text(merged.registry) == merged_text(reference)
+
+    def test_a_live_instrument_on_the_key_folds(self):
+        merged = MergedSnapshot()
+        merged.registry.counter("dispatches_total", loop="L", **LABELS).inc()
+        merged.add_job(job_text(kept_kinds_registry()), **LABELS)
+        assert merged.registry.value(
+            "dispatches_total", loop="L", **LABELS
+        ) == 4.0
+        assert len(merged.registry.snapshot()["counters"]) == 1
+
+    def test_an_accessor_converts_a_kept_text(self):
+        merged = MergedSnapshot()
+        merged.add_job(job_text(kept_kinds_registry()), **LABELS)
+        reg = merged.registry
+        assert reg.value("dispatches_total", loop="L", **LABELS) == 3.0
+        reg.counter("dispatches_total", loop="L", **LABELS).inc()
+        reg.timeseries("runnable", loop="L", **LABELS).observe(0.0, 1.0)
+        assert reg.value("dispatches_total", loop="L", **LABELS) == 4.0
+        assert reg.snapshot()["counters"][0]["value"] == 4.0
+        with pytest.raises(ObsError, match="already registered as a gauge"):
+            reg.counter("imbalance", loop="L", **LABELS)
+
+    def test_a_text_stamped_under_other_labels_is_relabeled(self):
+        source = kept_kinds_registry()
+        merged = MergedSnapshot()
+        merged.add_job(job_text(source, LABELS), **RENAMED)
+        assert merged_text(merged.registry) == merged_text(
+            folded(source, RENAMED)
+        )
+        for docs in merged.registry.snapshot().values():
+            for doc in docs:
+                assert doc["labels"]["config"] == RENAMED["config"]
+
+    def test_relabeling_drops_the_stamped_labels(self):
+        source = kept_kinds_registry()
+        as_text = MergedSnapshot()
+        as_text.add_job(job_text(source, LABELS))
+        as_mapping = MergedSnapshot()
+        as_mapping.add_job(read_job_snapshot(job_text(source, LABELS)))
+        expected = merged_text(folded(source, {}))
+        assert merged_text(as_text.registry) == expected
+        assert merged_text(as_mapping.registry) == expected
+
+    def test_a_mapping_and_its_text_merge_alike(self):
+        obs = make_obs(labels=LABELS)
+        as_text = MergedSnapshot()
+        as_text.add_job(job_snapshot_json(obs), **LABELS)
+        as_mapping = MergedSnapshot()
+        as_mapping.add_job(job_snapshot(obs), **LABELS)
+        assert to_json(as_text.to_snapshot()) == to_json(
+            as_mapping.to_snapshot()
+        )
+
+    def test_span_documents_ride_whole_under_the_merge_labels(self):
+        obs = Observability(
+            spans=SpanRecorder(context="t"), merge_labels=LABELS
+        )
+        merged = MergedSnapshot()
+        merged.add_job(job_snapshot_json(obs), **RENAMED)
+        merged.add_job(job_snapshot(obs), **LABELS)
+        assert merged.to_snapshot()["spans"] == [
+            {"labels": RENAMED, "doc": obs.spans.as_doc()},
+            {"labels": LABELS, "doc": obs.spans.as_doc()},
+        ]
+
+    def test_a_mapping_never_keeps_its_documents(self):
+        metrics = json.loads(merged_text(kept_kinds_registry()))
+        pristine = copy.deepcopy(metrics)
         reg = MetricsRegistry()
         merge_metrics_into(reg, metrics)
-        # First sight keeps the document: its nested maps are the input's.
-        (series,) = reg.snapshot()["timeseries"]
-        assert series["points"] is metrics["timeseries"][0]["points"]
-        assert merged_text(reg) == text
-        reg.realize()
+        merge_metrics_into(reg, metrics)
+        assert metrics == pristine
         (series,) = reg.snapshot()["timeseries"]
         assert series["points"] is not metrics["timeseries"][0]["points"]
-        assert merged_text(reg) == text
+        expected = TimeSeries("runnable", (("loop", "L"),), window=1.0,
+                              capacity=4)
+        expected.merge_doc(pristine["timeseries"][0])
+        expected.merge_doc(pristine["timeseries"][0])
+        assert series == expected.as_dict()
 
-    def test_kept_documents_are_normalized_like_the_fold(self):
+    def test_the_fold_normalizes_what_it_writes(self):
         metrics = {
             "counters": [{"name": "c", "labels": {}, "value": 3}],
             "gauges": [{"name": "g", "labels": {"tid": 1}, "value": 2}],
-            "histograms": [{
-                "name": "h", "labels": {}, "sum": 4, "count": 2,
-                "buckets": [{"le": 1, "count": 1}, {"le": "+Inf", "count": 1}],
-            }],
             "timeseries": [{
                 "name": "s", "labels": {}, "mode": "busy", "window0": 0.5,
                 "window": 0.5, "level": 2, "capacity": 8, "norm": 2,
                 "points": {"0": [1.0, 1.0, 1.0, 1.0]},
             }],
-            "digests": [{
-                "name": "d", "labels": {}, "gamma": 1.5, "zero": 0,
-                "buckets": {}, "sum": 0, "count": 0, "min": 7.0, "max": 9.0,
-            }],
         }
-        kept = MetricsRegistry()
-        merge_metrics_into(kept, metrics, {"program": 7})
-        folded = MetricsRegistry()
-        merge_metrics_into(folded, metrics, {"program": 7})
-        folded.realize()
-        assert merged_text(kept) == merged_text(folded)
-        (series,) = kept.snapshot()["timeseries"]
-        assert series["window"] == 2.0
-        assert kept.snapshot()["gauges"][0]["labels"] == {
-            "program": "7", "tid": "1",
-        }
-
-    def test_collisions_fold_and_never_touch_the_kept_document(self):
-        metrics = json.loads(merged_text(kept_kinds_registry()))
-        pristine = copy.deepcopy(metrics)
         reg = MetricsRegistry()
-        merge_metrics_into(reg, metrics)
-        merge_metrics_into(reg, metrics)
-        assert metrics == pristine
+        merge_metrics_into(reg, metrics, {"program": 7})
         snap = reg.snapshot()
-        assert snap["counters"][0]["value"] == 6.0
-        assert snap["gauges"][0]["value"] == 0.5  # last-wins, not summed
-        assert snap["histograms"][0]["count"] == 6
-        series = TimeSeries("runnable", (("loop", "L"),), window=1.0,
-                            capacity=4)
-        series.merge_doc(pristine["timeseries"][0])
-        series.merge_doc(pristine["timeseries"][0])
-        assert snap["timeseries"] == [series.as_dict()]
-
-    def test_an_accessor_converts_a_kept_document(self):
-        metrics = json.loads(merged_text(kept_kinds_registry()))
-        pristine = copy.deepcopy(metrics)
-        reg = MetricsRegistry()
-        merge_metrics_into(reg, metrics)
-        assert reg.value("dispatches_total", loop="L") == 3.0
-        reg.counter("dispatches_total", loop="L").inc()
-        reg.timeseries("runnable", loop="L").observe(0.0, 1.0)
-        assert reg.value("dispatches_total", loop="L") == 4.0
-        assert metrics == pristine
-        with pytest.raises(ObsError, match="already registered as a gauge"):
-            reg.counter("imbalance", loop="L")
+        assert snap["counters"][0]["value"] == 3.0
+        assert snap["timeseries"][0]["window"] == 2.0
+        assert snap["gauges"][0]["labels"] == {"program": "7", "tid": "1"}
 
     @pytest.mark.parametrize(
         "kind, doc, match",
@@ -349,13 +490,11 @@ class TestKeptDocuments:
              "gamma must be > 1"),
         ],
     )
-    def test_a_malformed_first_seen_document_still_raises(
-        self, kind, doc, match
-    ):
+    def test_a_malformed_document_raises(self, kind, doc, match):
         with pytest.raises(ObsError, match=match):
             merge_metrics_into(MetricsRegistry(), {kind: [doc]})
 
-    def test_an_over_capacity_series_takes_the_fold(self):
+    def test_an_over_capacity_series_coalesces(self):
         doc = {
             "name": "s", "labels": {}, "mode": "sample", "window0": 1.0,
             "window": 1.0, "level": 0, "capacity": 4, "norm": 1.0,
@@ -371,7 +510,40 @@ class TestKeptDocuments:
     def test_a_null_registry_ignores_merges(self):
         reg = NullRegistry()
         merge_metrics_into(reg, kept_kinds_registry().snapshot())
+        MergedSnapshot(reg).add_job(job_text(kept_kinds_registry()), **LABELS)
         assert len(reg) == 0
+
+
+# -- the merged snapshot as text ---------------------------------------------
+
+
+class TestSnapshotText:
+    def test_to_snapshot_is_its_canonical_text(self):
+        merged = MergedSnapshot()
+        merged.add_job(job_text(kept_kinds_registry()), **LABELS)
+        doc = merged.to_snapshot(meta={"grids": "smoke", "jobs": 2})
+        assert isinstance(doc, SnapshotText)
+        text = to_json(doc)
+        assert text is doc.text
+        assert canonical_json(json.loads(text)) + "\n" == text
+        assert dict(doc) == json.loads(text)
+        # Reads decode the text once.
+        assert doc["meta"] is doc["meta"]
+        assert doc["merged_jobs"] == 1
+        assert len(doc["metrics"]["histograms"]) == 1
+
+    def test_traced_text_is_canonical(self):
+        obs = make_obs(labels=LABELS)
+        obs.spans = SpanRecorder(context="t")
+        merged = MergedSnapshot()
+        merged.add_job(job_snapshot_json(obs), **LABELS)
+        text = to_json(merged.to_snapshot())
+        assert canonical_json(json.loads(text)) + "\n" == text
+
+    def test_the_mapping_is_read_only(self):
+        doc = MergedSnapshot().to_snapshot()
+        with pytest.raises(TypeError):
+            doc["meta"] = {}  # type: ignore[index]
 
 
 # -- comparable_snapshot -----------------------------------------------------

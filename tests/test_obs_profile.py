@@ -9,6 +9,7 @@ from repro.obs.profile import (
     format_cost_attribution,
 )
 from repro.obs.report import main as report_main
+from repro.obs.snapshot import to_json
 
 
 def snap(counters):
@@ -77,7 +78,7 @@ class TestProfileCli:
         run_grid(odroid_xu4(), programs=[get_program("EP")],
                  progress=progress)
         path = tmp_path / "snap.json"
-        path.write_text(json.dumps(progress.obs_snapshot()))
+        path.write_text(to_json(progress.obs_snapshot()))
         out = tmp_path / "profile.json"
         assert report_main(["profile", str(path), "--json", str(out)]) == 0
         assert "sim-time cost attribution" in capsys.readouterr().out

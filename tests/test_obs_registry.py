@@ -1,5 +1,7 @@
 """Unit tests for the metrics registry (counters, gauges, histograms)."""
 
+import itertools
+
 import pytest
 
 from repro.errors import ObsError
@@ -9,7 +11,9 @@ from repro.obs.registry import (
     MetricsRegistry,
     NullRegistry,
     label_key,
+    text_key,
 )
+from repro.obs.snapshot import canonical_json
 
 
 class TestLabelKey:
@@ -18,6 +22,36 @@ class TestLabelKey:
 
     def test_order_independent(self):
         assert label_key({"x": 1, "y": 2}) == label_key({"y": 2, "x": 1})
+
+
+class TestTextKey:
+    def test_joins_name_and_label_pairs_with_nul(self):
+        key = ("n", label_key({"b": 2, "a": "x"}))
+        assert text_key(key) == "n\0a\0x\0b\0" "2"
+        assert text_key(("n", ())) == "n"
+
+    def test_sorts_like_the_tuple_keys(self, rng):
+        # Short parts over an alphabet holding the empty string, the
+        # space and a control character make prefixes, empty values and
+        # separator-adjacent characters common.
+        parts = ["", " ", "\x01", "a", "ab", "a b", "b", "~"]
+
+        def labels():
+            keys = sorted(set(rng.choice(parts, size=rng.integers(0, 4))))
+            return tuple((str(k), str(rng.choice(parts))) for k in keys)
+
+        keys = {(str(rng.choice(parts)), labels()) for _ in range(400)}
+        assert sorted(keys, key=text_key) == sorted(keys)
+        for a, b in itertools.combinations(sorted(keys), 2):
+            assert text_key(a) < text_key(b)
+
+    @pytest.mark.parametrize(
+        "key",
+        [("n\0", ()), ("n", (("k\0", "v"),)), ("n", (("k", "\0"),))],
+    )
+    def test_a_nul_anywhere_is_rejected(self, key):
+        with pytest.raises(ObsError, match="NUL"):
+            text_key(key)
 
 
 class TestCounter:
@@ -115,6 +149,19 @@ class TestSnapshot:
         assert [m["name"] for m in snap["counters"]] == ["c"]
         assert [m["name"] for m in snap["gauges"]] == ["g"]
         assert [m["name"] for m in snap["histograms"]] == ["h"]
+
+    def test_fragments_join_to_the_canonical_snapshot(self):
+        reg = MetricsRegistry()
+        assert "".join(reg.snapshot_fragments()) == canonical_json(
+            reg.snapshot()
+        )
+        reg.counter("c", tid=1).inc()
+        reg.counter("c", tid=0).inc(2)
+        reg.gauge("g").set(1)
+        reg.digest("d").observe(0.5)
+        assert "".join(reg.snapshot_fragments()) == canonical_json(
+            reg.snapshot()
+        )
 
 
 class TestNullRegistry:

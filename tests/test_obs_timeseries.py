@@ -262,7 +262,7 @@ class TestRuntimeInstrumentation:
     def test_snapshot_round_trips_and_passes_obs_invariants(self):
         obs = Observability()
         seeded_run(obs)
-        assert obs_violations(obs.registry.snapshot()) == []
+        assert obs_violations(obs.registry) == []
 
     def test_identical_runs_snapshot_identically(self):
         a, b = Observability(), Observability()
@@ -317,10 +317,10 @@ class TestFuzzObsChecks:
     def test_obs_violations_flags_nan(self):
         reg = MetricsRegistry()
         reg.gauge("g").set(float("nan"))
-        assert any("JSON" in v for v in obs_violations(reg.snapshot()))
+        assert any("JSON" in v for v in obs_violations(reg))
 
     def test_obs_violations_flags_busy_overrun(self):
         reg = MetricsRegistry()
         ts = reg.timeseries("t", mode="busy", window=1.0)
         ts.points[0] = [5.0, 1.0, 5.0, 5.0]  # 5s busy in a 1s window
-        assert any("overrun" in v for v in obs_violations(reg.snapshot()))
+        assert any("overrun" in v for v in obs_violations(reg))
