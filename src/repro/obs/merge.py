@@ -41,8 +41,8 @@ instrument's text is kept as it is
 (:meth:`~repro.obs.registry.MetricsRegistry.keep_texts`) and decoded
 only when a second job lands on its key or a reader asks for it. When
 they differ (a cached job whose spec was renamed: ``label`` is not part
-of the spec digest), every instrument is decoded and folded under its
-labels updated with the given ones. :meth:`MergedSnapshot.to_snapshot`
+of the spec digest), every instrument is decoded and folded with the
+header's labels replaced by the given ones. :meth:`MergedSnapshot.to_snapshot`
 joins the kept texts, in key order, into the merged snapshot's text.
 
 Merging happens in *submission order* (the pool guarantees this), so the

@@ -129,7 +129,7 @@ class TestJobSnapshot:
     def test_canonical_json_is_deterministic(self):
         assert job_snapshot_json(make_obs()) == job_snapshot_json(make_obs())
 
-    def test_every_line_is_canonical_json(self):
+    def test_json_round_trips_exactly(self):
         text = job_snapshot_json(make_obs(labels=LABELS))
         for line in text.split("\n"):
             assert canonical_json(json.loads(line)) == line
@@ -327,8 +327,8 @@ def folded(source: MetricsRegistry, labels=LABELS) -> MetricsRegistry:
     return reg
 
 
-class TestKeptTexts:
-    def test_kept_and_converted_texts_render_the_fold(self):
+class TestKeptDocuments:
+    def test_kept_and_converted_snapshots_write_the_same_bytes(self):
         source = kept_kinds_registry()
         expected = merged_text(folded(source))
         merged = MergedSnapshot()
@@ -371,7 +371,7 @@ class TestKeptTexts:
         ) == 4.0
         assert len(merged.registry.snapshot()["counters"]) == 1
 
-    def test_an_accessor_converts_a_kept_text(self):
+    def test_an_accessor_converts_a_kept_document(self):
         merged = MergedSnapshot()
         merged.add_job(job_text(kept_kinds_registry()), **LABELS)
         reg = merged.registry
@@ -426,7 +426,7 @@ class TestKeptTexts:
             {"labels": LABELS, "doc": obs.spans.as_doc()},
         ]
 
-    def test_a_mapping_never_keeps_its_documents(self):
+    def test_collisions_fold_and_never_touch_the_kept_document(self):
         metrics = json.loads(merged_text(kept_kinds_registry()))
         pristine = copy.deepcopy(metrics)
         reg = MetricsRegistry()
@@ -490,11 +490,13 @@ class TestKeptTexts:
              "gamma must be > 1"),
         ],
     )
-    def test_a_malformed_document_raises(self, kind, doc, match):
+    def test_a_malformed_first_seen_document_still_raises(
+        self, kind, doc, match
+    ):
         with pytest.raises(ObsError, match=match):
             merge_metrics_into(MetricsRegistry(), {kind: [doc]})
 
-    def test_an_over_capacity_series_coalesces(self):
+    def test_an_over_capacity_series_takes_the_fold(self):
         doc = {
             "name": "s", "labels": {}, "mode": "sample", "window0": 1.0,
             "window": 1.0, "level": 0, "capacity": 4, "norm": 1.0,
