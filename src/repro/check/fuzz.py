@@ -103,9 +103,8 @@ def obs_violations(registry: MetricsRegistry) -> list[str]:
       canonical JSON of the fold
       (:func:`~repro.obs.merge.merge_metrics_into`) under those labels,
       both as kept texts and after converting them to live instruments,
-      and merging it twice under each exactly doubles counters and
-      digest counts (the fleet-merge determinism contract, jobs=1 vs
-      jobs=N).
+      and merging it once more exactly doubles counters and digest
+      counts (the fleet-merge determinism contract, jobs=1 vs jobs=N).
     """
     metrics = registry.snapshot()
     out: list[str] = []
@@ -146,12 +145,13 @@ def obs_violations(registry: MetricsRegistry) -> list[str]:
         Observability(registry=registry, merge_labels=MERGE_LABELS[0])
     )
 
-    def merge_into(merged: MergedSnapshot) -> MergedSnapshot:
+    merged = MergedSnapshot()
+
+    def add_jobs() -> None:
         for labels in MERGE_LABELS:
             merged.add_job(job_text, **labels)
-        return merged
 
-    merged = merge_into(MergedSnapshot())
+    add_jobs()
     if "".join(merged.registry.snapshot_fragments()) != expected:
         out.append(
             "obs: the text merge of the job snapshot does not render "
@@ -165,8 +165,9 @@ def obs_violations(registry: MetricsRegistry) -> list[str]:
             "obs: converting the kept texts to live instruments does "
             "not render the fold's canonical JSON"
         )
-    twice = merge_into(merge_into(MergedSnapshot()))
-    doubled = twice.registry.snapshot()
+    # Merged again, every instrument lands on its own key and folds.
+    add_jobs()
+    doubled = merged.registry.snapshot()
     for a, b in zip(reference["counters"], doubled["counters"]):
         if abs(b["value"] - 2.0 * a["value"]) > 1e-9 * max(1.0, abs(a["value"])):
             out.append(

@@ -52,9 +52,9 @@ from repro.obs.chrome_trace import export_chrome_trace, to_trace_events
 from repro.obs.merge import (
     MergedSnapshot,
     comparable_snapshot,
-    job_snapshot,
     job_snapshot_json,
     merge,
+    read_job_snapshot,
     summarize_decisions,
 )
 from repro.obs.diff import DiffThresholds, SnapshotDiff, diff_snapshots
@@ -126,8 +126,8 @@ __all__ = [
     "to_trace_events",
     "MergedSnapshot",
     "merge",
-    "job_snapshot",
     "job_snapshot_json",
+    "read_job_snapshot",
     "summarize_decisions",
     "comparable_snapshot",
     "DiffThresholds",

@@ -5,14 +5,14 @@ subprocesses, each cell's metrics registry and decision log live (and
 would die) in a worker. This module defines the wire format and the
 merge algebra that carry them back:
 
-* :func:`job_snapshot` / :func:`job_snapshot_json` — the per-job
-  document a worker attaches to its
+* :func:`job_snapshot_json` / :func:`read_job_snapshot` — the per-job
+  text a worker attaches to its
   :class:`~repro.fleet.jobs.JobResult`: every instrument of the metrics
   registry, labeled as the fleet merge files it, plus a
   :func:`summarize_decisions` digest of the decision log (counts per
   scheduler and event, not the raw records — cache entries stay small);
 * :class:`MergedSnapshot` / :func:`merge` — fold any number of per-job
-  documents into one fleet-level :class:`~repro.obs.registry.MetricsRegistry`
+  texts into one fleet-level :class:`~repro.obs.registry.MetricsRegistry`
   (counters and histogram buckets sum, gauges are last-wins in merge
   order) and one combined decision summary, rendered as one canonical
   text;
@@ -27,23 +27,29 @@ line is a header object: ``schema``, the ``decisions`` summary, the
 job's merge ``labels`` (``program``/``config``/``platform`` for a fleet
 job, taken from :attr:`Observability.merge_labels
 <repro.obs.Observability>`), ``spans: true`` when a span document
-follows, and ``index``, which lists each kind's instruments (by
+follows, and ``index``, which gives each kind's instruments (by
 snapshot plural, e.g. ``counters``) as their
-:func:`~repro.obs.registry.text_key`. A traced job's span document is
-the second line. Then comes one instrument document per line, kinds in
-sorted plural order and each kind in key order, with the merge labels
-already in its labels: each line is exactly the text the merged
-snapshot prints for that instrument.
+:func:`~repro.obs.registry.text_key`. The index writes each key as a
+pair: how many characters it shares with the kind's previous key, and
+the rest, with the header's one-character ``sep`` in place of NUL
+(a printable character no key part holds, so JSON does not escape it;
+NUL only when the parts hold every candidate). A traced job's span
+document is the second line. Then comes one instrument document per
+line, kinds in sorted plural order and each kind in key order, with the
+merge labels already in its labels: each line is exactly the text the
+merged snapshot prints for that instrument.
 
 **The text merge.** :meth:`MergedSnapshot.add_job` takes that text with
 the labels the job is merged under. When they equal the header's, each
 instrument's text is kept as it is
 (:meth:`~repro.obs.registry.MetricsRegistry.keep_texts`) and decoded
-only when a second job lands on its key or a reader asks for it. When
-they differ (a cached job whose spec was renamed: ``label`` is not part
-of the spec digest), every instrument is decoded and folded with the
-header's labels replaced by the given ones. :meth:`MergedSnapshot.to_snapshot`
-joins the kept texts, in key order, into the merged snapshot's text.
+only when a second job lands on its key or a reader asks for it; a kept
+line is trusted as the worker wrote it (the fleet cache's
+``obs_sha256`` guards stored texts). When they differ (a cached job
+whose spec was renamed: ``label`` is not part of the spec digest), every
+instrument is decoded and folded with the header's labels replaced by
+the given ones. :meth:`MergedSnapshot.to_snapshot` joins the kept texts,
+in key order, into the merged snapshot's text.
 
 Merging happens in *submission order* (the pool guarantees this), so the
 only order-sensitive instrument — the gauge — resolves identically no
@@ -53,11 +59,12 @@ matter how many workers raced.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Mapping
 
 from repro.errors import ObsError
-from repro.obs.registry import KIND_PLURALS, MetricsRegistry, label_key, text_key
+from repro.obs.registry import KIND_PLURALS, MetricsRegistry, label_key
 from repro.obs.snapshot import SCHEMA as SNAPSHOT_SCHEMA
 from repro.obs.snapshot import SnapshotText, canonical_json, json_array_fragments
 
@@ -68,6 +75,11 @@ from repro.obs.snapshot import SnapshotText, canonical_json, json_array_fragment
 #: v4 is the line format above: a header, then the span document and
 #: every instrument on its own line, labeled as merged.
 JOB_SCHEMA = "repro.obs.job-snapshot/v4"
+
+#: The characters a job's index may write in place of NUL, in order of
+#: preference: the first that no key part of the job holds. NUL itself
+#: comes last, so there always is one.
+INDEX_SEPARATORS = "|~^!#$%&*+/;<=>?@\0"
 
 #: Snapshot plural -> instrument kind.
 PLURAL_KINDS = {plural: kind for kind, plural in KIND_PLURALS.items()}
@@ -159,19 +171,6 @@ def summarize_decisions(records: Iterable[Mapping]) -> dict:
     }
 
 
-def job_snapshot(obs) -> dict:
-    """The per-job observability document for one finished run, as a
-    mapping: :func:`read_job_snapshot` of its :func:`job_snapshot_json`
-    text.
-
-    ``labels`` holds the bundle's merge labels, and every instrument
-    document in ``metrics`` carries them added to its own labels.
-    Span-tracing bundles attach their canonical span-trace document
-    under ``spans``; untraced jobs omit the key entirely.
-    """
-    return read_job_snapshot(job_snapshot_json(obs))
-
-
 def job_snapshot_json(obs) -> str:
     """The per-job document in the wire format (see the module
     docstring): what :class:`~repro.fleet.jobs.JobResult` stores and
@@ -179,13 +178,13 @@ def job_snapshot_json(obs) -> str:
     equality. Every line is canonical
     (:func:`~repro.obs.snapshot.canonical_json`) JSON.
 
-    Raises :class:`~repro.errors.ObsError` for an instrument whose name
-    or labels hold a NUL (see :func:`~repro.obs.registry.text_key`).
+    Raises :class:`~repro.errors.ObsError` for a merge label that holds
+    a NUL (see :func:`~repro.obs.registry.text_key`).
     """
-    merge_labels = getattr(obs, "merge_labels", None) or {}
+    merge_labels = dict(label_key(getattr(obs, "merge_labels", None) or {}))
     header = {
         "schema": JOB_SCHEMA,
-        "labels": dict(label_key(merge_labels)),
+        "labels": merge_labels,
         "decisions": summarize_decisions(obs.decisions.records),
         "index": {},
     }
@@ -195,19 +194,61 @@ def job_snapshot_json(obs) -> str:
         header["spans"] = True
         lines.append(canonical_json(spans.as_doc()))
     metrics = obs.registry.snapshot()
+    kinds = []
     for plural in sorted(metrics):
         rows = []
         for m in metrics[plural]:
-            key = label_key({**m["labels"], **merge_labels})
-            m["labels"] = dict(key)
-            rows.append((text_key((m["name"], key)), m))
+            labels = m["labels"] = {**m["labels"], **merge_labels}
+            parts = (m["name"], *chain.from_iterable(sorted(labels.items())))
+            rows.append((parts, m))
         # Added labels can reorder keys; the sort is stable, so keys
         # they merge stay in the order the fold would meet them.
         rows.sort(key=itemgetter(0))
-        header["index"][plural] = [tkey for tkey, _ in rows]
+        kinds.append((plural, rows))
         lines += [canonical_json(m) for _, m in rows]
+    taken = "".join(
+        [part for _, rows in kinds for parts, _ in rows for part in parts]
+    )
+    if "\0" in taken:
+        raise ObsError(
+            f"merge labels {merge_labels!r}: names and labels must not "
+            "contain NUL"
+        )
+    sep = next(c for c in INDEX_SEPARATORS if c not in taken)
+    header["sep"] = sep
+    for plural, rows in kinds:
+        coded: list = []
+        prev: tuple = ()
+        for parts, _ in rows:
+            n = 0
+            for a, b in zip(prev, parts):
+                if a != b:
+                    break
+                n += 1
+            shared = len(sep.join(parts[:n]))
+            coded += (shared, sep.join(parts)[shared:])
+            prev = parts
+        header["index"][plural] = coded
     lines[0] = canonical_json(header)
     return "\n".join(lines)
+
+
+def _index_keys(coded: list, sep: str) -> list[str]:
+    """One kind's text keys from its index entry: pairs of the length
+    of the prefix a key shares with the previous one and the rest of
+    it, written with ``sep`` for NUL."""
+    if not isinstance(coded, list) or len(coded) % 2:
+        raise ObsError(f"{JOB_SCHEMA} index entry is not a list of pairs")
+    keys = []
+    key = ""
+    it = iter(coded)
+    try:
+        for shared, rest in zip(it, it):
+            key = key[:shared] + rest.replace(sep, "\0")
+            keys.append(key)
+    except (TypeError, AttributeError) as exc:
+        raise ObsError(f"unreadable {JOB_SCHEMA} index: {exc}") from exc
+    return keys
 
 
 def _split_job_text(text: str) -> tuple[dict, str | None, list[tuple]]:
@@ -222,15 +263,21 @@ def _split_job_text(text: str) -> tuple[dict, str | None, list[tuple]]:
     schema = header.get("schema") if isinstance(header, dict) else None
     if schema != JOB_SCHEMA:
         raise ObsError(f"not a {JOB_SCHEMA} document (schema={schema!r})")
-    pos = 1
-    spans = None
-    if header.get("spans"):
-        spans = lines[1]
-        pos = 2
+    index, sep = header.get("index"), header.get("sep")
+    if (
+        not isinstance(index, dict)
+        or not isinstance(header.get("labels"), dict)
+        or not isinstance(sep, str)
+        or len(sep) != 1
+    ):
+        raise ObsError(f"{JOB_SCHEMA} header lacks its labels, index or sep")
+    pos = 2 if header.get("spans") else 1
+    spans = lines[1] if pos == 2 and len(lines) > 1 else None
     sections = []
-    for plural, keys in header["index"].items():
+    for plural, coded in index.items():
         if plural not in PLURAL_KINDS:
             raise ObsError(f"{JOB_SCHEMA} index names unknown kind {plural!r}")
+        keys = _index_keys(coded, sep)
         sections.append((PLURAL_KINDS[plural], keys, lines[pos:pos + len(keys)]))
         pos += len(keys)
     if pos != len(lines):
@@ -242,8 +289,10 @@ def _split_job_text(text: str) -> tuple[dict, str | None, list[tuple]]:
 
 
 def read_job_snapshot(text: str) -> dict:
-    """Decode a :func:`job_snapshot_json` text into the
-    :func:`job_snapshot` mapping."""
+    """Decode a :func:`job_snapshot_json` text into one mapping:
+    ``schema``, ``labels``, ``decisions``, ``metrics`` (the instrument
+    documents per snapshot plural, merge labels included) and, for a
+    traced job, ``spans``."""
     header, spans, sections = _split_job_text(text)
     doc = {
         "schema": header["schema"],
@@ -311,17 +360,16 @@ class MergedSnapshot:
         self.spans: list[str] = []
         self.jobs = 0
 
-    def add_job(self, snapshot: str | Mapping, **labels: object) -> None:
-        """Merge one per-job snapshot under ``labels``: the text
-        :func:`job_snapshot_json` writes, or the :func:`job_snapshot`
-        mapping.
+    def add_job(self, text: str, **labels: object) -> None:
+        """Merge one job's :func:`job_snapshot_json` text under
+        ``labels``.
 
         ``labels`` (the producing job's ``program``/``config``/
         ``platform``) are added to every instrument's labels. A text
         stamped with exactly these labels keeps each instrument's text
-        as it is; a mapping, or a text stamped with other labels, is
-        decoded and folded, its stamped labels replaced by ``labels``
-        (see the module docstring).
+        as it is; one stamped with other labels is decoded and folded,
+        its stamped labels replaced by ``labels`` (see the module
+        docstring).
 
         Span traces are not summed like metrics: each job's tree is kept
         whole, tagged with the job's merge labels. Merging in submission
@@ -329,33 +377,19 @@ class MergedSnapshot:
         merged snapshots obey the same jobs=1 == jobs=N byte-equality
         contract as the metrics they ride with.
         """
-        if isinstance(snapshot, str):
-            header, spans, sections = _split_job_text(snapshot)
-            if header["labels"] == dict(label_key(labels)):
-                for kind, keys, texts in sections:
-                    self.registry.keep_texts(kind, keys, texts)
-            else:
-                self._relabel(
-                    header["labels"],
-                    ((kind, map(json.loads, texts)) for kind, _, texts in sections),
-                    labels,
-                )
+        header, spans, sections = _split_job_text(text)
+        stamped = header["labels"]
+        if stamped == dict(label_key(labels)):
+            for kind, keys, texts in sections:
+                self.registry.keep_texts(kind, keys, texts)
         else:
-            header = snapshot
-            if header.get("schema") != JOB_SCHEMA:
-                raise ObsError(
-                    f"not a {JOB_SCHEMA} document "
-                    f"(schema={header.get('schema')!r})"
-                )
-            metrics = header.get("metrics", {})
-            self._relabel(
-                header.get("labels", {}),
-                ((kind, metrics.get(plural, ())) for kind, plural in KIND_PLURALS.items()),
-                labels,
-            )
-            spans = header.get("spans")
-            if spans is not None:
-                spans = canonical_json(spans)
+            for kind, _, texts in sections:
+                for line in texts:
+                    m = json.loads(line)
+                    own = {
+                        k: v for k, v in m["labels"].items() if k not in stamped
+                    }
+                    self.registry.merge_doc(kind, m, {**own, **labels})
         merge_decision_summaries(self.decisions, header.get("decisions", {}))
         if spans is not None:
             # {"doc":...,"labels":...} in canonical key order.
@@ -364,15 +398,6 @@ class MergedSnapshot:
                 + canonical_json({str(k): v for k, v in labels.items()}) + "}"
             )
         self.jobs += 1
-
-    def _relabel(self, stamped: Mapping, sections, labels: Mapping) -> None:
-        """Fold decoded instrument documents, ``(kind, documents)`` per
-        kind, under ``labels``, which replace the ``stamped`` merge
-        labels the worker wrote them with."""
-        for kind, docs in sections:
-            for m in docs:
-                own = {k: v for k, v in m["labels"].items() if k not in stamped}
-                self.registry.merge_doc(kind, m, {**own, **labels})
 
     def decision_summary(self) -> dict:
         """The combined decision summary with deterministic ordering."""
@@ -423,13 +448,15 @@ class MergedSnapshot:
 
 
 def merge(
-    snapshots: Iterable[Mapping],
+    texts: Iterable[str],
     registry: MetricsRegistry | None = None,
 ) -> MergedSnapshot:
-    """Fold an iterable of per-job documents into a fresh accumulator."""
+    """Fold per-job :func:`job_snapshot_json` texts into a fresh
+    accumulator, each as :meth:`MergedSnapshot.add_job` merges it under
+    no labels."""
     merged = MergedSnapshot(registry=registry)
-    for snap in snapshots:
-        merged.add_job(snap)
+    for text in texts:
+        merged.add_job(text)
     return merged
 
 

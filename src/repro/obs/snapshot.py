@@ -42,16 +42,23 @@ def build_snapshot(obs, meta: Mapping[str, object] | None = None) -> dict:
     return doc
 
 
+#: The encoder behind :func:`canonical_json`, built once: ``json.dumps``
+#: with these arguments would build a new one on every call, and a job
+#: snapshot encodes every instrument on its own.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(doc: object) -> str:
     """The repo's one canonical JSON form: sorted keys, compact
-    ``(",", ":")`` separators, no trailing newline.
+    ``(",", ":")`` separators, no trailing newline, i.e.
+    ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``.
 
     Job snapshots, job-spec digests, fleet cache documents and merged
     snapshots all use it, so equal documents are equal strings. Unlike
     ``indent``, which drops CPython onto its pure-Python encoder, this
     form runs on the C encoder.
     """
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(doc)
 
 
 def json_array_fragments(texts: list[str]) -> list[str]:

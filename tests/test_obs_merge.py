@@ -13,12 +13,12 @@ import pytest
 from repro.errors import ObsError
 from repro.obs import DecisionLog, MetricsRegistry, Observability, SpanRecorder
 from repro.obs.merge import (
+    INDEX_SEPARATORS,
     JOB_SCHEMA,
     VOLATILE_META,
     WALL_CLOCK_METRICS,
     MergedSnapshot,
     comparable_snapshot,
-    job_snapshot,
     job_snapshot_json,
     merge,
     merge_metrics_into,
@@ -119,7 +119,7 @@ class TestSummarizeDecisions:
 
 class TestJobSnapshot:
     def test_document_shape(self):
-        doc = job_snapshot(make_obs())
+        doc = read_job_snapshot(job_snapshot_json(make_obs()))
         assert doc["schema"] == JOB_SCHEMA
         assert doc["metrics"]["counters"]
         # Decision records are digested, never shipped raw.
@@ -141,8 +141,9 @@ class TestJobSnapshot:
         assert header["labels"] == dict(label_key(LABELS))
         assert header["decisions"]["total"] == 2
         assert "spans" not in header
+        assert header["sep"] == "|"
         assert list(header["index"]) == sorted(KIND_PLURALS.values())
-        keys = [k for ks in header["index"].values() for k in ks]
+        keys = index_keys(header)
         docs = [json.loads(line) for line in lines[1:]]
         assert len(keys) == len(docs) == 3
         for tkey, doc in zip(keys, docs):
@@ -158,21 +159,44 @@ class TestJobSnapshot:
         assert [json.loads(line)["labels"] for line in lines[1:]] == [
             {"a": "1", "b": "2", "c": "x"}, {"a": "1", "c": "x"},
         ]
-        assert json.loads(lines[0])["index"]["counters"] == [
-            "n\0a\0" "1\0b\0" "2\0c\0x", "n\0a\0" "1\0c\0x",
+        # Each key is written as the length of the prefix it shares
+        # with the previous key, and the rest.
+        header = json.loads(lines[0])
+        assert header["index"]["counters"] == [0, "n|a|1|b|2|c|x", 5, "|c|x"]
+        assert index_keys(header) == ["n\0a\0" "1\0b\0" "2\0c\0x", "n\0a\0" "1\0c\0x"]
+
+    @pytest.mark.parametrize(
+        "value, sep", [("a|b", "~"), ("".join(INDEX_SEPARATORS[:-1]), "\0")]
+    )
+    def test_the_index_separator_is_a_character_no_key_holds(self, value, sep):
+        obs = Observability(merge_labels={"config": value})
+        obs.registry.counter("n", loop="x|y")
+        obs.registry.counter("n", loop="z")
+        text = job_snapshot_json(obs)
+        header = json.loads(text.split("\n")[0])
+        assert header["sep"] == sep
+        expected = [
+            text_key(("n", label_key({"config": value, "loop": loop})))
+            for loop in ("x|y", "z")
         ]
+        assert index_keys(header) == expected
+        merged = MergedSnapshot()
+        merged.add_job(text, config=value)
+        assert merged.registry.value("n", config=value, loop="x|y") == 0.0
 
     def test_a_traced_job_carries_its_span_document(self):
         obs = Observability(spans=SpanRecorder(context="t"))
         lines = job_snapshot_json(obs).split("\n")
         assert json.loads(lines[0])["spans"] is True
         assert lines[1] == canonical_json(obs.spans.as_doc())
-        assert job_snapshot(obs)["spans"] == obs.spans.as_doc()
+        doc = read_job_snapshot(job_snapshot_json(obs))
+        assert doc["spans"] == obs.spans.as_doc()
 
     def test_read_job_snapshot_inverts_the_text(self):
         obs = make_obs(labels=LABELS)
         doc = read_job_snapshot(job_snapshot_json(obs))
-        assert doc == job_snapshot(obs)
+        assert doc["metrics"] == folded(obs.registry).snapshot()
+        assert doc["decisions"] == summarize_decisions(obs.decisions.records)
         assert doc["labels"] == LABELS
         (counter,) = doc["metrics"]["counters"]
         assert counter["labels"] == {"loop": "L", "tid": "0", **LABELS}
@@ -186,16 +210,42 @@ class TestJobSnapshot:
         with pytest.raises(ObsError, match="NUL"):
             job_snapshot_json(make_obs(labels={"program": "E\0P"}))
 
+    def test_an_unreadable_header_is_rejected(self):
+        with pytest.raises(ObsError, match="unreadable"):
+            MergedSnapshot().add_job("not json")
+
     @pytest.mark.parametrize(
-        "text, match",
+        "change, match",
         [
-            ('{"schema":"something/else"}', "job-snapshot"),
-            ("not json", "unreadable"),
+            ({"index": None}, "lacks its labels, index or sep"),
+            ({"index": ["counters"]}, "lacks its labels, index or sep"),
+            ({"labels": None}, "lacks its labels, index or sep"),
+            ({"sep": None}, "lacks its labels, index or sep"),
+            ({"sep": "||"}, "lacks its labels, index or sep"),
+            ({"index": {"counters": [0]}}, "not a list of pairs"),
+            ({"index": {"counters": {"0": "c"}}}, "not a list of pairs"),
+            ({"index": {"counters": ["0", "c"]}}, "unreadable"),
+            ({"index": {"counters": [0, 7]}}, "unreadable"),
+            ({"index": {"widgets": []}}, "unknown kind"),
+            ({"spans": True}, "accounts for"),
         ],
     )
-    def test_a_foreign_text_is_rejected(self, text, match):
+    def test_a_malformed_header_is_rejected(self, change, match):
+        obs = Observability()
+        obs.registry.counter("c")
+        lines = job_snapshot_json(obs).split("\n")
+        header = {**json.loads(lines[0]), **change}
+        text = "\n".join([canonical_json(header), *lines[1:]])
         with pytest.raises(ObsError, match=match):
             MergedSnapshot().add_job(text)
+        with pytest.raises(ObsError, match=match):
+            read_job_snapshot(text)
+
+    def test_a_traced_header_without_its_span_line_is_rejected(self):
+        obs = Observability(spans=SpanRecorder(context="t"))
+        header = job_snapshot_json(obs).split("\n")[0]
+        with pytest.raises(ObsError, match="accounts for"):
+            MergedSnapshot().add_job(header)
 
     def test_lines_the_index_does_not_account_for_are_rejected(self):
         text = job_snapshot_json(make_obs())
@@ -211,8 +261,8 @@ class TestJobSnapshot:
 class TestMergedSnapshot:
     def test_counters_and_histogram_buckets_sum(self):
         merged = merge([
-            job_snapshot(make_obs(dispatches=3, chunk_values=(1.0,))),
-            job_snapshot(make_obs(dispatches=5, chunk_values=(4.0, 16.0))),
+            job_snapshot_json(make_obs(dispatches=3, chunk_values=(1.0,))),
+            job_snapshot_json(make_obs(dispatches=5, chunk_values=(4.0, 16.0))),
         ])
         snap = merged.registry.snapshot()
         (counter,) = [
@@ -225,8 +275,8 @@ class TestMergedSnapshot:
         assert merged.jobs == 2
 
     def test_gauges_are_last_wins_in_merge_order(self):
-        a = job_snapshot(make_obs(gauge=0.25))
-        b = job_snapshot(make_obs(gauge=0.75))
+        a = job_snapshot_json(make_obs(gauge=0.25))
+        b = job_snapshot_json(make_obs(gauge=0.75))
         forward = merge([a, b]).registry.value(
             "loop_last_imbalance", loop="L"
         )
@@ -238,14 +288,14 @@ class TestMergedSnapshot:
 
     def test_extra_labels_keep_jobs_distinguishable(self):
         merged = MergedSnapshot()
-        merged.add_job(job_snapshot(make_obs(dispatches=2)), program="EP")
-        merged.add_job(job_snapshot(make_obs(dispatches=7)), program="IS")
+        merged.add_job(job_snapshot_json(make_obs(dispatches=2)), program="EP")
+        merged.add_job(job_snapshot_json(make_obs(dispatches=7)), program="IS")
         reg = merged.registry
         assert reg.value("dispatches_total", loop="L", tid=0, program="EP") == 2
         assert reg.value("dispatches_total", loop="L", tid=0, program="IS") == 7
 
     def test_decision_summaries_accumulate(self):
-        merged = merge([job_snapshot(make_obs()), job_snapshot(make_obs())])
+        merged = merge([job_snapshot_json(make_obs()), job_snapshot_json(make_obs())])
         summary = merged.decision_summary()
         assert summary["total"] == 4
         assert summary["schedulers"]["aid_hybrid"]["events"] == {
@@ -255,26 +305,26 @@ class TestMergedSnapshot:
     def test_merge_can_extend_an_existing_registry(self):
         registry = MetricsRegistry()
         registry.counter("fleet_jobs_submitted").inc(2)
-        merged = merge([job_snapshot(make_obs())], registry=registry)
+        merged = merge([job_snapshot_json(make_obs())], registry=registry)
         assert merged.registry is registry
         assert registry.value("fleet_jobs_submitted") == 2
 
     def test_rejects_foreign_schema(self):
         with pytest.raises(ObsError, match="job-snapshot"):
-            MergedSnapshot().add_job({"schema": "something/else"})
+            MergedSnapshot().add_job('{"schema":"something/else"}')
 
     def test_rejects_histogram_bounds_mismatch(self):
         merged = MergedSnapshot()
-        merged.add_job(job_snapshot(make_obs()))
+        merged.add_job(job_snapshot_json(make_obs()))
         other = Observability()
         other.registry.histogram(
             "chunk_size_iterations", buckets=(2.0, 8.0), loop="L"
         ).observe(1.0)
         with pytest.raises(ObsError, match="bucket mismatch"):
-            merged.add_job(job_snapshot(other))
+            merged.add_job(job_snapshot_json(other))
 
     def test_to_snapshot_is_a_report_readable_document(self):
-        merged = merge([job_snapshot(make_obs())])
+        merged = merge([job_snapshot_json(make_obs())])
         doc = merged.to_snapshot(meta={"grids": "smoke"})
         assert doc["schema"] == SNAPSHOT_SCHEMA
         assert doc["meta"] == {"grids": "smoke"}
@@ -309,6 +359,17 @@ def kept_kinds_registry() -> MetricsRegistry:
     assert ts.level > 0
     reg.digest("overhead", loop="L")
     return reg
+
+
+def index_keys(header: dict) -> list[str]:
+    """Every text key a job snapshot's header indexes, in line order."""
+    keys = []
+    for coded in header["index"].values():
+        key = ""
+        for shared, rest in zip(coded[::2], coded[1::2]):
+            key = key[:shared] + rest.replace(header["sep"], "\0")
+            keys.append(key)
+    return keys
 
 
 def merged_text(reg: MetricsRegistry) -> str:
@@ -396,23 +457,9 @@ class TestKeptDocuments:
 
     def test_relabeling_drops_the_stamped_labels(self):
         source = kept_kinds_registry()
-        as_text = MergedSnapshot()
-        as_text.add_job(job_text(source, LABELS))
-        as_mapping = MergedSnapshot()
-        as_mapping.add_job(read_job_snapshot(job_text(source, LABELS)))
-        expected = merged_text(folded(source, {}))
-        assert merged_text(as_text.registry) == expected
-        assert merged_text(as_mapping.registry) == expected
-
-    def test_a_mapping_and_its_text_merge_alike(self):
-        obs = make_obs(labels=LABELS)
-        as_text = MergedSnapshot()
-        as_text.add_job(job_snapshot_json(obs), **LABELS)
-        as_mapping = MergedSnapshot()
-        as_mapping.add_job(job_snapshot(obs), **LABELS)
-        assert to_json(as_text.to_snapshot()) == to_json(
-            as_mapping.to_snapshot()
-        )
+        merged = MergedSnapshot()
+        merged.add_job(job_text(source, LABELS))
+        assert merged_text(merged.registry) == merged_text(folded(source, {}))
 
     def test_span_documents_ride_whole_under_the_merge_labels(self):
         obs = Observability(
@@ -420,7 +467,7 @@ class TestKeptDocuments:
         )
         merged = MergedSnapshot()
         merged.add_job(job_snapshot_json(obs), **RENAMED)
-        merged.add_job(job_snapshot(obs), **LABELS)
+        merged.add_job(job_snapshot_json(obs), **LABELS)
         assert merged.to_snapshot()["spans"] == [
             {"labels": RENAMED, "doc": obs.spans.as_doc()},
             {"labels": LABELS, "doc": obs.spans.as_doc()},
@@ -561,7 +608,7 @@ class TestComparableSnapshot:
         obs.registry.gauge(
             "fleet_duration_estimate_seconds", profile="EP|static|BS|A"
         ).set(0.3)
-        merged = merge([job_snapshot(obs)])
+        merged = merge([job_snapshot_json(obs)])
         return merged.to_snapshot(
             meta={"grids": "smoke", "jobs": 4, "wall_clock_seconds": 1.23}
         )
