@@ -163,7 +163,9 @@ class TestJobSnapshot:
         # with the previous key, and the rest.
         header = json.loads(lines[0])
         assert header["index"]["counters"] == [0, "n|a|1|b|2|c|x", 5, "|c|x"]
-        assert index_keys(header) == ["n\0a\0" "1\0b\0" "2\0c\0x", "n\0a\0" "1\0c\0x"]
+        assert index_keys(header) == [
+            "n\0a\0" "1\0b\0" "2\0c\0x", "n\0a\0" "1\0c\0x",
+        ]
 
     @pytest.mark.parametrize(
         "value, sep", [("a|b", "~"), ("".join(INDEX_SEPARATORS[:-1]), "\0")]
